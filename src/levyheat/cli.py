@@ -37,11 +37,18 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from .experiments import OrderReport, StudyPlan, StudyResult, run_study
+from .experiments import (
+    OrderReport,
+    StudyPlan,
+    StudyResult,
+    block_size,
+    run_study,
+)
 from .noise import (
     ExpShiftedLaw,
     G1Spec,
@@ -386,7 +393,8 @@ def emit_plot_data(report: OrderReport, path):
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance record of one CLI run: config digest, seeds, outputs."""
+    """Provenance record of one CLI run: config digest, seeds, outputs, and
+    the software and worker count that produced them."""
 
     digest: str
     seed_override: object  # int from --seed, else None
@@ -394,6 +402,7 @@ class RunManifest:
     started: str
     elapsed_seconds: float
     studies: tuple
+    provenance: dict = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
@@ -408,6 +417,7 @@ class RunManifest:
             "version": self.version,
             "started": self.started,
             "elapsed_seconds": self.elapsed_seconds,
+            "provenance": self.provenance,
             "studies": list(self.studies),
         }
         return json.dumps(doc, indent=2) + "\n"
@@ -428,6 +438,22 @@ def _prepare_out_dir(out_dir) -> str:
     return out
 
 
+def _provenance(threads: int) -> dict:
+    """Versions of the numerical stack behind a run, and its worker count."""
+    import numpy
+    import scipy
+
+    deps = numpy.show_config(mode="dicts").get("Build Dependencies", {})
+    blas = deps.get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "workers": threads,
+    }
+
+
 def _study_entry(plan: StudyPlan, result, csv_name, elapsed, error) -> dict:
     entry = {
         "name": plan.name,
@@ -435,18 +461,23 @@ def _study_entry(plan: StudyPlan, result, csv_name, elapsed, error) -> dict:
         "scheme": plan.scheme,
         "seed": plan.seed,
         "samples": plan.samples,
+        "block_size": block_size(plan),
         "elapsed_seconds": round(elapsed, 3),
         "model_info": dict(plan.model_info),
     }
     if error is not None:
+        # only a study that gave up on its samples has counted aborts
+        aborted = list(getattr(error, "aborted", []))
         entry.update(status="failed", error=str(error), csv=None,
-                     aborts=plan.samples, effective_samples=0, fits=[])
+                     aborts=len(aborted), aborted=aborted,
+                     effective_samples=0, fits=[])
         return entry
     fits = [
         {"p": rep.p, "order": rep.order, "stderr": rep.stderr}
         for rep in result.reports
     ]
     entry.update(status="ok", csv=csv_name, aborts=result.aborts,
+                 aborted=list(result.extras.get("aborted", [])),
                  effective_samples=result.effective_samples, fits=fits)
     return entry
 
@@ -457,10 +488,13 @@ def execute(plans, out_dir, threads: int = 1,
 
     Studies that raise are recorded as failed in the manifest and do not
     stop the remaining studies.  The manifest's `clean` property is True
-    only if every study completed with zero aborted samples.
+    only if every study completed with zero aborted samples.  Each study
+    entry lists its aborted samples (index, level, step, time), so any of
+    them can be rerun alone from (seed, index).
     """
     out = _prepare_out_dir(out_dir)
     digest = config_digest(plans)
+    provenance = _provenance(threads)
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     t0 = time.perf_counter()
     entries = []
@@ -485,6 +519,7 @@ def execute(plans, out_dir, threads: int = 1,
         started=started,
         elapsed_seconds=round(time.perf_counter() - t0, 3),
         studies=tuple(entries),
+        provenance=provenance,
     )
     with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8",
               newline="\n") as fh:

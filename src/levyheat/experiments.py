@@ -9,7 +9,10 @@ convolution straight from the skeletons.
 
 Samples are keyed by (seed, sample index) counter streams, so the same plan
 always produces the same report no matter how samples are scheduled across
-workers; the reduction runs in fixed sample order.
+workers; the reduction runs in fixed sample order.  The temporal and
+spatial studies step their samples in blocks of fixed index ranges through
+one batched loop, which gives each sample exactly the doubles of a run on
+its own.
 """
 
 import math
@@ -29,14 +32,7 @@ from .noise import (
     sample_path,
     stream,
 )
-from .schemes import (
-    SCHEME_A,
-    SCHEME_B,
-    DivergenceError,
-    SchemeConfig,
-    run_scheme_A,
-    run_scheme_B,
-)
+from .schemes import SCHEME_A, SCHEME_B, SchemeConfig, run_block, scheme_bundle
 from .spectral import NonlinearitySpec, SpectralState, eigenvalues, hnorm, project
 
 __all__ = [
@@ -44,6 +40,8 @@ __all__ = [
     "StudyPlan",
     "OrderReport",
     "StudyResult",
+    "StudyAborted",
+    "block_size",
     "estimate_lp_error",
     "fit_order",
     "run_temporal_study",
@@ -54,6 +52,12 @@ __all__ = [
 
 AXES = ("temporal", "spatial", "holder")
 N_BOOTSTRAP = 1000
+# byte budget of the reference-resolution arrays one block holds at once:
+# one per sample (the noise path, whose view scheme A steps on at dt_ref, or
+# scheme B's copy of it restricted to the uniform grid), plus on scheme B
+# the path being restricted
+BLOCK_BYTES = 8 * 2**20
+MAX_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -98,21 +102,37 @@ class StudyPlan:
             raise ValueError("a study needs at least one level")
         if self.axis == "temporal":
             levels = tuple(float(v) for v in levels)
-            for dt in levels:
+            for j, dt in enumerate(levels):
                 ratio = dt / self.dt_ref
                 r = round(ratio)
                 if r < 1 or abs(ratio - r) > 1e-9 * ratio or (r & (r - 1)):
                     raise ValueError(
                         f"temporal level {dt} is not dt_ref times a power of two"
                     )
+                if r == 1:
+                    raise ValueError(
+                        f"levels[{j}]: temporal level {dt} equals dt_ref, so "
+                        "its coupled error is zero"
+                    )
+                steps = self.horizon / dt
+                if abs(steps - round(steps)) > 1e-9 * steps:
+                    raise ValueError(
+                        f"levels[{j}]: horizon {self.horizon} is not an "
+                        f"integer multiple of temporal level {dt}"
+                    )
         elif self.axis == "spatial":
             coerced = []
-            for v in levels:
+            for j, v in enumerate(levels):
                 if float(v) != int(v):
                     raise ValueError(f"spatial level {v} is not an integer")
                 coerced.append(int(v))
                 if not 1 <= int(v) <= self.n_ref:
                     raise ValueError(f"spatial level {v} outside [1, n_ref]")
+                if int(v) == self.n_ref:
+                    raise ValueError(
+                        f"levels[{j}]: spatial level {v} equals n_ref, so "
+                        "its coupled error is zero"
+                    )
             levels = tuple(coerced)
         else:
             levels = tuple(float(v) for v in levels)
@@ -298,68 +318,125 @@ def _build_reports(plan: StudyPlan, norms: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# per-sample workers
+# the block worker
 
 
-def _scheme_runner(scheme: str):
-    return run_scheme_A if scheme == SCHEME_A else run_scheme_B
+class StudyAborted(RuntimeError):
+    """Every sample of a study aborted; `aborted` holds their records."""
+
+    def __init__(self, aborted: list):
+        super().__init__("every sample aborted; nothing to estimate")
+        self.aborted = aborted
 
 
-def _temporal_norms(plan: StudyPlan, index: int):
-    """Coupled error norms of one sample at every temporal level, or None
-    if the sample aborted on a non-finite state."""
-    run = _scheme_runner(plan.scheme)
-    path = sample_path(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
-                       plan.seed, index)
-    try:
-        ref_cfg = SchemeConfig(plan.scheme, plan.n_ref, plan.dt_ref,
-                               plan.horizon, plan.nonlinearity, plan.model,
-                               plan.x0)
-        ref = run(ref_cfg, path).final
-        out = np.empty(len(plan.levels))
-        for j, dt in enumerate(plan.levels):
-            cfg = SchemeConfig(plan.scheme, plan.n_ref, dt, plan.horizon,
-                               plan.nonlinearity, plan.model, plan.x0)
-            out[j] = hnorm(ref - run(cfg, path).final)
-        return out
-    except DivergenceError:
+def block_size(plan: StudyPlan):
+    """Samples stepped together in one block of a temporal or spatial
+    study (None for the Hölder axis, which runs no scheme).
+
+    Fixed by the plan alone, so the blocks [kB, (k+1)B) and the results do
+    not depend on the worker count.
+    """
+    if plan.axis == "holder":
         return None
+    arrays = BLOCK_BYTES // (round(plan.horizon / plan.dt_ref) * plan.n_ref * 8)
+    if plan.scheme == SCHEME_B:
+        arrays -= 1  # the path being restricted beside the block's copies
+    return max(1, min(MAX_BLOCK, arrays))
 
 
-def _spatial_norms(plan: StudyPlan, index: int):
-    run = _scheme_runner(plan.scheme)
-    path = sample_path(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
-                       plan.seed, index)
-    try:
-        ref_cfg = SchemeConfig(plan.scheme, plan.n_ref, plan.dt_ref,
-                               plan.horizon, plan.nonlinearity, plan.model,
-                               plan.x0)
-        ref = run(ref_cfg, path).final
-        out = np.empty(len(plan.levels))
-        for j, n in enumerate(plan.levels):
-            cfg = SchemeConfig(plan.scheme, n, plan.dt_ref, plan.horizon,
-                               plan.nonlinearity, plan.model, plan.x0)
-            out[j] = hnorm(ref - run(cfg, path).final)
-        return out
-    except DivergenceError:
-        return None
-
-
-def _collect_norms(plan: StudyPlan, worker, workers: int) -> tuple:
-    rows = []
-    if workers <= 1:
-        for i in range(plan.samples):
-            rows.append(worker(plan, i))
+def _resolutions(plan: StudyPlan) -> list:
+    """(dt, N) of the reference run, then of every level in plan order."""
+    if plan.axis == "temporal":
+        levels = [(dt, plan.n_ref) for dt in plan.levels]
     else:
-        chunk = max(1, plan.samples // (workers * 8))
+        levels = [(plan.dt_ref, n) for n in plan.levels]
+    return [(plan.dt_ref, plan.n_ref)] + levels
+
+
+def _run_block(plan: StudyPlan, indices) -> tuple:
+    """Terminal states of the samples `indices`, stepped as one block.
+
+    Returns (terminals, aborted).  terminals[b, j] is the terminal state of
+    sample indices[b] at resolution j of `_resolutions` (0 is the
+    reference), zero-padded to n_ref.  A sample whose run turns non-finite
+    skips the remaining resolutions; `aborted` records its index, the
+    level (dt or N) it diverged at, and the step and time.
+    """
+    res = _resolutions(plan)
+    cfgs = [SchemeConfig(plan.scheme, n, dt, plan.horizon, plan.nonlinearity,
+                         plan.model, plan.x0) for dt, n in res]
+    # each path is restricted to every resolution at once and then dropped,
+    # unless the reference bundle is a view of it: a block holds one
+    # reference-resolution array per sample
+    bundles = []
+    for i in indices:
+        path = sample_path(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
+                           plan.seed, i)
+        bundles.append([scheme_bundle(cfg, path) for cfg in cfgs])
+    del path
+    terminals = np.zeros((len(bundles), len(res), plan.n_ref))
+    alive = list(range(len(bundles)))
+    aborted = []
+    for j, ((dt, n), cfg) in enumerate(zip(res, cfgs)):
+        finals, diverged, _ = run_block(cfg, [bundles[b][j] for b in alive])
+        for k, b in enumerate(alive):
+            if k in diverged:
+                step, t = diverged[k]
+                aborted.append({
+                    "index": indices[b],
+                    "level": dt if plan.axis == "temporal" else n,
+                    "step": step,
+                    "time": t,
+                })
+            else:
+                terminals[b, j, :n] = finals[k]
+        alive = [b for k, b in enumerate(alive) if k not in diverged]
+        if not alive:
+            break
+    aborted.sort(key=lambda a: a["index"])
+    return terminals, aborted
+
+
+def _coupled_norms(terminals: np.ndarray) -> np.ndarray:
+    """(samples, levels) H-norms of each level's terminal state against the
+    reference; row by row the same doubles as `hnorm` of one difference."""
+    norms = np.empty((terminals.shape[0], terminals.shape[1] - 1))
+    for j in range(norms.shape[1]):
+        diff = terminals[:, 0] - terminals[:, j + 1]
+        norms[:, j] = np.sqrt(np.sum(diff**2, axis=1))
+    return norms
+
+
+def _block_norms(plan: StudyPlan, size: int, start: int) -> tuple:
+    """Coupled norms of the surviving samples of the block of `size`
+    samples from `start`, and the block's abort records."""
+    indices = range(start, min(start + size, plan.samples))
+    terminals, aborted = _run_block(plan, indices)
+    dead = {a["index"] for a in aborted}
+    kept = [b for b, i in enumerate(indices) if i not in dead]
+    return _coupled_norms(terminals[kept]), aborted
+
+
+def _collect_norms(plan: StudyPlan, workers: int) -> tuple:
+    size = block_size(plan)
+    job = partial(_block_norms, plan, size)
+    starts = range(0, plan.samples, size)
+    if workers <= 1:
+        parts = [job(s) for s in starts]
+    else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(partial(worker, plan), range(plan.samples),
-                                 chunksize=chunk))
-    kept = [r for r in rows if r is not None]
-    aborts = plan.samples - len(kept)
-    if not kept:
-        raise RuntimeError("every sample aborted; nothing to estimate")
-    return np.vstack(kept), aborts
+            parts = list(pool.map(job, starts))
+    aborted = [a for _, block in parts for a in block]
+    if len(aborted) == plan.samples:
+        raise StudyAborted(aborted)
+    return np.vstack([norms for norms, _ in parts]), aborted
+
+
+def _coupled_study(plan: StudyPlan, workers: int) -> StudyResult:
+    norms, aborted = _collect_norms(plan, workers)
+    reports = _build_reports(plan, norms, plan.axis == "spatial")
+    return StudyResult(plan, reports, len(aborted),
+                       dict(plan.model_info, aborted=aborted))
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +451,7 @@ def run_temporal_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     """
     if plan.axis != "temporal":
         raise ValueError("plan axis must be temporal")
-    norms, aborts = _collect_norms(plan, _temporal_norms, workers)
-    return StudyResult(plan, _build_reports(plan, norms, False), aborts,
-                       dict(plan.model_info))
+    return _coupled_study(plan, workers)
 
 
 def run_spatial_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
@@ -386,9 +461,7 @@ def run_spatial_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     """
     if plan.axis != "spatial":
         raise ValueError("plan axis must be spatial")
-    norms, aborts = _collect_norms(plan, _spatial_norms, workers)
-    return StudyResult(plan, _build_reports(plan, norms, True), aborts,
-                       dict(plan.model_info))
+    return _coupled_study(plan, workers)
 
 
 def _holder_norms(plan: StudyPlan) -> np.ndarray:

@@ -627,47 +627,35 @@ class StepBundle:
         return np.nonzero(self.event_step == i)[0]
 
 
-def restrict_path(path: CoupledNoisePath, partition, n_modes: int) -> StepBundle:
-    """Exactly restrict a noise path to a coarse partition and mode count.
+_FOLD_ROWS = 128
 
-    Every coarse Wiener increment is the left-to-right `compose_convolution`
-    fold of the micro increments it contains, so the restriction is exact in
-    distribution and bit-for-bit reproducible.  The partition must refine
-    into the micro grid (all its nodes must be micro nodes).
-    """
-    nodes = np.asarray(getattr(partition, "nodes", partition), dtype=np.float64)
-    if nodes.ndim != 1 or nodes.size < 2:
-        raise ValueError("partition must contain at least one step")
-    if not 1 <= n_modes <= path.n_ref:
-        raise ValueError(f"mode count must lie in [1, {path.n_ref}]")
-    micro = path.grid.nodes
-    pos = np.searchsorted(micro, nodes)
-    if np.any(pos >= micro.size) or np.any(micro[pos] != nodes):
-        raise ValueError("partition is not refined by the micro grid")
 
-    inc = path.wiener[:, :n_modes]
-    deltas = path.grid.deltas
-    dt_ref = path.grid.dt_ref
-    lam = eigenvalues(n_modes)
-    n_steps = nodes.size - 1
+def _fold(inc: np.ndarray, deltas: np.ndarray, dt_ref: float,
+          pos: np.ndarray) -> np.ndarray:
+    """Left-to-right convolution folds of the micro rows between the
+    micro indices `pos`: row i folds rows pos[i] .. pos[i+1] - 1."""
+    lam = eigenvalues(inc.shape[1])
     start, end = pos[:-1], pos[1:]
-
-    out = np.empty((n_steps, n_modes))
+    out = np.empty((start.size, inc.shape[1]))
     # steps whose micro slice is uniform fold with one shared decay factor;
     # vectorising over equal-length groups keeps the arithmetic identical to
-    # the per-step sequential fold (same doubles, same order)
+    # the per-step sequential fold (same doubles, same order); gathering one
+    # micro row per step at a time, for at most _FOLD_ROWS steps, keeps the
+    # working set far below the size of the output
     irregular_before = np.concatenate([[0], np.cumsum(deltas != dt_ref)])
     clean = irregular_before[end] == irregular_before[start]
     decay_ref = np.exp(-lam * dt_ref)
     lengths = end - start
     for m in np.unique(lengths[clean]):
-        sel = np.nonzero(clean & (lengths == m))[0]
-        gather = inc[start[sel, None] + np.arange(m)[None, :]]
-        acc = gather[:, 0].copy()
-        for j in range(1, m):
-            acc *= decay_ref
-            acc += gather[:, j]
-        out[sel] = acc
+        group = np.nonzero(clean & (lengths == m))[0]
+        for lo in range(0, group.size, _FOLD_ROWS):
+            sel = group[lo:lo + _FOLD_ROWS]
+            first = start[sel]
+            acc = inc[first]
+            for j in range(1, m):
+                acc *= decay_ref
+                acc += inc[first + j]
+            out[sel] = acc
     decay_cache = {dt_ref: decay_ref}
     for i in np.nonzero(~clean)[0]:
         acc = inc[start[i]].copy()
@@ -680,6 +668,36 @@ def restrict_path(path: CoupledNoisePath, partition, n_modes: int) -> StepBundle
             acc *= dec
             acc += inc[j]
         out[i] = acc
+    return out
+
+
+def restrict_path(path: CoupledNoisePath, partition, n_modes: int) -> StepBundle:
+    """Exactly restrict a noise path to a coarse partition and mode count.
+
+    Every coarse Wiener increment is the left-to-right `compose_convolution`
+    fold of the micro increments it contains, so the restriction is exact in
+    distribution and bit-for-bit reproducible.  The partition must refine
+    into the micro grid (all its nodes must be micro nodes).  On the micro
+    grid itself the bundle's increments are a view of the path's rows, not
+    a copy.
+    """
+    nodes = np.asarray(getattr(partition, "nodes", partition), dtype=np.float64)
+    if nodes.ndim != 1 or nodes.size < 2:
+        raise ValueError("partition must contain at least one step")
+    if not 1 <= n_modes <= path.n_ref:
+        raise ValueError(f"mode count must lie in [1, {path.n_ref}]")
+    micro = path.grid.nodes
+    pos = np.searchsorted(micro, nodes)
+    if np.any(pos >= micro.size) or np.any(micro[pos] != nodes):
+        raise ValueError("partition is not refined by the micro grid")
+
+    inc = path.wiener[:, :n_modes]
+    if nodes.size == micro.size:
+        # the partition is the micro grid: each fold is one micro row, so
+        # the increments are the path's own rows (a view, not a copy)
+        out = inc
+    else:
+        out = _fold(inc, path.grid.deltas, path.grid.dt_ref, pos)
 
     times = path.skeleton.times
     # jump at sigma belongs to the step with nodes[i] < sigma <= nodes[i+1]

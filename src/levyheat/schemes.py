@@ -48,6 +48,8 @@ __all__ = [
     "jump_apply",
     "run_scheme_A",
     "run_scheme_B",
+    "scheme_bundle",
+    "run_block",
 ]
 
 SCHEME_A = "jump_adapted_A"
@@ -344,8 +346,32 @@ def _check_coupling(cfg: SchemeConfig, path: CoupledNoisePath) -> None:
         )
 
 
-def _run(cfg: SchemeConfig, part: TimePartition,
-         bundle: StepBundle) -> Trajectory:
+def _restrict(cfg: SchemeConfig, path: CoupledNoisePath) -> tuple:
+    """The scheme's partition on one path and the path restricted to it
+    (see `scheme_bundle`)."""
+    _check_coupling(cfg, path)
+    if cfg.scheme == SCHEME_A:
+        part = build_adapted_partition(cfg.horizon, cfg.dt_nominal,
+                                       path.skeleton)
+    else:
+        part = uniform_partition(cfg.horizon, cfg.dt_nominal)
+    return part, restrict_path(path, part, cfg.n_modes)
+
+
+def run_block(cfg: SchemeConfig, bundles, record: bool = False) -> tuple:
+    """Run the configured scheme once per step bundle (see `scheme_bundle`),
+    all rows through one loop of the one-step map.
+
+    The state has shape (rows, n) and every row has its own step sizes,
+    increments and jumps, so a row gets exactly the doubles it would get
+    alone.  A row that turns non-finite leaves the block at once; a row
+    whose partition ends leaves it after its last step.
+
+    Returns (finals, diverged, history): the terminal state of each row
+    (NaN where the row diverged), a dict mapping each diverged row to its
+    (step, time), and with `record` (one row) the per-node states, the jump
+    nodes and their pre-jump states, else None.
+    """
     n = cfg.n_modes
     lam = eigenvalues(n)
     model = cfg.model
@@ -353,67 +379,134 @@ def _run(cfg: SchemeConfig, part: TimePartition,
     kernel = None
     if cfg.nonlinearity.kind != "zero":
         kernel = NemytskiiKernel(cfg.nonlinearity, n, n)
-    sk = bundle.skeleton
-    g1s = model.g1_values(sk.xis)
     phi_vec = project(model.profile, n).coeffs
+    rows = len(bundles)
     # the frozen jump term runs whenever the compensator is non-trivial or
     # (uniform scheme) realized jumps need aggregating
-    live = model.intensity > 0 or (not adapted and sk.count > 0)
-    mean_g1, mean_g_vec = 0.0, None
-    if live:
-        if model.intensity > 0:
-            mean_g1, mg = compensator_coeffs(model, n)
-            mean_g_vec = mg.coeffs
-        else:
-            mean_g_vec = np.zeros(n)
-    deltas = part.deltas
-    n_steps = deltas.size
-    if not adapted and sk.count:
-        sum_g1 = np.bincount(bundle.event_step, weights=g1s, minlength=n_steps)
-        sum_xi = np.bincount(bundle.event_step, weights=sk.xis,
-                             minlength=n_steps)
-    else:
-        sum_g1 = sum_xi = np.zeros(n_steps)
+    live = model.intensity > 0 or (
+        not adapted and any(b.skeleton.count for b in bundles))
+    mean_g1, mean_g_vec = 0.0, np.zeros(n)
+    if model.intensity > 0:
+        mean_g1, mg = compensator_coeffs(model, n)
+        mean_g_vec = mg.coeffs
 
-    tables = {}  # per distinct step size: (E(dt), phi1(dt), -dt*mean_g)
-    states = np.empty((part.nodes.size, n))
-    x = project(cfg.x0, n).coeffs.copy()
-    states[0] = x
-    node_event = bundle.node_event
-    wiener = bundle.wiener
-    jump_nodes, pre_rows = [], []
-    for i in range(n_steps):
-        dt = deltas[i]
-        tab = tables.get(dt)
-        if tab is None:
-            e_vec = np.exp(-lam * dt)
-            p_vec = -np.expm1(-lam * dt) / lam
-            base_shift = -dt * mean_g_vec if live else None
-            tab = (e_vec, p_vec, base_shift)
-            tables[dt] = tab
-        e_vec, p_vec, base_shift = tab
-        fv = kernel(x) if kernel is not None else None
-        coeff, shift = None, base_shift
-        if live:
-            coeff = -dt * mean_g1
-            if not adapted:
-                coeff += sum_g1[i]
-                if sum_xi[i] != 0.0:
-                    shift = sum_xi[i] * phi_vec + base_shift
-        y = _apply_step(x, fv, wiener[i], e_vec, p_vec, coeff, shift)
+    # per row and step: an index into a table of the distinct step sizes,
+    # and (uniform scheme) the g1 and magnitude sums of the step's jumps;
+    # the padding after a row's last step is never read
+    steps = np.array([b.n_steps for b in bundles])
+    width = int(steps.max())
+    dts = np.empty((rows, width))
+    sum_g1 = np.zeros((rows, width))
+    sum_xi = np.zeros((rows, width))
+    events = {}  # adapted scheme: step -> [(row, 1 + g1, xi)] at its end node
+    for r, b in enumerate(bundles):
+        dts[r, :steps[r]] = b.dts
+        dts[r, steps[r]:] = b.dts[-1]
+        sk = b.skeleton
+        if not sk.count:
+            continue
+        g1s = model.g1_values(sk.xis)
         if adapted:
-            ev = node_event[i + 1]
-            if ev >= 0:
-                jump_nodes.append(i + 1)
-                pre_rows.append(y.copy())
-                y *= 1.0 + g1s[ev]
-                y += sk.xis[ev] * phi_vec
-        if not np.isfinite(y).all():
-            raise DivergenceError(i, float(part.nodes[i + 1]))
-        states[i + 1] = y
-        x = y
-    pre = (np.array(pre_rows) if pre_rows
-           else np.empty((0, n)))
+            for node in np.nonzero(b.node_event >= 0)[0]:
+                ev = b.node_event[node]
+                events.setdefault(node - 1, []).append(
+                    (r, 1.0 + g1s[ev], sk.xis[ev]))
+        else:
+            sum_g1[r, :steps[r]] = np.bincount(b.event_step, weights=g1s,
+                                               minlength=steps[r])
+            sum_xi[r, :steps[r]] = np.bincount(b.event_step, weights=sk.xis,
+                                               minlength=steps[r])
+    sizes, which = np.unique(dts.ravel(), return_inverse=True)
+    which = which.reshape(rows, width)
+    e_tab = np.array([np.exp(-lam * dt) for dt in sizes])
+    p_tab = np.array([-np.expm1(-lam * dt) / lam for dt in sizes])
+    s_tab = np.array([-dt * mean_g_vec for dt in sizes])
+    c_tab = -sizes * mean_g1
+    tables = list(zip(e_tab, p_tab, s_tab, c_tab))  # per size, for shared steps
+
+    x = np.tile(project(cfg.x0, n).coeffs, (rows, 1))
+    finals = np.full((rows, n), np.nan)
+    diverged = {}
+    history = None
+    if record:
+        history = (np.empty((width + 1, n)), [], [])
+        history[0][0] = x[0]
+    active = np.arange(rows)  # the bundle of each row of x
+    srcs = [b.wiener for b in bundles]
+    w = np.empty((rows, n))
+    leaving = set((steps - 1).tolist())
+    at = {r: r for r in range(rows)}
+    shared = (which == which[:1]).all(axis=0).tolist()
+    first = which[0].tolist()
+    for i in range(width):
+        if shared[i]:
+            e_vec, p_vec, shift, coeff = tables[first[i]]
+        else:
+            col = which[:, i]
+            e_vec, p_vec, shift = e_tab[col], p_tab[col], s_tab[col]
+            coeff = c_tab[col, None]
+        for j, src in enumerate(srcs):
+            w[j] = src[i]
+        fv = kernel(x) if kernel is not None else None
+        if not live:
+            coeff = shift = None
+        elif not adapted:
+            coeff = coeff + sum_g1[:, i, None]
+            hit = sum_xi[:, i] != 0.0
+            if hit.any():
+                shift = np.broadcast_to(shift, x.shape).copy()
+                shift[hit] = sum_xi[hit, i, None] * phi_vec + shift[hit]
+        y = _apply_step(x, fv, w, e_vec, p_vec, coeff, shift)
+        for r, factor, xi in events.get(i, ()):
+            j = at.get(r)
+            if j is None:
+                continue
+            if record:
+                history[1].append(i + 1)
+                history[2].append(y[j].copy())
+            y[j] *= factor
+            y[j] += xi * phi_vec
+        if record:
+            history[0][i + 1] = y[0]
+        if i not in leaving and np.isfinite(y).all():
+            x = y
+            continue
+        # rows leave the block: the finished keep their state, the diverged
+        # their step and time
+        finite = np.isfinite(y).all(axis=1)
+        for j in np.nonzero(~finite)[0]:
+            r = active[j]
+            diverged[r] = (i, float(bundles[r].nodes[i + 1]))
+        done = finite & (steps[active] == i + 1)
+        finals[active[done]] = y[done]
+        keep = finite & (steps[active] > i + 1)
+        if not keep.any():
+            break
+        x = y[keep]
+        active = active[keep]
+        which = which[keep]
+        sum_g1, sum_xi = sum_g1[keep], sum_xi[keep]
+        srcs = [src for src, kept in zip(srcs, keep) if kept]
+        w = w[:active.size]
+        at = {r: j for j, r in enumerate(active.tolist())}
+        shared = (which == which[:1]).all(axis=0).tolist()
+        first = which[0].tolist()
+    return finals, diverged, history
+
+
+def scheme_bundle(cfg: SchemeConfig, path: CoupledNoisePath) -> StepBundle:
+    """The noise of one run of the configured scheme: the path restricted
+    to the scheme's partition (jump-adapted or uniform) and mode count."""
+    return _restrict(cfg, path)[1]
+
+
+def _run_one(cfg: SchemeConfig, path: CoupledNoisePath) -> Trajectory:
+    part, bundle = _restrict(cfg, path)
+    _, diverged, (states, jump_nodes, pre_rows) = run_block(cfg, [bundle],
+                                                            record=True)
+    if diverged:
+        raise DivergenceError(*diverged[0])
+    pre = np.array(pre_rows) if pre_rows else np.empty((0, cfg.n_modes))
     return Trajectory(part, states, np.array(jump_nodes, dtype=np.int64), pre)
 
 
@@ -421,17 +514,11 @@ def run_scheme_A(cfg: SchemeConfig, path: CoupledNoisePath) -> Trajectory:
     """Run the jump-adapted scheme on one noise path."""
     if cfg.scheme != SCHEME_A:
         raise ValueError("configuration does not select the adapted scheme")
-    _check_coupling(cfg, path)
-    part = build_adapted_partition(cfg.horizon, cfg.dt_nominal, path.skeleton)
-    bundle = restrict_path(path, part, cfg.n_modes)
-    return _run(cfg, part, bundle)
+    return _run_one(cfg, path)
 
 
 def run_scheme_B(cfg: SchemeConfig, path: CoupledNoisePath) -> Trajectory:
     """Run the uniform-grid scheme on one noise path."""
     if cfg.scheme != SCHEME_B:
         raise ValueError("configuration does not select the uniform scheme")
-    _check_coupling(cfg, path)
-    part = uniform_partition(cfg.horizon, cfg.dt_nominal)
-    bundle = restrict_path(path, part, cfg.n_modes)
-    return _run(cfg, part, bundle)
+    return _run_one(cfg, path)

@@ -146,6 +146,9 @@ def phi1_apply(state: SpectralState, t: float) -> SpectralState:
     return SpectralState(-np.expm1(-lam * t) / lam * state.coeffs)
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 @lru_cache(maxsize=64)
 def _sine_table(n_modes: int, m_nodes: int) -> np.ndarray:
     """Matrix S[k-1, m-1] = sin(k pi x_m) on the interior nodes x_m = m/(M+1)."""
@@ -237,8 +240,11 @@ class NemytskiiKernel:
 
     The quadrature grid has M = 2 max(n_in, n_out) + 1 interior nodes, which
     is alias-free for the output band and exact for linear f.  The scheme
-    loops call this object directly on coefficient arrays; `nemytskii` wraps
-    it for SpectralState arguments.
+    loops call this object directly on coefficient arrays, one state of
+    shape (n_in,) or a block of shape (B, n_in); `nemytskii` wraps it for
+    SpectralState arguments.  Each row of a block gets exactly the doubles
+    of a 1-D call: the transforms are stacked matrix-vector products, since
+    a 2-D matrix product rounds a row differently depending on the block.
     """
 
     def __init__(self, spec: NonlinearitySpec, n_in: int, n_out: int):
@@ -254,18 +260,22 @@ class NemytskiiKernel:
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
         spec = self.spec
+        shape = coeffs.shape[:-1] + (self.n_out,)
         if spec.kind == "zero":
-            return np.zeros(self.n_out)
+            return np.zeros(shape)
         if spec.kind == "linear":
             # linearity commutes with projection; skip the transforms
-            out = np.zeros(self.n_out)
+            out = np.zeros(shape)
             n = min(self.n_in, self.n_out)
-            np.multiply(spec.coef, coeffs[:n], out=out[:n])
+            np.multiply(spec.coef, coeffs[..., :n], out=out[..., :n])
             return out
-        values = math.sqrt(2.0) * (coeffs @ self._syn)
+        values = np.matmul(coeffs.reshape(-1, 1, self.n_in), self._syn)
+        values *= _SQRT2
         np.sin(values, out=values)
         values *= spec.coef
-        return self._scale * (self._ana @ values)
+        out = np.matmul(self._ana, values.reshape(-1, self.m_nodes, 1))
+        out *= self._scale
+        return out.reshape(shape)
 
 
 def nemytskii(state: SpectralState, spec: NonlinearitySpec, n_out: int) -> SpectralState:

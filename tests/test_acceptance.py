@@ -76,16 +76,18 @@ REPORT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir,
                  "acceptance_report.txt")
 )
-if os.path.exists(REPORT):
-    os.unlink(REPORT)
+_report_started = False  # the first record() of a pytest run starts a new report
 
 STUDY_SEED = 20260815
 
 
 def record(name: str, passed: bool, detail: str) -> bool:
+    global _report_started
     line = f"{name}: {'PASS' if passed else 'FAIL'} ({detail})"
-    with open(REPORT, "a", encoding="utf-8") as fh:
+    with open(REPORT, "a" if _report_started else "w",
+              encoding="utf-8") as fh:
         fh.write(line + "\n")
+    _report_started = True
     print(line)
     return passed
 

@@ -279,8 +279,13 @@ def test_execute_records_failed_study_and_keeps_going(tmp_path):
     bad = study_dict(name="divergent",
                      nonlinearity={"kind": "linear", "coef": 1e25},
                      levels=[0.25])
+    # no jumps: every increment vanishes, so the study fails with no sample
+    # aborted
+    empty = study_dict(name="jumpless", axis="holder", levels=[0.125],
+                       nonlinearity={"kind": "zero"})
+    empty["model"] = dict(empty["model"], intensity=0.0)
     good = study_dict(name="sound")
-    plans = parse_config(write_config(tmp_path, bad, good))
+    plans = parse_config(write_config(tmp_path, bad, empty, good))
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
         manifest = execute(plans, out)
@@ -288,9 +293,45 @@ def test_execute_records_failed_study_and_keeps_going(tmp_path):
     entries = {s["name"]: s for s in manifest.studies}
     assert entries["divergent"]["status"] == "failed"
     assert "aborted" in entries["divergent"]["error"]
+    assert entries["divergent"]["aborts"] == 100
+    assert [a["index"] for a in entries["divergent"]["aborted"]] == \
+        list(range(100))
+    assert entries["jumpless"]["status"] == "failed"
+    assert "vanish" in entries["jumpless"]["error"]
+    assert entries["jumpless"]["aborts"] == 0
+    assert entries["jumpless"]["aborted"] == []
     assert entries["sound"]["status"] == "ok"
     assert (out / "sound.csv").exists()
     assert not (out / "divergent.csv").exists()
+    recorded = json.loads((out / "manifest.json").read_text())
+    assert recorded["studies"] == [dict(e) for e in manifest.studies]
+
+
+def test_manifest_records_provenance_and_aborted_samples(tmp_path):
+    # one mode and symmetric jumps of 1.2e308: only samples with two close
+    # same-signed jumps overflow
+    risky = study_dict(name="risky", n_ref=1, samples=24)
+    risky["model"] = dict(risky["model"], intensity=4.0, law={
+        "kind": "two_point", "p_plus": 0.5, "v_plus": 1.2e308,
+        "v_minus": -1.2e308})
+    with pytest.warns(UserWarning, match="fewer than 100"):
+        plans = parse_config(write_config(tmp_path, risky))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_temporal_study(plans[0])
+        manifest = execute(plans, tmp_path / "out", threads=2)
+    recorded = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    prov = recorded["provenance"]
+    assert prov["numpy"] == np.__version__ and prov["workers"] == 2
+    assert set(prov) == {"python", "numpy", "scipy", "blas", "workers"}
+    assert set(prov["blas"]) == {"name", "version"}
+    entry = recorded["studies"][0]
+    assert entry["block_size"] == 32
+    assert 0 < entry["aborts"] < 24
+    assert entry["aborted"] == result.extras["aborted"]
+    assert [a["index"] for a in entry["aborted"]] == sorted(
+        a["index"] for a in entry["aborted"])
+    assert set(entry["aborted"][0]) == {"index", "level", "step", "time"}
+    assert not manifest.clean
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +378,21 @@ def test_main_dry_run_creates_nothing(tmp_path, capsys):
     assert not out.exists()
     stdout = capsys.readouterr().out
     assert "config digest" in stdout and "unit" in stdout
+
+
+@pytest.mark.parametrize("overrides, field", [
+    # a level at dt_ref has a coupled error of exactly zero
+    ({"levels": [0.25, 0.125, 0.015625]}, "levels[2]"),
+    ({"axis": "spatial", "levels": [2, 4], "n_ref": 4}, "levels[1]"),
+    ({"horizon": 0.75, "levels": [0.5, 0.25]}, "levels[0]"),
+])
+def test_dry_run_rejects_unrunnable_plans(tmp_path, capsys, overrides,
+                                          field):
+    cfg = write_config(tmp_path, study_dict(**overrides))
+    code = main(["run", str(cfg), "--out", str(tmp_path / "o"), "--dry-run"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"studies[0]: {field}:" in err
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):

@@ -15,6 +15,11 @@ from levyheat.experiments import (
     OrderReport,
     StudyPlan,
     StudyResult,
+    _block_norms,
+    _collect_norms,
+    _coupled_norms,
+    _run_block,
+    block_size,
     estimate_lp_error,
     fit_order,
     run_holder_study,
@@ -28,8 +33,17 @@ from levyheat.noise import (
     TwoPointLaw,
     conv_variance,
     power_profile,
+    sample_path,
 )
-from levyheat.spectral import NonlinearitySpec, SpectralState, eigenvalues
+from levyheat.schemes import (
+    SCHEME_A,
+    SCHEME_B,
+    DivergenceError,
+    SchemeConfig,
+    run_scheme_A,
+    run_scheme_B,
+)
+from levyheat.spectral import NonlinearitySpec, SpectralState, eigenvalues, hnorm
 
 
 def unit_state(n, k=0):
@@ -211,6 +225,23 @@ def test_plan_rejects_misc_bad_fields():
         make_plan(samples=0)
 
 
+def test_plan_rejects_level_at_dt_ref_naming_the_field():
+    # its coupled error is identically zero, so no order could be fitted
+    with pytest.raises(ValueError, match=r"levels\[2\].*equals dt_ref"):
+        make_plan(levels=(2.0**-2, 2.0**-3, 2.0**-6))
+
+
+def test_plan_rejects_spatial_level_at_n_ref_naming_the_field():
+    with pytest.raises(ValueError, match=r"levels\[1\].*equals n_ref"):
+        make_plan(axis="spatial", levels=(2, 4), n_ref=4)
+
+
+def test_plan_rejects_horizon_off_a_temporal_level_naming_the_field():
+    # horizon 0.75 is a multiple of dt_ref but not of the level 0.5
+    with pytest.raises(ValueError, match=r"levels\[0\].*horizon 0.75"):
+        make_plan(levels=(0.5, 0.25), horizon=0.75)
+
+
 def test_order_report_invariants():
     lv = np.array([0.5, 0.25, 0.125])
     err = np.array([1.0, 0.7, 0.5])
@@ -367,3 +398,129 @@ def test_study_result_report_lookup():
     with pytest.raises(KeyError):
         res.report_for(6.0)
     assert isinstance(res, StudyResult)
+
+
+# ---------------------------------------------------------------------------
+# the block worker against runs of one sample alone
+
+
+def _resolutions(plan):
+    if plan.axis == "temporal":
+        return [(plan.dt_ref, plan.n_ref)] + [(dt, plan.n_ref)
+                                              for dt in plan.levels]
+    return [(plan.dt_ref, plan.n_ref)] + [(plan.dt_ref, n)
+                                          for n in plan.levels]
+
+
+def _alone(plan, index):
+    """One sample through the public runners: its terminal states at the
+    reference and every level, or where it diverged (level, step, time)."""
+    run = run_scheme_A if plan.scheme == SCHEME_A else run_scheme_B
+    path = sample_path(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
+                       plan.seed, index)
+    finals = []
+    for dt, n in _resolutions(plan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = SchemeConfig(plan.scheme, n, dt, plan.horizon,
+                               plan.nonlinearity, plan.model, plan.x0)
+        try:
+            finals.append(run(cfg, path).final)
+        except DivergenceError as exc:
+            level = dt if plan.axis == "temporal" else n
+            return finals, (level, exc.step, exc.time)
+    return finals, None
+
+
+def _block_plan(scheme, axis, **overrides):
+    base = dict(scheme=scheme, samples=9)
+    if axis == "spatial":
+        base.update(axis="spatial", levels=(2, 4), n_ref=8, dt_ref=2.0**-5,
+                    model=tiny_model(8, g1=G1Spec.constant(0.3)),
+                    x0=unit_state(8))
+    else:
+        base.update(model=tiny_model(4, g1=G1Spec.constant(0.3)))
+    base.update(overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return make_plan(**base)
+
+
+@pytest.mark.filterwarnings("ignore:uniform-grid scheme")
+@pytest.mark.parametrize("axis", ["temporal", "spatial"])
+@pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
+def test_sample_is_bitwise_the_same_in_any_block(scheme, axis):
+    plan = _block_plan(scheme, axis)
+    i = 5
+    finals, diverged = _alone(plan, i)
+    assert diverged is None
+    alone_terms, aborted = _run_block(plan, [i])
+    assert aborted == []
+    for j, final in enumerate(finals):
+        n = final.dim
+        assert alone_terms[0, j, :n].tobytes() == final.coeffs.tobytes()
+        assert not alone_terms[0, j, n:].any()
+    expected = np.array([hnorm(finals[0] - f) for f in finals[1:]])
+    assert _coupled_norms(alone_terms)[0].tobytes() == expected.tobytes()
+
+    four, _ = _run_block(plan, range(4, 8))
+    seven, _ = _run_block(plan, [11, 5, 0, 3, 12, 13, 2])
+    # samples 5..8: the partial last block of a nine-sample plan
+    partial, _ = _block_norms(plan, 7, 5)
+    assert four[1].tobytes() == alone_terms[0].tobytes()
+    assert seven[1].tobytes() == alone_terms[0].tobytes()
+    assert partial.shape == (4, len(plan.levels))
+    assert partial[0].tobytes() == expected.tobytes()
+
+
+def test_block_size_from_the_byte_budget():
+    # 2^12 steps x 64 modes x 8 bytes = 2 MiB a path: four per block, or
+    # three copies of the uniform scheme's reference increments while the
+    # fourth path is restricted
+    plan = _block_plan(SCHEME_A, "temporal", n_ref=64, dt_ref=2.0**-12,
+                       levels=(2.0**-4,), horizon=1.0,
+                       model=tiny_model(64), x0=unit_state(64))
+    assert block_size(plan) == 4
+    wide = _block_plan(SCHEME_B, "spatial", n_ref=256, dt_ref=2.0**-10,
+                       levels=(4,), horizon=1.0,
+                       model=tiny_model(256), x0=unit_state(256))
+    assert block_size(wide) == 3
+    assert block_size(make_plan()) == 32
+    holder = make_plan(axis="holder", levels=(2.0**-4,))
+    assert block_size(holder) is None
+
+
+def _diverging_plan(scheme, axis):
+    # one mode, symmetric jumps of 1.2e308: a path overflows only where two
+    # same-signed jumps fall close together, so some samples abort
+    law = TwoPointLaw(0.5, 1.2e308, -1.2e308)
+    n = 1 if axis == "temporal" else 4
+    model = MarkModel(4.0, law, power_profile(1.0, 2.0, n))
+    levels = (2.0**-2, 2.0**-3, 2.0**-4) if axis == "temporal" else (1, 2)
+    return _block_plan(scheme, axis, levels=levels, n_ref=n, dt_ref=2.0**-6,
+                       model=model, x0=unit_state(n), samples=24)
+
+
+@pytest.mark.parametrize("axis", ["temporal", "spatial"])
+@pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
+def test_aborted_samples_are_recorded_and_leave_companions_intact(scheme,
+                                                                  axis):
+    plan = _diverging_plan(scheme, axis)
+    expected_aborts, expected_norms = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(plan.samples):
+            finals, diverged = _alone(plan, i)
+            if diverged is None:
+                expected_norms.append([hnorm(finals[0] - f)
+                                       for f in finals[1:]])
+            else:
+                level, step, t = diverged
+                expected_aborts.append(
+                    {"index": i, "level": level, "step": step, "time": t})
+        norms, aborted = _collect_norms(plan, workers=1)
+        result = run_study(plan)
+    assert 0 < len(expected_aborts) < plan.samples
+    assert aborted == expected_aborts
+    assert norms.tobytes() == np.array(expected_norms).tobytes()
+    assert result.aborts == len(expected_aborts)
+    assert result.extras["aborted"] == expected_aborts

@@ -22,6 +22,7 @@ from levyheat import (
     semigroup_apply,
     to_physical,
 )
+from levyheat.spectral import NemytskiiKernel, _sine_table
 
 
 def test_eigenvalues_closed_form():
@@ -229,6 +230,33 @@ def test_nemytskii_sine_against_dense_quadrature_oracle():
             )
         got = nemytskii(SpectralState(u), NonlinearitySpec.sine(coef), n_out)
         assert np.max(np.abs(got.coeffs - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 64, 256])
+def test_nemytskii_kernel_block_rows_match_vector_products(n):
+    # a (B, n) block must give every row the bytes of the plain 1-D
+    # matrix-vector transform, whatever the block size or the row's place
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((7, n))
+    m = 2 * n + 1
+    syn, ana = _sine_table(n, m), _sine_table(n, m)
+    for coef in (1.0, -0.7):
+        kernel = NemytskiiKernel(NonlinearitySpec.sine(coef), n, n)
+        for rows in (block, block[:1], block[2:6]):
+            got = kernel(rows)
+            assert got.shape == rows.shape
+            for row, out in zip(rows, got):
+                values = math.sqrt(2.0) * (row @ syn)
+                np.sin(values, out=values)
+                values *= coef
+                expected = math.sqrt(2.0) / (m + 1) * (ana @ values)
+                assert out.tobytes() == expected.tobytes()
+                assert out.tobytes() == kernel(row).tobytes()
+    for spec in (NonlinearitySpec.zero(), NonlinearitySpec.linear(2.5)):
+        kernel = NemytskiiKernel(spec, n, n)
+        got = kernel(block)
+        for row, out in zip(block, got):
+            assert out.tobytes() == kernel(row).tobytes()
 
 
 def test_nemytskii_lipschitz_transfer():

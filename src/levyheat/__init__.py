@@ -2,6 +2,9 @@
 white noise and Poisson jump noise, with exactly coupled multi-resolution
 sampling for measuring strong convergence orders."""
 
+# the one version string: cli's manifests and the package metadata read it
+__version__ = "0.1.0"
+
 from levyheat.spectral import (
     NonlinearitySpec,
     SpectralState,
@@ -77,5 +80,3 @@ from levyheat.cli import (
     serialize_config,
     serialize_plan,
 )
-
-__version__ = "0.1.0"

@@ -42,6 +42,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 
+from . import __version__
 from .experiments import (
     OrderReport,
     StudyPlan,
@@ -72,7 +73,6 @@ __all__ = [
     "main",
 ]
 
-TOOL_VERSION = "0.1.0"
 THREADS_ENV = "LEVYHEAT_THREADS"
 
 
@@ -515,7 +515,7 @@ def execute(plans, out_dir, threads: int = 1,
     manifest = RunManifest(
         digest=digest,
         seed_override=seed_override,
-        version=TOOL_VERSION,
+        version=__version__,
         started=started,
         elapsed_seconds=round(time.perf_counter() - t0, 3),
         studies=tuple(entries),

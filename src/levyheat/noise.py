@@ -29,7 +29,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from levyheat.spectral import SpectralState, eigenvalues, hnorm, project
 
@@ -49,6 +48,7 @@ __all__ = [
     "truncate_levy",
     "JumpSkeleton",
     "sample_jump_skeleton",
+    "sample_jump_skeletons",
     "MicroGrid",
     "build_micro_grid",
     "conv_variance",
@@ -71,6 +71,21 @@ PURPOSE_BOOTSTRAP = 3
 _QUAD_TOL = 1e-10  # absolute tolerance for law expectations
 
 
+def _philox_key(global_seed: int, sample_index: int,
+                purpose: int) -> np.ndarray:
+    """The Philox key of stream (seed, sample, purpose): the seed, then the
+    purpose tag in the top 16 bits over the 48-bit sample index."""
+    if not 0 <= global_seed < 2**64:
+        raise ValueError("global seed must fit in 64 bits")
+    if not 0 <= sample_index < 2**48:
+        raise ValueError("sample index must fit in 48 bits")
+    if not 0 <= purpose < 2**16:
+        raise ValueError("purpose tag must fit in 16 bits")
+    return np.array(
+        [global_seed, (purpose << 48) | sample_index], dtype=np.uint64
+    )
+
+
 def stream(global_seed: int, sample_index: int, purpose: int) -> np.random.Generator:
     """Counter-based random stream keyed by (seed, sample, purpose).
 
@@ -78,16 +93,35 @@ def stream(global_seed: int, sample_index: int, purpose: int) -> np.random.Gener
     key always reproduces the same draws regardless of which other streams
     were consumed, which makes sample-level parallelism deterministic.
     """
-    if not 0 <= global_seed < 2**64:
-        raise ValueError("global seed must fit in 64 bits")
-    if not 0 <= sample_index < 2**48:
-        raise ValueError("sample index must fit in 48 bits")
-    if not 0 <= purpose < 2**16:
-        raise ValueError("purpose tag must fit in 16 bits")
-    key = np.array(
-        [global_seed, (purpose << 48) | sample_index], dtype=np.uint64
-    )
+    key = _philox_key(global_seed, sample_index, purpose)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
+def _rekey(rng: np.random.Generator, global_seed: int, sample_index: int,
+           purpose: int) -> None:
+    """Move a Philox generator to the start of stream (seed, sample,
+    purpose): counter 0 and an empty output buffer, so the draws that
+    follow are those of a fresh `stream` with that key."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS,
+                  "key": _philox_key(global_seed, sample_index, purpose)},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _quad(*args, **kwargs):
+    """`scipy.integrate.quad`, imported on first use, so that a run whose
+    laws need no quadrature never loads scipy.integrate."""
+    from scipy import integrate
+
+    return integrate.quad(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -155,7 +189,7 @@ class ExpShiftedLaw:
         return self.offset + rng.exponential(1.0 / self.rate, size)
 
     def expect(self, fn: Callable[[float], float]) -> float:
-        val, _ = integrate.quad(
+        val, _ = _quad(
             lambda x: fn(self.offset + x) * self.rate * math.exp(-self.rate * x),
             0.0,
             np.inf,
@@ -215,7 +249,7 @@ class TruncatedStableLaw:
 
     def expect(self, fn: Callable[[float], float]) -> float:
         def one_side(sgn):
-            val, _ = integrate.quad(
+            val, _ = _quad(
                 lambda x: fn(sgn * x) * self._density_one_sided(np.asarray(x)),
                 self.eps,
                 np.inf,
@@ -393,14 +427,14 @@ def truncate_levy(alpha: float, eps: float, profile: SpectralState,
     def density(x):
         return x ** (-1.0 - alpha) * np.exp(-x)
 
-    half_mass, half_err = integrate.quad(
+    half_mass, half_err = _quad(
         density, eps, np.inf, epsrel=1e-10, epsabs=0.0, limit=400
     )
     if half_err > 1e-8 * half_mass:
         raise ArithmeticError("intensity quadrature did not reach tolerance")
     intensity = 2.0 * half_mass
 
-    residual = 2.0 * integrate.quad(
+    residual = 2.0 * _quad(
         lambda x: x * x * density(x), 0.0, eps, epsrel=1e-10, epsabs=0.0
     )[0]
 
@@ -461,6 +495,27 @@ class JumpSkeleton:
         return self.times.size
 
 
+def _draw_jumps(horizon: float, model: MarkModel,
+                rng: np.random.Generator) -> tuple:
+    """The draws of one skeleton, in their one order: the count ~
+    Poisson(horizon * intensity), then the sorted uniform times, then the
+    magnitudes i.i.d. from the model's law."""
+    count = int(rng.poisson(horizon * model.intensity)) if model.intensity > 0 else 0
+    if count == 0:
+        return np.empty(0), np.empty(0)
+    times = np.sort(rng.uniform(0.0, horizon, count))
+    xis = np.asarray(model.law.sample(rng, count), dtype=np.float64)
+    return times, xis
+
+
+def _skeleton(horizon: float, times: np.ndarray,
+              xis: np.ndarray) -> JumpSkeleton:
+    if times.size and (times[0] <= 0.0 or np.any(np.diff(times) <= 0.0)):
+        # probability-zero collision; refuse rather than silently merge
+        raise ArithmeticError("degenerate jump times drawn")
+    return JumpSkeleton(horizon, times, xis)
+
+
 def sample_jump_skeleton(horizon: float, model: MarkModel,
                          rng: np.random.Generator) -> JumpSkeleton:
     """Draw the Poisson jump skeleton on (0, horizon].
@@ -470,15 +525,47 @@ def sample_jump_skeleton(horizon: float, model: MarkModel,
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    count = int(rng.poisson(horizon * model.intensity)) if model.intensity > 0 else 0
-    if count == 0:
-        return JumpSkeleton(horizon, np.empty(0), np.empty(0))
-    times = np.sort(rng.uniform(0.0, horizon, count))
-    if times[0] <= 0.0 or np.any(np.diff(times) <= 0.0):
-        # probability-zero collision; refuse rather than silently merge
-        raise ArithmeticError("degenerate jump times drawn")
-    xis = np.asarray(model.law.sample(rng, count), dtype=np.float64)
-    return JumpSkeleton(horizon, times, xis)
+    return _skeleton(horizon, *_draw_jumps(horizon, model, rng))
+
+
+def sample_jump_skeletons(horizon: float, model: MarkModel, global_seed: int,
+                          indices) -> tuple:
+    """The jump skeletons of the samples `indices`, concatenated in order.
+
+    Returns (times, xis, counts): the b-th sample owns the counts[b]
+    entries after those of the samples before it, and they are the arrays
+    of `sample_jump_skeleton(horizon, model, stream(global_seed,
+    indices[b], PURPOSE_JUMPS))`.  One Philox generator is re-keyed to each
+    sample's stream instead of building a generator per sample.  The
+    skeleton checks run over the concatenation at once; the first sample
+    that fails one raises what it raises on its own.
+    """
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    rng = np.random.Generator(np.random.Philox(0))  # re-keyed before each draw
+    counts = np.zeros(len(indices), dtype=np.int64)
+    times_parts, xis_parts = [], []
+    for b, i in enumerate(indices):
+        _rekey(rng, global_seed, i, PURPOSE_JUMPS)
+        t, x = _draw_jumps(horizon, model, rng)
+        if t.size:
+            counts[b] = t.size
+            times_parts.append(t)
+            xis_parts.append(x)
+    times = np.concatenate(times_parts) if times_parts else np.empty(0)
+    xis = np.concatenate(xis_parts) if xis_parts else np.empty(0)
+
+    starts = np.cumsum(counts) - counts
+    first = np.zeros(times.size, dtype=bool)
+    first[starts[counts > 0]] = True
+    bad = (times <= 0.0) | (times > horizon) | (xis == 0.0)
+    bad[1:] |= (np.diff(times) <= 0.0) & ~first[1:]
+    if bad.any():
+        # every flagged entry fails a check of its own sample's skeleton
+        b = np.repeat(np.arange(counts.size), counts)[np.argmax(bad)]
+        sl = slice(starts[b], starts[b] + counts[b])
+        _skeleton(horizon, times[sl], xis[sl])
+    return times, xis, counts
 
 
 @dataclass(frozen=True)

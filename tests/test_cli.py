@@ -5,10 +5,13 @@ import copy
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import levyheat
 from levyheat.cli import (
     ConfigError,
     _resolve_threads,
@@ -336,6 +339,39 @@ def test_manifest_records_provenance_and_aborted_samples(tmp_path):
 
 # ---------------------------------------------------------------------------
 # plot data
+
+
+def test_manifest_version_is_the_package_version(tmp_path):
+    execute(parse_config(write_config(tmp_path, study_dict())),
+            tmp_path / "out")
+    recorded = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert recorded["version"] == levyheat.__version__
+
+
+def test_package_metadata_reads_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        doc = tomllib.load(fh)
+    assert "version" not in doc["project"]
+    assert doc["project"]["dynamic"] == ["version"]
+    assert doc["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "levyheat.__version__"}
+
+
+def test_two_point_config_never_loads_scipy_integrate(tmp_path):
+    # quadrature laws import scipy.integrate on first use; the two-point law
+    # needs none, so importing the package and parsing leave it unloaded
+    path = write_config(tmp_path, study_dict())
+    code = ("import sys, levyheat\n"
+            "from levyheat import cli\n"
+            f"cli.parse_config({str(path)!r})\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    src = os.path.dirname(levyheat.__path__[0])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == ["False"]
 
 
 def test_emit_plot_data_rows_and_fit_passthrough(tmp_path):

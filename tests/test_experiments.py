@@ -18,6 +18,7 @@ from levyheat.experiments import (
     _block_norms,
     _collect_norms,
     _coupled_norms,
+    _holder_norms,
     _run_block,
     block_size,
     estimate_lp_error,
@@ -28,12 +29,16 @@ from levyheat.experiments import (
     run_temporal_study,
 )
 from levyheat.noise import (
+    PURPOSE_JUMPS,
     G1Spec,
     MarkModel,
     TwoPointLaw,
+    compensated_jump_convolution,
     conv_variance,
     power_profile,
+    sample_jump_skeleton,
     sample_path,
+    stream,
 )
 from levyheat.schemes import (
     SCHEME_A,
@@ -379,6 +384,28 @@ def test_holder_study_matches_closed_form_isometry():
                + conv_variance(lam, h))
         )
         assert rep.errors[j] == pytest.approx(np.sqrt(v), rel=0.1)
+
+
+def test_holder_norms_match_per_sample_jump_convolutions():
+    # loop oracle: the H-norm of N(t + h) - N(t) from each sample's own
+    # skeleton, with the compensator of an asymmetric (non-centred) law
+    n = 8
+    model = MarkModel(3.0, TwoPointLaw(0.5, 2.0, -1.0),
+                      power_profile(1.0, 2.0, n))
+    plan = make_plan(axis="holder", levels=(2.0**-10, 2.0**-6, 2.0**-2),
+                     n_ref=n, model=model, x0=unit_state(n), samples=200,
+                     horizon=1.0, dt_ref=2.0**-10)
+    norms = _holder_norms(plan)
+    t = plan.horizon / 2.0
+    expect = np.empty_like(norms)
+    for i in range(plan.samples):
+        sk = sample_jump_skeleton(plan.horizon, model,
+                                  stream(plan.seed, i, PURPOSE_JUMPS))
+        for j, h in enumerate(plan.levels):
+            expect[i, j] = hnorm(
+                compensated_jump_convolution(sk, model, n, t + h)
+                - compensated_jump_convolution(sk, model, n, t))
+    assert np.allclose(norms, expect, rtol=1e-12, atol=0.0)
 
 
 def test_holder_study_zero_jump_model_rejected():

@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
+from levyheat import noise
 from levyheat.noise import (
     PURPOSE_BOOTSTRAP,
     PURPOSE_JUMPS,
@@ -34,6 +35,7 @@ from levyheat.noise import (
     profile_tail_fraction,
     restrict_path,
     sample_jump_skeleton,
+    sample_jump_skeletons,
     sample_path,
     stream,
     truncate_levy,
@@ -207,6 +209,26 @@ def test_truncate_levy_against_hand_integrator():
     assert residual2 < residual
 
 
+def _upper_gamma(s, x):
+    """Upper incomplete gamma for any non-integer s, by the recurrence
+    Gamma(s, x) = (Gamma(s + 1, x) - x^s e^-x) / s down from s > 0."""
+    if s > 0:
+        return special.gamma(s) * special.gammaincc(s, x)
+    return (_upper_gamma(s + 1.0, x) - x**s * math.exp(-x)) / s
+
+
+@pytest.mark.parametrize("alpha, eps", [(0.5, 0.05), (0.5, 0.5),
+                                        (1.5, 0.1)])
+def test_truncate_levy_matches_closed_forms(alpha, eps):
+    # intensity 2 Gamma(-alpha, eps); residual 2 gamma(2 - alpha, eps)
+    model, residual = truncate_levy(alpha, eps, power_profile(1.0, 2.0, 4))
+    assert model.intensity == pytest.approx(
+        2.0 * _upper_gamma(-alpha, eps), rel=1e-9)
+    assert residual == pytest.approx(
+        2.0 * special.gamma(2.0 - alpha) * special.gammainc(2.0 - alpha, eps),
+        rel=1e-9)
+
+
 def test_truncated_sampler_inverse_cdf_accuracy():
     model, _ = truncate_levy(0.5, 0.1, power_profile(1.0, 2.0, 8))
     law = model.law
@@ -270,6 +292,108 @@ def test_zero_intensity_skeleton_is_empty():
     model = MarkModel(0.0, TwoPointLaw(0.5, 1.0, -1.0), power_profile(1.0, 2.0, 4))
     sk = sample_jump_skeleton(1.0, model, stream(1, 0, PURPOSE_JUMPS))
     assert sk.count == 0
+
+
+def _skeleton_models():
+    profile = power_profile(1.0, 2.0, 4)
+    stable, _ = truncate_levy(0.5, 0.5, profile)
+    return {
+        "two_point": MarkModel(2.0, TwoPointLaw(0.5, 2.0, -1.0), profile),
+        "exp_shifted": MarkModel(1.5, ExpShiftedLaw(2.0, 0.5), profile),
+        "truncated_stable": stable,
+    }
+
+
+@pytest.mark.parametrize("law", ["two_point", "exp_shifted",
+                                 "truncated_stable"])
+@pytest.mark.parametrize("seed, indices", [
+    (0, range(300)),
+    (2**64 - 1, range(40)),
+    (7, range(2**48 - 40, 2**48)),
+    (7, [5, 2**48 - 1, 0, 5]),
+])
+def test_batched_skeletons_equal_per_sample_draws(law, seed, indices):
+    model = _skeleton_models()[law]
+    times, xis, counts = sample_jump_skeletons(0.75, model, seed, indices)
+    assert counts.size == len(indices) and counts.sum() == times.size
+    if len(indices) >= 40:
+        assert 0 in counts and counts.max() >= 3  # empty and crowded samples
+    lo = 0
+    for i, c in zip(indices, counts):
+        sk = sample_jump_skeleton(0.75, model, stream(seed, i, PURPOSE_JUMPS))
+        assert np.array_equal(times[lo:lo + c], sk.times)
+        assert np.array_equal(xis[lo:lo + c], sk.xis)
+        lo += c
+
+
+def test_batched_skeletons_of_a_jumpless_model():
+    model = MarkModel(0.0, TwoPointLaw(0.5, 1.0, -1.0), power_profile(1.0, 2.0, 4))
+    times, xis, counts = sample_jump_skeletons(1.0, model, 3, range(5))
+    assert times.size == xis.size == 0
+    assert np.array_equal(counts, np.zeros(5))
+
+
+def test_batched_skeleton_key_bounds():
+    model = two_point_model()
+    with pytest.raises(ValueError, match="48 bits"):
+        sample_jump_skeletons(1.0, model, 0, [0, 2**48])
+    with pytest.raises(ValueError, match="64 bits"):
+        sample_jump_skeletons(1.0, model, 2**64, [0])
+
+
+class ZeroMarkLaw:
+    """Two-point law whose minus mark is 0: a draw outside the mark space."""
+
+    def sample(self, rng, size):
+        return np.where(rng.random(size) < 0.9, 1.0, 0.0)
+
+
+def _index_of(rng):
+    return int(rng.bit_generator.state["state"]["key"][1]) & (2**48 - 1)
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("repeat", ArithmeticError),  # two jumps at one time
+    ("zero_time", ArithmeticError),
+    ("late", ValueError),  # a time after the horizon
+    ("zero_mark", ValueError),
+])
+def test_batched_skeletons_raise_the_first_failing_samples_error(
+        monkeypatch, fault, error):
+    law = ZeroMarkLaw() if fault == "zero_mark" else TwoPointLaw(0.5, 2.0, -1.0)
+    model = MarkModel(3.0, law, power_profile(1.0, 2.0, 4))
+    draw = noise._draw_jumps
+    bad_indices = {6, 9}
+
+    def stub(horizon, model, rng):
+        # a stubbed draw breaks samples 6 and 9 the same way alone or batched
+        index = _index_of(rng)
+        times, xis = draw(horizon, model, rng)
+        if index in bad_indices and times.size >= 2:
+            if fault == "repeat":
+                times[1] = times[0]
+            elif fault == "zero_time":
+                times[0] = 0.0
+            elif fault == "late":
+                times[-1] = 2.0 * horizon
+        return times, xis
+
+    monkeypatch.setattr(noise, "_draw_jumps", stub)
+    alone = []
+    for i in range(12):
+        try:
+            sample_jump_skeleton(1.0, model, stream(4, i, PURPOSE_JUMPS))
+        except (ArithmeticError, ValueError) as exc:
+            alone.append((i, type(exc), str(exc)))
+    assert alone and all(kind is error for _, kind, _ in alone)
+    first = alone[0]
+    with pytest.raises(error) as info:
+        sample_jump_skeletons(1.0, model, 4, range(12))
+    assert str(info.value) == first[2]
+    if fault != "zero_mark":
+        assert first[0] == 6
+    # the samples before the first failing one draw cleanly
+    sample_jump_skeletons(1.0, model, 4, range(first[0]))
 
 
 def test_micro_grid_construction():

@@ -32,8 +32,6 @@ from levyheat.noise import (
     compensator_coeffs,
     compose_convolution,
     conv_variance,
-    dump_path,
-    load_path,
     power_profile,
     restrict_path,
     sample_jump_skeleton,

@@ -34,6 +34,7 @@ studies that finished with aborted samples).
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -349,22 +350,22 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_study_csv(path, result: StudyResult):
+def _study_csv(result: StudyResult) -> str:
     """Two fixed-schema sections: per-level errors, then fitted orders."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("p,level,error,ci_lo,ci_hi\n")
-        for rep in result.reports:
-            for j in range(rep.levels.size):
-                fh.write(",".join([
-                    _fmt(rep.p), _fmt(rep.levels[j]), _fmt(rep.errors[j]),
-                    _fmt(rep.ci_lo[j]), _fmt(rep.ci_hi[j]),
-                ]) + "\n")
-        fh.write("p,order,stderr\n")
-        for rep in result.reports:
-            if rep.order is not None:
-                fh.write(",".join([
-                    _fmt(rep.p), _fmt(rep.order), _fmt(rep.stderr),
-                ]) + "\n")
+    lines = ["p,level,error,ci_lo,ci_hi"]
+    for rep in result.reports:
+        for j in range(rep.levels.size):
+            lines.append(",".join([
+                _fmt(rep.p), _fmt(rep.levels[j]), _fmt(rep.errors[j]),
+                _fmt(rep.ci_lo[j]), _fmt(rep.ci_hi[j]),
+            ]))
+    lines.append("p,order,stderr")
+    for rep in result.reports:
+        if rep.order is not None:
+            lines.append(",".join([
+                _fmt(rep.p), _fmt(rep.order), _fmt(rep.stderr),
+            ]))
+    return "\n".join(lines) + "\n"
 
 
 def emit_plot_data(report: OrderReport, path):
@@ -438,17 +439,37 @@ def _prepare_out_dir(out_dir) -> str:
     return out
 
 
+def _scipy_version():
+    """scipy's version, read without importing scipy where nothing has
+    imported it yet: its `version.py` is run on its own."""
+    if "scipy" in sys.modules:
+        return sys.modules["scipy"].__version__
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    path = os.path.join(spec.submodule_search_locations[0], "version.py")
+    try:
+        version = importlib.util.spec_from_file_location("scipy_version",
+                                                         path)
+        module = importlib.util.module_from_spec(version)
+        version.loader.exec_module(module)
+        return module.version
+    except (OSError, AttributeError):
+        import scipy
+
+        return scipy.__version__
+
+
 def _provenance(threads: int) -> dict:
     """Versions of the numerical stack behind a run, and its worker count."""
     import numpy
-    import scipy
 
     deps = numpy.show_config(mode="dicts").get("Build Dependencies", {})
     blas = deps.get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "workers": threads,
     }
@@ -462,7 +483,7 @@ def _study_entry(plan: StudyPlan, result, csv_name, elapsed, error) -> dict:
         "seed": plan.seed,
         "samples": plan.samples,
         "block_size": block_size(plan),
-        "elapsed_seconds": round(elapsed, 3),
+        "elapsed_seconds": round(elapsed, 6),
         "model_info": dict(plan.model_info),
     }
     if error is not None:
@@ -478,8 +499,19 @@ def _study_entry(plan: StudyPlan, result, csv_name, elapsed, error) -> dict:
     ]
     entry.update(status="ok", csv=csv_name, aborts=result.aborts,
                  aborted=list(result.extras.get("aborted", [])),
-                 effective_samples=result.effective_samples, fits=fits)
+                 effective_samples=result.effective_samples, fits=fits,
+                 phases=result.extras["phases"])
     return entry
+
+
+def _stage(path, text: str, staged: list) -> None:
+    """Write `text` to a temp file beside `path`, and list the pair in
+    `staged` for `execute` to move into place."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    staged.append((tmp, path))
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def execute(plans, out_dir, threads: int = 1,
@@ -490,7 +522,11 @@ def execute(plans, out_dir, threads: int = 1,
     stop the remaining studies.  The manifest's `clean` property is True
     only if every study completed with zero aborted samples.  Each study
     entry lists its aborted samples (index, level, step, time), so any of
-    them can be rerun alone from (seed, index).
+    them can be rerun alone from (seed, index), and the seconds its phases
+    took (`phases`).  The files are written to temp files in the output
+    directory and moved into place once all are written, the manifest
+    last: a run that fails to write leaves the previous run's files as
+    they were, and no part of a file.
     """
     out = _prepare_out_dir(out_dir)
     digest = config_digest(plans)
@@ -498,32 +534,40 @@ def execute(plans, out_dir, threads: int = 1,
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     t0 = time.perf_counter()
     entries = []
-    for plan in plans:
-        t_plan = time.perf_counter()
-        result, error = None, None
-        try:
-            result = run_study(plan, workers=threads)
-        except Exception as exc:  # recorded, not fatal to the batch
-            error = exc
-        csv_name = f"{plan.name}.csv"
-        if result is not None:
-            _write_study_csv(os.path.join(out, csv_name), result)
-        else:
-            csv_name = None
-        entries.append(_study_entry(plan, result, csv_name,
-                                    time.perf_counter() - t_plan, error))
-    manifest = RunManifest(
-        digest=digest,
-        seed_override=seed_override,
-        version=__version__,
-        started=started,
-        elapsed_seconds=round(time.perf_counter() - t0, 3),
-        studies=tuple(entries),
-        provenance=provenance,
-    )
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(manifest.to_json())
+    staged = []
+    try:
+        for plan in plans:
+            t_plan = time.perf_counter()
+            result, error = None, None
+            try:
+                result = run_study(plan, workers=threads)
+            except Exception as exc:  # recorded, not fatal to the batch
+                error = exc
+            csv_name = f"{plan.name}.csv"
+            if result is not None:
+                _stage(os.path.join(out, csv_name), _study_csv(result),
+                       staged)
+            else:
+                csv_name = None
+            entries.append(_study_entry(plan, result, csv_name,
+                                        time.perf_counter() - t_plan, error))
+        manifest = RunManifest(
+            digest=digest,
+            seed_override=seed_override,
+            version=__version__,
+            started=started,
+            elapsed_seconds=round(time.perf_counter() - t0, 3),
+            studies=tuple(entries),
+            provenance=provenance,
+        )
+        _stage(os.path.join(out, "manifest.json"), manifest.to_json(),
+               staged)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     return manifest
 
 

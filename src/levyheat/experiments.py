@@ -11,11 +11,12 @@ Samples are keyed by (seed, sample index) counter streams, so the same plan
 always produces the same report no matter how samples are scheduled across
 workers; the reduction runs in fixed sample order.  The temporal and
 spatial studies step their samples in blocks of fixed index ranges through
-one batched loop, which gives each sample exactly the doubles of a run on
-its own.
+one batched loop, drawing a block's paths one stretch of time at a time,
+which gives each sample exactly the doubles of a run on its own.
 """
 
 import math
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -23,15 +24,25 @@ from functools import partial
 
 import numpy as np
 
-from .noise import (
+from .noise import (  # sample_path: bench/test_bench.py looks it up here
     PURPOSE_BOOTSTRAP,
     MarkModel,
+    PathStream,
     compensator_coeffs,
+    restrict_chunk,
     sample_jump_skeletons,
     sample_path,
     stream,
+    uniform_nodes,
 )
-from .schemes import SCHEME_A, SCHEME_B, SchemeConfig, run_block, scheme_bundle
+from .schemes import (
+    SCHEME_A,
+    SCHEME_B,
+    SchemeConfig,
+    StepBlock,
+    run_block,
+    stretch_nodes,
+)
 from .spectral import NonlinearitySpec, SpectralState, eigenvalues, hnorm, project
 
 __all__ = [
@@ -51,10 +62,8 @@ __all__ = [
 
 AXES = ("temporal", "spatial", "holder")
 N_BOOTSTRAP = 1000
-# byte budget of the reference-resolution arrays one block holds at once:
-# one per sample (the noise path, whose view scheme A steps on at dt_ref, or
-# scheme B's copy of it restricted to the uniform grid), plus on scheme B
-# the path being restricted
+# byte budget of the reference-resolution rows one block holds at once:
+# one stretch of time of each sample's path (see `_blocking`)
 BLOCK_BYTES = 8 * 2**20
 MAX_BLOCK = 32
 
@@ -330,6 +339,30 @@ class StudyAborted(RuntimeError):
         self.aborted = aborted
 
 
+def _blocking(plan: StudyPlan) -> tuple:
+    """(samples per block, dt_ref steps per stretch) of a temporal or
+    spatial study, fixed by the plan alone.
+
+    A block draws its paths and steps every resolution one stretch of time
+    at a time, and holds one stretch of reference-resolution rows per
+    sample, two on scheme B (its reference run's copy of them restricted to
+    the uniform grid), within BLOCK_BYTES.  A temporal stretch ends on nodes
+    of the plan's coarsest level, so that every level's steps fall whole
+    into stretches.  Stretches are as long as MAX_BLOCK samples allow, but
+    never shorter than one coarsest step; a plan whose coarsest step alone
+    fills the budget steps fewer samples at once.
+    """
+    steps = round(plan.horizon / plan.dt_ref)
+    row_bytes = plan.n_ref * 8 * (2 if plan.scheme == SCHEME_B else 1)
+    unit = 1
+    if plan.axis == "temporal":
+        unit = round(max(plan.levels) / plan.dt_ref)
+    stretch = BLOCK_BYTES // (MAX_BLOCK * row_bytes) // unit * unit
+    stretch = min(steps, max(unit, stretch))
+    size = BLOCK_BYTES // (stretch * row_bytes)
+    return max(1, min(MAX_BLOCK, size)), stretch
+
+
 def block_size(plan: StudyPlan):
     """Samples stepped together in one block of a temporal or spatial
     study (None for the Hölder axis, which runs no scheme).
@@ -339,10 +372,7 @@ def block_size(plan: StudyPlan):
     """
     if plan.axis == "holder":
         return None
-    arrays = BLOCK_BYTES // (round(plan.horizon / plan.dt_ref) * plan.n_ref * 8)
-    if plan.scheme == SCHEME_B:
-        arrays -= 1  # the path being restricted beside the block's copies
-    return max(1, min(MAX_BLOCK, arrays))
+    return _blocking(plan)[0]
 
 
 def _resolutions(plan: StudyPlan) -> list:
@@ -354,46 +384,100 @@ def _resolutions(plan: StudyPlan) -> list:
     return [(plan.dt_ref, plan.n_ref)] + levels
 
 
-def _run_block(plan: StudyPlan, indices) -> tuple:
+def _new_phases(plan: StudyPlan) -> dict:
+    """Seconds per phase of a coupled study: drawing the paths, restricting
+    them, stepping each resolution (reference first), reducing the norms
+    and the bootstrap."""
+    return {"draw": 0.0, "restrict": 0.0,
+            "step": [0.0] * (len(plan.levels) + 1),
+            "norms": 0.0, "bootstrap": 0.0}
+
+
+def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
     """Terminal states of the samples `indices`, stepped as one block.
 
     Returns (terminals, aborted).  terminals[b, j] is the terminal state of
     sample indices[b] at resolution j of `_resolutions` (0 is the
     reference), zero-padded to n_ref.  A sample whose run turns non-finite
-    skips the remaining resolutions; `aborted` records its index, the
-    level (dt or N) it diverged at, and the step and time.
+    skips the higher resolutions; `aborted` records its index, the first
+    resolution in plan order at which it diverged (its dt or N), and the
+    step and time there.
+
+    The paths are drawn one stretch of time at a time (see `_blocking`),
+    and each resolution steps through the stretch from where it stood at
+    the end of the last one.  The seconds spent are added to `phases`
+    (see `_new_phases`) when it is given.
     """
+    clock = time.perf_counter
+    spent = _new_phases(plan) if phases is None else phases
+    t0 = clock()
     res = _resolutions(plan)
     cfgs = [SchemeConfig(plan.scheme, n, dt, plan.horizon, plan.nonlinearity,
                          plan.model, plan.x0) for dt, n in res]
-    # each path is restricted to every resolution at once and then dropped,
-    # unless the reference bundle is a view of it: a block holds one
-    # reference-resolution array per sample
-    bundles = []
-    for i in indices:
-        path = sample_path(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
-                           plan.seed, i)
-        bundles.append([scheme_bundle(cfg, path) for cfg in cfgs])
-    del path
-    terminals = np.zeros((len(bundles), len(res), plan.n_ref))
-    alive = list(range(len(bundles)))
-    aborted = []
-    for j, ((dt, n), cfg) in enumerate(zip(res, cfgs)):
-        finals, diverged, _ = run_block(cfg, [bundles[b][j] for b in alive])
-        for k, b in enumerate(alive):
-            if k in diverged:
-                step, t = diverged[k]
-                aborted.append({
-                    "index": indices[b],
-                    "level": dt if plan.axis == "temporal" else n,
-                    "step": step,
-                    "time": t,
-                })
-            else:
-                terminals[b, j, :n] = finals[k]
-        alive = [b for k, b in enumerate(alive) if k not in diverged]
-        if not alive:
+    grids = [uniform_nodes(plan.horizon, dt) for dt, _ in res]
+    ratios = [round(dt / plan.dt_ref) for dt, _ in res]
+    _, stretch = _blocking(plan)
+    paths = PathStream(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
+                       plan.seed, indices)
+    total = paths.base.size - 1
+    size = len(indices)
+    # per resolution: the samples still stepped there, their states and the
+    # steps they have taken; a sample leaves every resolution from the one
+    # it diverges at upwards, as only the first one in plan order is kept
+    alive = [np.arange(size) for _ in res]
+    states = [np.tile(project(plan.x0, n).coeffs, (size, 1)) for _, n in res]
+    taken = [np.zeros(size, dtype=np.int64) for _ in res]
+    failed = {}  # sample -> (resolution, step, time)
+    spent["draw"] += clock() - t0
+    for k0 in range(0, total, stretch):
+        k1 = min(k0 + stretch, total)
+        if not alive[0].size:
             break
+        t0 = clock()
+        chunk = paths.draw(k0, k1, alive[0])
+        at = np.full(size, -1)
+        at[alive[0]] = np.arange(alive[0].size)
+        t1 = clock()
+        spent["draw"] += t1 - t0
+        for j, cfg in enumerate(cfgs):
+            rows = alive[j]
+            if not rows.size:
+                continue
+            t0 = clock()
+            r = ratios[j]
+            if cfg.scheme == SCHEME_A and r == 1:
+                parts = chunk.micro
+            else:
+                level = grids[j][k0 // r:k1 // r + 1]
+                parts = [stretch_nodes(cfg, level, t) for t in chunk.times]
+            wiener, starts = restrict_chunk(chunk, parts, cfg.n_modes)
+            sel = at[rows]
+            block = StepBlock([parts[s] for s in sel], wiener, starts[sel],
+                              taken[j][rows], [chunk.times[s] for s in sel],
+                              [chunk.xis[s] for s in sel])
+            t1 = clock()
+            finals, diverged, _ = run_block(cfg, block, states[j])
+            spent["restrict"] += t1 - t0
+            spent["step"][j] += clock() - t1
+            taken[j][rows] += [parts[s].size - 1 for s in sel]
+            states[j] = finals
+            if not diverged:
+                continue
+            dead = rows[list(diverged)]
+            for k, b in zip(diverged, dead):
+                failed[b] = (j, *diverged[k])
+            for h in range(j, len(res)):
+                keep = ~np.isin(alive[h], dead)
+                alive[h], states[h] = alive[h][keep], states[h][keep]
+        # one stretch at a time: drop it before the next one is drawn
+        del chunk, parts, wiener, block
+    terminals = np.zeros((size, len(res), plan.n_ref))
+    for j, (_, n) in enumerate(res):
+        terminals[alive[j], j, :n] = states[j]
+    aborted = [{"index": indices[b],
+                "level": res[j][0] if plan.axis == "temporal" else res[j][1],
+                "step": step, "time": t}
+               for b, (j, step, t) in failed.items()]
     aborted.sort(key=lambda a: a["index"])
     return terminals, aborted
 
@@ -408,36 +492,60 @@ def _coupled_norms(terminals: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _block_norms(plan: StudyPlan, size: int, start: int) -> tuple:
+def _block_norms(plan: StudyPlan, size: int, start: int,
+                 phases=None) -> tuple:
     """Coupled norms of the surviving samples of the block of `size`
-    samples from `start`, and the block's abort records."""
+    samples from `start`, and the block's abort records; the seconds spent
+    are added to `phases` when it is given."""
     indices = range(start, min(start + size, plan.samples))
-    terminals, aborted = _run_block(plan, indices)
+    terminals, aborted = _run_block(plan, indices, phases)
+    t0 = time.perf_counter()
     dead = {a["index"] for a in aborted}
     kept = [b for b, i in enumerate(indices) if i not in dead]
-    return _coupled_norms(terminals[kept]), aborted
+    norms = _coupled_norms(terminals[kept])
+    if phases is not None:
+        phases["norms"] += time.perf_counter() - t0
+    return norms, aborted
 
 
-def _collect_norms(plan: StudyPlan, workers: int) -> tuple:
+def _timed_block(plan: StudyPlan, size: int, start: int) -> tuple:
+    phases = _new_phases(plan)
+    return (*_block_norms(plan, size, start, phases), phases)
+
+
+def _collect_norms(plan: StudyPlan, workers: int, phases=None) -> tuple:
+    """The (samples, levels) coupled norms of the surviving samples and
+    the abort records.  The blocks' seconds are added to `phases` when it
+    is given: with several workers, summed over the workers."""
     size = block_size(plan)
-    job = partial(_block_norms, plan, size)
+    job = partial(_timed_block, plan, size)
     starts = range(0, plan.samples, size)
     if workers <= 1:
         parts = [job(s) for s in starts]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(job, starts))
-    aborted = [a for _, block in parts for a in block]
+    if phases is not None:
+        for _, _, spent in parts:
+            for key, value in spent.items():
+                if key == "step":
+                    phases[key] = [a + b for a, b in zip(phases[key], value)]
+                else:
+                    phases[key] += value
+    aborted = [a for _, block, _ in parts for a in block]
     if len(aborted) == plan.samples:
         raise StudyAborted(aborted)
-    return np.vstack([norms for norms, _ in parts]), aborted
+    return np.vstack([norms for norms, _, _ in parts]), aborted
 
 
 def _coupled_study(plan: StudyPlan, workers: int) -> StudyResult:
-    norms, aborted = _collect_norms(plan, workers)
+    phases = _new_phases(plan)
+    norms, aborted = _collect_norms(plan, workers, phases)
+    t0 = time.perf_counter()
     reports = _build_reports(plan, norms, plan.axis == "spatial")
+    phases["bootstrap"] = time.perf_counter() - t0
     return StudyResult(plan, reports, len(aborted),
-                       dict(plan.model_info, aborted=aborted))
+                       dict(plan.model_info, aborted=aborted, phases=phases))
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +573,16 @@ def run_spatial_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     return _coupled_study(plan, workers)
 
 
-def _holder_norms(plan: StudyPlan) -> np.ndarray:
+def _holder_norms(plan: StudyPlan, phases=None) -> np.ndarray:
     """Norms of jump-convolution increments N(t+h) - N(t) at t = T/2.
 
     Evaluated in closed form from the skeletons: jumps before t contribute
     through a per-sample mode profile scaled by (e^{-lam h} - 1), jumps
     inside (t, t+h] enter with their own decay, and the compensator adds a
-    deterministic phi1 difference.
+    deterministic phi1 difference.  The seconds spent drawing the skeletons
+    and evaluating the norms are stored in `phases` when it is given.
     """
+    t0 = time.perf_counter()
     t = plan.horizon / 2.0
     n = plan.n_ref
     lam = eigenvalues(n)
@@ -484,6 +594,7 @@ def _holder_norms(plan: StudyPlan) -> np.ndarray:
     times, xis, counts = sample_jump_skeletons(plan.horizon, plan.model,
                                                plan.seed, range(m_samples))
     owner = np.repeat(np.arange(m_samples), counts)
+    t1 = time.perf_counter()
 
     # per-sample profile of the pre-t jumps: S[i, k] = sum_j xi_j e^{-lam_k (t - sigma_j)}
     old = times <= t
@@ -508,6 +619,8 @@ def _holder_norms(plan: StudyPlan) -> np.ndarray:
         comp = (np.expm1(-lam * (t + h)) - np.expm1(-lam * t)) / lam * mg
         delta += comp
         norms[:, j] = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    if phases is not None:
+        phases.update(skeletons=t1 - t0, norms=time.perf_counter() - t1)
     return norms
 
 
@@ -521,13 +634,17 @@ def run_holder_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     if plan.axis != "holder":
         raise ValueError("plan axis must be holder")
     del workers  # the evaluation is vectorized across samples already
-    norms = _holder_norms(plan)
+    phases = {}
+    norms = _holder_norms(plan, phases)
     if not norms.any():
         raise ValueError(
             "all increments vanish (zero jump model?); exponents undefined"
         )
-    return StudyResult(plan, _build_reports(plan, norms, False), 0,
-                       dict(plan.model_info))
+    t0 = time.perf_counter()
+    reports = _build_reports(plan, norms, False)
+    phases["bootstrap"] = time.perf_counter() - t0
+    return StudyResult(plan, reports, 0,
+                       dict(plan.model_info, phases=phases))
 
 
 def run_study(plan: StudyPlan, workers: int = 1) -> StudyResult:

@@ -17,13 +17,14 @@ The driving noise has two independent parts:
 
 Randomness comes from counter-based Philox streams keyed by
 (global seed, sample index, purpose), so each sample is reproducible in
-isolation and independent of how work is scheduled across processes.
+isolation and independent of how work is scheduled across processes.  A
+path can also be drawn and restricted one stretch of time at a time
+(`PathStream`, `restrict_chunk`), with the doubles of the whole path.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -50,6 +51,7 @@ __all__ = [
     "sample_jump_skeleton",
     "sample_jump_skeletons",
     "MicroGrid",
+    "uniform_nodes",
     "build_micro_grid",
     "conv_variance",
     "compose_convolution",
@@ -57,10 +59,11 @@ __all__ = [
     "sample_path",
     "StepBundle",
     "restrict_path",
+    "PathChunk",
+    "PathStream",
+    "restrict_chunk",
     "compensator_coeffs",
     "compensated_jump_convolution",
-    "dump_path",
-    "load_path",
 ]
 
 # purpose tags for the per-sample random streams
@@ -596,14 +599,20 @@ class MicroGrid:
         return np.diff(self.nodes)
 
 
+def uniform_nodes(horizon: float, dt: float, name: str = "dt_ref") -> np.ndarray:
+    """The nodes k dt of [0, horizon], the last one set to the horizon
+    itself; `name` names dt in the error for a horizon off the grid."""
+    n_steps = horizon / dt
+    if abs(n_steps - round(n_steps)) > 1e-9 or round(n_steps) < 1:
+        raise ValueError(f"horizon must be an integer multiple of {name}")
+    nodes = np.arange(int(round(n_steps)) + 1, dtype=np.float64) * dt
+    nodes[-1] = horizon  # guard the last node against accumulation error
+    return nodes
+
+
 def build_micro_grid(horizon: float, dt_ref: float,
                      skeleton: JumpSkeleton) -> MicroGrid:
-    n_steps = horizon / dt_ref
-    if abs(n_steps - round(n_steps)) > 1e-9 or round(n_steps) < 1:
-        raise ValueError("horizon must be an integer multiple of dt_ref")
-    n_steps = int(round(n_steps))
-    base = np.arange(n_steps + 1, dtype=np.float64) * dt_ref
-    base[-1] = horizon  # guard the last node against accumulation error
+    base = uniform_nodes(horizon, dt_ref)
     if skeleton.count == 0:
         return MicroGrid(horizon, dt_ref, base, np.zeros(base.size, dtype=bool))
     if np.any(np.isin(skeleton.times, base)):
@@ -714,7 +723,7 @@ class StepBundle:
         return np.nonzero(self.event_step == i)[0]
 
 
-_FOLD_ROWS = 128
+_FOLD_ROWS = 1024
 
 
 def _fold(inc: np.ndarray, deltas: np.ndarray, dt_ref: float,
@@ -728,7 +737,7 @@ def _fold(inc: np.ndarray, deltas: np.ndarray, dt_ref: float,
     # vectorising over equal-length groups keeps the arithmetic identical to
     # the per-step sequential fold (same doubles, same order); gathering one
     # micro row per step at a time, for at most _FOLD_ROWS steps, keeps the
-    # working set far below the size of the output
+    # working set far below the size of a whole path's output
     irregular_before = np.concatenate([[0], np.cumsum(deltas != dt_ref)])
     clean = irregular_before[end] == irregular_before[start]
     decay_ref = np.exp(-lam * dt_ref)
@@ -737,11 +746,14 @@ def _fold(inc: np.ndarray, deltas: np.ndarray, dt_ref: float,
         group = np.nonzero(clean & (lengths == m))[0]
         for lo in range(0, group.size, _FOLD_ROWS):
             sel = group[lo:lo + _FOLD_ROWS]
-            first = start[sel]
-            acc = inc[first]
-            for j in range(1, m):
+            row = start[sel]
+            acc = inc[row]
+            rows = np.empty_like(acc)
+            for _ in range(1, m):
                 acc *= decay_ref
-                acc += inc[first + j]
+                row += 1
+                np.take(inc, row, axis=0, out=rows, mode="clip")
+                acc += rows
             out[sel] = acc
     decay_cache = {dt_ref: decay_ref}
     for i in np.nonzero(~clean)[0]:
@@ -756,6 +768,14 @@ def _fold(inc: np.ndarray, deltas: np.ndarray, dt_ref: float,
             acc += inc[j]
         out[i] = acc
     return out
+
+
+def _positions(micro: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The index of each node among the micro nodes, which must hold it."""
+    pos = np.searchsorted(micro, nodes)
+    if np.any(pos >= micro.size) or np.any(micro[pos] != nodes):
+        raise ValueError("partition is not refined by the micro grid")
+    return pos
 
 
 def restrict_path(path: CoupledNoisePath, partition, n_modes: int) -> StepBundle:
@@ -774,10 +794,7 @@ def restrict_path(path: CoupledNoisePath, partition, n_modes: int) -> StepBundle
     if not 1 <= n_modes <= path.n_ref:
         raise ValueError(f"mode count must lie in [1, {path.n_ref}]")
     micro = path.grid.nodes
-    pos = np.searchsorted(micro, nodes)
-    if np.any(pos >= micro.size) or np.any(micro[pos] != nodes):
-        raise ValueError("partition is not refined by the micro grid")
-
+    pos = _positions(micro, nodes)
     inc = path.wiener[:, :n_modes]
     if nodes.size == micro.size:
         # the partition is the micro grid: each fold is one micro row, so
@@ -807,6 +824,120 @@ def restrict_path(path: CoupledNoisePath, partition, n_modes: int) -> StepBundle
 
 
 # ---------------------------------------------------------------------------
+# paths drawn through time, one stretch at a time
+
+
+@dataclass(frozen=True)
+class PathChunk:
+    """One stretch of time of the coupled noise paths of several samples.
+
+    Sample s's micro nodes in the stretch are micro[s], from one node of the
+    dt_ref grid to another.  Its exact convolution increments over them are
+    the rows starts[s] .. starts[s + 1] - 1 of `wiener` (n_ref modes), whose
+    micro intervals are as long as the same entries of `deltas`, and its
+    jumps inside the stretch are at times[s] with magnitudes xis[s].
+    """
+
+    dt_ref: float
+    micro: list
+    wiener: np.ndarray
+    deltas: np.ndarray
+    starts: np.ndarray
+    times: list
+    xis: list
+
+
+class PathStream:
+    """The coupled noise paths of the samples `indices`, drawn through time.
+
+    The jump skeletons are drawn up front.  Each sample's Wiener rows come
+    from its own stream stretch after stretch, so a sample's stretches join
+    up to the rows of `sample_path` for it, bit for bit, while only one
+    stretch of each is held at a time.
+    """
+
+    def __init__(self, horizon: float, dt_ref: float, n_ref: int,
+                 model: MarkModel, global_seed: int, indices):
+        self.dt_ref = dt_ref
+        self.base = uniform_nodes(horizon, dt_ref)
+        times, xis, counts = sample_jump_skeletons(horizon, model,
+                                                   global_seed, indices)
+        if np.any(np.isin(times, self.base)):
+            raise ArithmeticError("jump time collides with a grid node")
+        cuts = np.cumsum(counts)[:-1]
+        self._times = np.split(times, cuts)
+        self._xis = np.split(xis, cuts)
+        self._rngs = [stream(global_seed, i, PURPOSE_WIENER) for i in indices]
+        self._at = [0] * len(self._rngs)  # the dt_ref node each stream is at
+        self._lam = eigenvalues(n_ref)
+        self._base_std = np.sqrt(conv_variance(self._lam, dt_ref))
+        self._rows = np.empty((0, n_ref))  # reused from stretch to stretch
+
+    def draw(self, k0: int, k1: int, samples) -> PathChunk:
+        """The stretch from dt_ref node k0 to node k1 of the samples at the
+        positions `samples` of `indices`.  A sample's stretches must be
+        drawn in time order, each from where its last one ended.  The rows
+        of a stretch live in a buffer that the next draw overwrites."""
+        base = self.base[k0:k1 + 1]
+        micro, times, xis = [], [], []
+        for s in samples:
+            if self._at[s] != k0:
+                raise ValueError("a path's stretches must be drawn in order")
+            self._at[s] = k1
+            t = self._times[s]
+            lo, hi = np.searchsorted(t, (base[0], base[-1]), side="right")
+            times.append(t[lo:hi])
+            xis.append(self._xis[s][lo:hi])
+            micro.append(np.sort(np.concatenate([base, t[lo:hi]]))
+                         if hi > lo else base)
+        starts = np.zeros(len(micro) + 1, dtype=np.int64)
+        np.cumsum([m.size - 1 for m in micro], out=starts[1:])
+        if self._rows.shape[0] < starts[-1]:
+            self._rows = None  # freed before its successor is allocated
+            self._rows = np.empty((starts[-1], self._lam.size))
+        wiener = self._rows[:starts[-1]]
+        for s, a, b in zip(samples, starts[:-1], starts[1:]):
+            self._rngs[s].standard_normal(out=wiener[a:b])
+        # the scaling of `sample_path`, row for row
+        wiener *= self._base_std
+        deltas = np.concatenate([np.diff(m) for m in micro])
+        for row in np.nonzero(deltas != self.dt_ref)[0]:
+            wiener[row] *= (np.sqrt(conv_variance(self._lam, deltas[row]))
+                            / self._base_std)
+        return PathChunk(self.dt_ref, micro, wiener, deltas, starts, times,
+                         xis)
+
+
+def restrict_chunk(chunk: PathChunk, parts, n_modes: int) -> tuple:
+    """Exactly restrict a stretch to one partition per sample and a mode
+    count.
+
+    parts[s] holds sample s's partition nodes in the stretch: micro nodes,
+    the stretch's first and last among them.  Returns (wiener, starts): row
+    starts[s] + i is the increment over parts[s][i] .. parts[s][i + 1], the
+    doubles of `restrict_path`.  The equal-length clean groups of all the
+    samples fold together.  Where every partition is the micro grid, the
+    increments are a view of the chunk's rows.
+    """
+    if not 1 <= n_modes <= chunk.wiener.shape[1]:
+        raise ValueError(
+            f"mode count must lie in [1, {chunk.wiener.shape[1]}]")
+    inc = chunk.wiener[:, :n_modes]
+    if all(p.size == m.size for p, m in zip(parts, chunk.micro)):
+        return inc, chunk.starts
+    pos = []
+    for p, m, a in zip(parts, chunk.micro, chunk.starts):
+        at = _positions(m, p)
+        if at[0] != 0 or at[-1] != m.size - 1:
+            raise ValueError("a partition must span the stretch")
+        pos.append(at[:-1] + a)
+    pos.append(chunk.starts[-1:])
+    starts = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum([p.size - 1 for p in parts], out=starts[1:])
+    return _fold(inc, chunk.deltas, chunk.dt_ref, np.concatenate(pos)), starts
+
+
+# ---------------------------------------------------------------------------
 # compensated jump convolution (used by the path-regularity study)
 
 
@@ -829,64 +960,3 @@ def compensated_jump_convolution(skeleton: JumpSkeleton, model: MarkModel,
     _, mean_g = compensator_coeffs(model, n_modes)
     acc -= -np.expm1(-lam * t) / lam * mean_g.coeffs
     return SpectralState(acc)
-
-
-# ---------------------------------------------------------------------------
-# binary path dump
-
-_MAGIC = b"LVHPATH1"
-
-
-def dump_path(path: CoupledNoisePath, fh) -> None:
-    """Write a noise path as little-endian doubles with a fixed header.
-
-    Layout: magic "LVHPATH1"; then <QQQQQ dd> = (n_ref, node count, jump
-    count, global seed, sample index, dt_ref, horizon); then the node vector,
-    the row-major wiener increment matrix, the jump times and the jump
-    magnitudes, all float64 little-endian.
-    """
-    g = path.grid
-    fh.write(_MAGIC)
-    fh.write(
-        struct.pack(
-            "<5Q2d",
-            path.n_ref,
-            g.nodes.size,
-            path.skeleton.count,
-            path.seed.global_seed,
-            path.seed.sample_index,
-            g.dt_ref,
-            g.horizon,
-        )
-    )
-    fh.write(g.nodes.astype("<f8").tobytes())
-    fh.write(path.wiener.astype("<f8").tobytes())
-    fh.write(path.skeleton.times.astype("<f8").tobytes())
-    fh.write(path.skeleton.xis.astype("<f8").tobytes())
-
-
-def load_path(fh) -> CoupledNoisePath:
-    """Inverse of `dump_path`."""
-    if fh.read(8) != _MAGIC:
-        raise ValueError("not a noise path dump")
-    n_ref, n_nodes, n_jumps, seed, sample, dt_ref, horizon = struct.unpack(
-        "<5Q2d", fh.read(5 * 8 + 2 * 8)
-    )
-
-    def block(count):
-        return np.frombuffer(fh.read(8 * count), dtype="<f8").astype(np.float64)
-
-    nodes = block(n_nodes)
-    wiener = block((n_nodes - 1) * n_ref).reshape(n_nodes - 1, n_ref)
-    times = block(n_jumps)
-    xis = block(n_jumps)
-    skel = JumpSkeleton(horizon, times, xis)
-    is_jump = np.isin(nodes, times)
-    grid = MicroGrid(horizon, dt_ref, nodes, is_jump)
-    return CoupledNoisePath(
-        grid=grid,
-        wiener=wiener,
-        skeleton=skel,
-        n_ref=n_ref,
-        seed=SeedRecord(seed, sample),
-    )

@@ -22,9 +22,9 @@ from .noise import (
     CoupledNoisePath,
     JumpSkeleton,
     MarkModel,
-    StepBundle,
     compensator_coeffs,
     restrict_path,
+    uniform_nodes,
 )
 from .spectral import (
     NemytskiiKernel,
@@ -48,7 +48,8 @@ __all__ = [
     "jump_apply",
     "run_scheme_A",
     "run_scheme_B",
-    "scheme_bundle",
+    "StepBlock",
+    "stretch_nodes",
     "run_block",
 ]
 
@@ -103,7 +104,8 @@ class TimePartition:
         if abs(n_nominal - round(n_nominal)) > 1e-9:
             raise ValueError("horizon must be an integer multiple of dt_nominal")
         base = np.arange(round(n_nominal), dtype=np.float64) * self.dt_nominal
-        if not np.all(np.isin(base, nodes)):
+        pos = np.searchsorted(nodes, base)  # nodes are sorted
+        if np.any(pos == nodes.size) or np.any(nodes[pos] != base):
             raise ValueError("every multiple of dt_nominal must be a node")
         nodes.setflags(write=False)
         grid.setflags(write=False)
@@ -127,14 +129,9 @@ class TimePartition:
 
 def uniform_partition(horizon: float, dt_nominal: float) -> TimePartition:
     """The plain deterministic grid with step dt_nominal."""
-    n = horizon / dt_nominal
-    if abs(n - round(n)) > 1e-9 or round(n) < 1:
-        raise ValueError("horizon must be an integer multiple of dt_nominal")
-    n = int(round(n))
-    nodes = np.arange(n + 1, dtype=np.float64) * dt_nominal
-    nodes[-1] = horizon
-    flags = np.ones(n + 1, dtype=bool)
-    return TimePartition(nodes, dt_nominal, flags, np.zeros(n + 1, dtype=bool))
+    nodes = uniform_nodes(horizon, dt_nominal, "dt_nominal")
+    return TimePartition(nodes, dt_nominal, np.ones(nodes.size, dtype=bool),
+                         np.zeros(nodes.size, dtype=bool))
 
 
 def build_adapted_partition(horizon: float, dt_nominal: float,
@@ -148,7 +145,7 @@ def build_adapted_partition(horizon: float, dt_nominal: float,
     times = skeleton.times
     if times.size and times[-1] > horizon:
         raise ValueError("skeleton extends beyond the partition horizon")
-    base = uniform_partition(horizon, dt_nominal).nodes
+    base = uniform_nodes(horizon, dt_nominal, "dt_nominal")
     nodes = np.union1d(base, times)
     return TimePartition(
         nodes, dt_nominal, np.isin(nodes, base), np.isin(nodes, times)
@@ -347,8 +344,8 @@ def _check_coupling(cfg: SchemeConfig, path: CoupledNoisePath) -> None:
 
 
 def _restrict(cfg: SchemeConfig, path: CoupledNoisePath) -> tuple:
-    """The scheme's partition on one path and the path restricted to it
-    (see `scheme_bundle`)."""
+    """The scheme's partition on one path (jump-adapted or uniform) and the
+    path restricted to it and to the scheme's mode count."""
     _check_coupling(cfg, path)
     if cfg.scheme == SCHEME_A:
         part = build_adapted_partition(cfg.horizon, cfg.dt_nominal,
@@ -358,18 +355,52 @@ def _restrict(cfg: SchemeConfig, path: CoupledNoisePath) -> tuple:
     return part, restrict_path(path, part, cfg.n_modes)
 
 
-def run_block(cfg: SchemeConfig, bundles, record: bool = False) -> tuple:
-    """Run the configured scheme once per step bundle (see `scheme_bundle`),
+@dataclass(frozen=True)
+class StepBlock:
+    """The noise of several runs of one scheme over a stretch of time,
+    one row per run.
+
+    Row r steps between the times nodes[r]; its Wiener increments are the
+    rows starts[r], starts[r] + 1, ... of `wiener`, its first step here is
+    step first[r] of its whole run, and its jumps in the stretch are at
+    times[r] with magnitudes xis[r].  A jump at sigma is in the step
+    t_i < sigma <= t_(i+1): on the adapted partition it is applied at that
+    step's end node, on the uniform grid its step aggregates it.
+    """
+
+    nodes: list
+    wiener: np.ndarray
+    starts: np.ndarray
+    first: np.ndarray
+    times: list
+    xis: list
+
+
+def stretch_nodes(cfg: SchemeConfig, level: np.ndarray,
+                  times: np.ndarray) -> np.ndarray:
+    """The scheme's partition over a stretch: its uniform nodes `level`,
+    merged with the jump times inside it on the adapted partition."""
+    if cfg.scheme == SCHEME_A and times.size:
+        return np.union1d(level, times)
+    return level
+
+
+def run_block(cfg: SchemeConfig, block: StepBlock, state=None,
+              record: bool = False) -> tuple:
+    """Run the configured scheme over a stretch for each row of `block`,
     all rows through one loop of the one-step map.
 
-    The state has shape (rows, n) and every row has its own step sizes,
-    increments and jumps, so a row gets exactly the doubles it would get
-    alone.  A row that turns non-finite leaves the block at once; a row
-    whose partition ends leaves it after its last step.
+    The state has shape (rows, n) and starts from `state`, or from x0 at
+    the first stretch; every row has its own step sizes, increments and
+    jumps, so a row gets exactly the doubles it would get alone, and a run
+    cut into stretches the doubles of one run.  A row that turns non-finite
+    leaves the block at once; a row whose stretch ends leaves it after its
+    last step.
 
-    Returns (finals, diverged, history): the terminal state of each row
-    (NaN where the row diverged), a dict mapping each diverged row to its
-    (step, time), and with `record` (one row) the per-node states, the jump
+    Returns (finals, diverged, history): the state of each row at the end
+    of the stretch (NaN where the row diverged), a dict mapping each
+    diverged row to the step of its whole run and the time at which it
+    diverged, and with `record` (one row) the per-node states, the jump
     nodes and their pre-jump states, else None.
     """
     n = cfg.n_modes
@@ -380,11 +411,11 @@ def run_block(cfg: SchemeConfig, bundles, record: bool = False) -> tuple:
     if cfg.nonlinearity.kind != "zero":
         kernel = NemytskiiKernel(cfg.nonlinearity, n, n)
     phi_vec = project(model.profile, n).coeffs
-    rows = len(bundles)
+    rows = len(block.nodes)
     # the frozen jump term runs whenever the compensator is non-trivial or
     # (uniform scheme) realized jumps need aggregating
     live = model.intensity > 0 or (
-        not adapted and any(b.skeleton.count for b in bundles))
+        not adapted and any(x.size for x in block.xis))
     mean_g1, mean_g_vec = 0.0, np.zeros(n)
     if model.intensity > 0:
         mean_g1, mg = compensator_coeffs(model, n)
@@ -393,28 +424,28 @@ def run_block(cfg: SchemeConfig, bundles, record: bool = False) -> tuple:
     # per row and step: an index into a table of the distinct step sizes,
     # and (uniform scheme) the g1 and magnitude sums of the step's jumps;
     # the padding after a row's last step is never read
-    steps = np.array([b.n_steps for b in bundles])
+    steps = np.array([p.size - 1 for p in block.nodes])
     width = int(steps.max())
     dts = np.empty((rows, width))
+    for r, p in enumerate(block.nodes):
+        dts[r, :steps[r]] = np.diff(p)
+        dts[r, steps[r]:] = dts[r, steps[r] - 1]
     sum_g1 = np.zeros((rows, width))
     sum_xi = np.zeros((rows, width))
     events = {}  # adapted scheme: step -> [(row, 1 + g1, xi)] at its end node
-    for r, b in enumerate(bundles):
-        dts[r, :steps[r]] = b.dts
-        dts[r, steps[r]:] = b.dts[-1]
-        sk = b.skeleton
-        if not sk.count:
+    for r, (p, times, xis) in enumerate(zip(block.nodes, block.times,
+                                            block.xis)):
+        if not times.size:
             continue
-        g1s = model.g1_values(sk.xis)
+        in_step = np.searchsorted(p, times) - 1
+        g1s = model.g1_values(xis)
         if adapted:
-            for node in np.nonzero(b.node_event >= 0)[0]:
-                ev = b.node_event[node]
-                events.setdefault(node - 1, []).append(
-                    (r, 1.0 + g1s[ev], sk.xis[ev]))
+            for i, g1, xi in zip(in_step.tolist(), g1s, xis):
+                events.setdefault(i, []).append((r, 1.0 + g1, xi))
         else:
-            sum_g1[r, :steps[r]] = np.bincount(b.event_step, weights=g1s,
+            sum_g1[r, :steps[r]] = np.bincount(in_step, weights=g1s,
                                                minlength=steps[r])
-            sum_xi[r, :steps[r]] = np.bincount(b.event_step, weights=sk.xis,
+            sum_xi[r, :steps[r]] = np.bincount(in_step, weights=xis,
                                                minlength=steps[r])
     sizes, which = np.unique(dts.ravel(), return_inverse=True)
     which = which.reshape(rows, width)
@@ -424,16 +455,18 @@ def run_block(cfg: SchemeConfig, bundles, record: bool = False) -> tuple:
     c_tab = -sizes * mean_g1
     tables = list(zip(e_tab, p_tab, s_tab, c_tab))  # per size, for shared steps
 
-    x = np.tile(project(cfg.x0, n).coeffs, (rows, 1))
+    if state is None:
+        x = np.tile(project(cfg.x0, n).coeffs, (rows, 1))
+    else:
+        x = np.asarray(state, dtype=np.float64)
     finals = np.full((rows, n), np.nan)
     diverged = {}
     history = None
     if record:
         history = (np.empty((width + 1, n)), [], [])
         history[0][0] = x[0]
-    active = np.arange(rows)  # the bundle of each row of x
-    srcs = [b.wiener for b in bundles]
-    w = np.empty((rows, n))
+    active = np.arange(rows)  # the block row of each row of x
+    src = block.starts.copy()  # the increment row of each row of x
     leaving = set((steps - 1).tolist())
     at = {r: r for r in range(rows)}
     shared = (which == which[:1]).all(axis=0).tolist()
@@ -445,8 +478,8 @@ def run_block(cfg: SchemeConfig, bundles, record: bool = False) -> tuple:
             col = which[:, i]
             e_vec, p_vec, shift = e_tab[col], p_tab[col], s_tab[col]
             coeff = c_tab[col, None]
-        for j, src in enumerate(srcs):
-            w[j] = src[i]
+        w = block.wiener[src]
+        src += 1
         fv = kernel(x) if kernel is not None else None
         if not live:
             coeff = shift = None
@@ -476,7 +509,8 @@ def run_block(cfg: SchemeConfig, bundles, record: bool = False) -> tuple:
         finite = np.isfinite(y).all(axis=1)
         for j in np.nonzero(~finite)[0]:
             r = active[j]
-            diverged[r] = (i, float(bundles[r].nodes[i + 1]))
+            diverged[r] = (int(block.first[r]) + i,
+                           float(block.nodes[r][i + 1]))
         done = finite & (steps[active] == i + 1)
         finals[active[done]] = y[done]
         keep = finite & (steps[active] > i + 1)
@@ -484,25 +518,21 @@ def run_block(cfg: SchemeConfig, bundles, record: bool = False) -> tuple:
             break
         x = y[keep]
         active = active[keep]
+        src = src[keep]
         which = which[keep]
         sum_g1, sum_xi = sum_g1[keep], sum_xi[keep]
-        srcs = [src for src, kept in zip(srcs, keep) if kept]
-        w = w[:active.size]
         at = {r: j for j, r in enumerate(active.tolist())}
         shared = (which == which[:1]).all(axis=0).tolist()
         first = which[0].tolist()
     return finals, diverged, history
 
 
-def scheme_bundle(cfg: SchemeConfig, path: CoupledNoisePath) -> StepBundle:
-    """The noise of one run of the configured scheme: the path restricted
-    to the scheme's partition (jump-adapted or uniform) and mode count."""
-    return _restrict(cfg, path)[1]
-
-
 def _run_one(cfg: SchemeConfig, path: CoupledNoisePath) -> Trajectory:
     part, bundle = _restrict(cfg, path)
-    _, diverged, (states, jump_nodes, pre_rows) = run_block(cfg, [bundle],
+    sk = bundle.skeleton
+    block = StepBlock([bundle.nodes], bundle.wiener, np.zeros(1, np.int64),
+                      np.zeros(1, np.int64), [sk.times], [sk.xis])
+    _, diverged, (states, jump_nodes, pre_rows) = run_block(cfg, block,
                                                             record=True)
     if diverged:
         raise DivergenceError(*diverged[0])

@@ -2,6 +2,7 @@
 digest stability, output files, and exit codes."""
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import levyheat
+from levyheat import cli
 from levyheat.cli import (
     ConfigError,
     _resolve_threads,
@@ -372,6 +374,79 @@ def test_two_point_config_never_loads_scipy_integrate(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.split() == ["False"]
+
+
+def test_two_point_run_never_imports_scipy_yet_names_its_version(tmp_path):
+    # the manifest reads scipy's version without importing scipy
+    scipy = pytest.importorskip("scipy")
+    path = write_config(tmp_path, study_dict(levels=[0.25]))
+    out = tmp_path / "out"
+    code = ("import sys, levyheat\n"
+            "from levyheat import cli\n"
+            f"cli.execute(cli.parse_config({str(path)!r}), {str(out)!r})\n"
+            "print('scipy' in sys.modules)\n")
+    src = os.path.dirname(levyheat.__path__[0])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.split() == ["False"]
+    recorded = json.loads((out / "manifest.json").read_text())
+    assert recorded["provenance"]["scipy"] == scipy.__version__
+
+
+def test_manifest_times_each_phase(tmp_path):
+    spatial = study_dict(name="spatial", axis="spatial", levels=[1, 2],
+                         n_ref=4, scheme="uniform_B")
+    holder = study_dict(name="holder", axis="holder", levels=[0.125, 0.0625],
+                        nonlinearity={"kind": "zero"})
+    plans = parse_config(write_config(tmp_path, study_dict(), spatial,
+                                      holder))
+    manifest = execute(plans, tmp_path / "out")
+    recorded = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert recorded["studies"] == [dict(e) for e in manifest.studies]
+    for entry, plan in zip(recorded["studies"], plans):
+        phases = entry["phases"]
+        if plan.axis == "holder":
+            assert set(phases) == {"skeletons", "norms", "bootstrap"}
+            seconds = list(phases.values())
+        else:
+            assert set(phases) == {"draw", "restrict", "step", "norms",
+                                   "bootstrap"}
+            # the reference run, then every level
+            assert len(phases["step"]) == len(plan.levels) + 1
+            seconds = [v for k, v in phases.items() if k != "step"]
+            seconds += phases["step"]
+        assert all(v >= 0.0 for v in seconds)
+        assert sum(seconds) <= entry["elapsed_seconds"]
+
+
+def test_failed_write_leaves_the_previous_run_intact(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    studies = [study_dict(name="alpha"), study_dict(name="beta")]
+    execute(parse_config(write_config(tmp_path, *studies)), out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["alpha.csv", "beta.csv", "manifest.json"]
+
+    writes = []
+    real = cli._stage
+
+    def second_write_fails(path, text, staged):
+        writes.append(os.path.basename(path))
+        if len(writes) == 2:
+            # a part of the file is on disk when the write fails
+            real(path, text[:len(text) // 2], staged)
+            raise OSError("disk full")
+        real(path, text, staged)
+
+    monkeypatch.setattr(cli, "_stage", second_write_fails)
+    # another seed: every file of this run would differ from the last one's
+    plans = parse_config(write_config(tmp_path, *studies))
+    plans = [dataclasses.replace(p, seed=12) for p in plans]
+    with pytest.raises(OSError, match="disk full"):
+        execute(plans, out)
+    assert writes == ["alpha.csv", "beta.csv"]
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert after == before
 
 
 def test_emit_plot_data_rows_and_fit_passthrough(tmp_path):

@@ -11,11 +11,14 @@ import warnings
 import numpy as np
 import pytest
 
+from levyheat import experiments, noise
 from levyheat.experiments import (
+    MAX_BLOCK,
     OrderReport,
     StudyPlan,
     StudyResult,
     _block_norms,
+    _blocking,
     _collect_norms,
     _coupled_norms,
     _holder_norms,
@@ -32,21 +35,28 @@ from levyheat.noise import (
     PURPOSE_JUMPS,
     G1Spec,
     MarkModel,
+    PathStream,
     TwoPointLaw,
     compensated_jump_convolution,
     conv_variance,
     power_profile,
+    restrict_chunk,
+    restrict_path,
     sample_jump_skeleton,
     sample_path,
     stream,
+    uniform_nodes,
 )
 from levyheat.schemes import (
     SCHEME_A,
     SCHEME_B,
     DivergenceError,
     SchemeConfig,
+    build_adapted_partition,
     run_scheme_A,
     run_scheme_B,
+    stretch_nodes,
+    uniform_partition,
 )
 from levyheat.spectral import NonlinearitySpec, SpectralState, eigenvalues, hnorm
 
@@ -501,18 +511,25 @@ def test_sample_is_bitwise_the_same_in_any_block(scheme, axis):
 
 
 def test_block_size_from_the_byte_budget():
-    # 2^12 steps x 64 modes x 8 bytes = 2 MiB a path: four per block, or
-    # three copies of the uniform scheme's reference increments while the
-    # fourth path is restricted
+    # a block holds one stretch of reference rows per sample (two on the
+    # uniform scheme) within 8 MiB: 32 samples of 512 steps x 64 modes x 8
+    # bytes, or of 64 steps x 256 modes x 8 bytes x 2
     plan = _block_plan(SCHEME_A, "temporal", n_ref=64, dt_ref=2.0**-12,
                        levels=(2.0**-4,), horizon=1.0,
                        model=tiny_model(64), x0=unit_state(64))
-    assert block_size(plan) == 4
+    assert _blocking(plan) == (32, 512)
     wide = _block_plan(SCHEME_B, "spatial", n_ref=256, dt_ref=2.0**-10,
                        levels=(4,), horizon=1.0,
                        model=tiny_model(256), x0=unit_state(256))
-    assert block_size(wide) == 3
+    assert _blocking(wide) == (32, 64)
     assert block_size(make_plan()) == 32
+    # a temporal stretch ends on nodes of the coarsest level: at a level of
+    # the whole horizon it is the whole path, 2 MiB a sample
+    for scheme, size in ((SCHEME_A, 4), (SCHEME_B, 2)):
+        whole = _block_plan(scheme, "temporal", n_ref=64, dt_ref=2.0**-12,
+                            levels=(1.0, 2.0**-4), horizon=1.0,
+                            model=tiny_model(64), x0=unit_state(64))
+        assert _blocking(whole) == (size, 4096)
     holder = make_plan(axis="holder", levels=(2.0**-4,))
     assert block_size(holder) is None
 
@@ -551,3 +568,148 @@ def test_aborted_samples_are_recorded_and_leave_companions_intact(scheme,
     assert norms.tobytes() == np.array(expected_norms).tobytes()
     assert result.aborts == len(expected_aborts)
     assert result.extras["aborted"] == expected_aborts
+
+
+# ---------------------------------------------------------------------------
+# paths streamed through time
+
+
+def _key_index(rng):
+    return int(rng.bit_generator.state["state"]["key"][1]) & (2**48 - 1)
+
+
+def _force_jumps(monkeypatch, forced):
+    """Stub the skeleton draw: sample i jumps at forced[i] (magnitudes
+    alternating +-1), the other samples draw as usual."""
+    draw = noise._draw_jumps
+
+    def stub(horizon, model, rng):
+        times = forced.get(_key_index(rng))
+        if times is None:
+            return draw(horizon, model, rng)
+        xis = np.resize([1.0, -1.0], len(times))
+        return np.array(times, dtype=np.float64), xis
+
+    monkeypatch.setattr(noise, "_draw_jumps", stub)
+
+
+def _budget_for(monkeypatch, plan, stretch):
+    """Set the byte budget so that a block's stretch is `stretch` steps."""
+    rows = plan.n_ref * 8 * (2 if plan.scheme == SCHEME_B else 1)
+    monkeypatch.setattr(experiments, "BLOCK_BYTES", stretch * MAX_BLOCK * rows)
+    assert _blocking(plan) == (MAX_BLOCK, stretch)
+
+
+def _streamed(plan, stretch):
+    """Per sample and resolution: the partition nodes and the increments of
+    the streamed restriction, its stretches joined up."""
+    res = _resolutions(plan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        cfgs = [SchemeConfig(plan.scheme, n, dt, plan.horizon,
+                             plan.nonlinearity, plan.model, plan.x0)
+                for dt, n in res]
+    paths = PathStream(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
+                       plan.seed, range(plan.samples))
+    total = paths.base.size - 1
+    nodes = {(s, j): [] for s in range(plan.samples) for j in range(len(res))}
+    incs = {key: [] for key in nodes}
+    for k0 in range(0, total, stretch):
+        k1 = min(k0 + stretch, total)
+        chunk = paths.draw(k0, k1, range(plan.samples))
+        for j, ((dt, n), cfg) in enumerate(zip(res, cfgs)):
+            r = round(dt / plan.dt_ref)
+            level = uniform_nodes(plan.horizon, dt)[k0 // r:k1 // r + 1]
+            parts = [stretch_nodes(cfg, level, t) for t in chunk.times]
+            wiener, starts = restrict_chunk(chunk, parts, n)
+            for s in range(plan.samples):
+                nodes[s, j].append(parts[s][:-1])
+                incs[s, j].append(wiener[starts[s]:starts[s + 1]].copy())
+    return nodes, incs
+
+
+def _check_streamed(plan, stretch):
+    res = _resolutions(plan)
+    nodes, incs = _streamed(plan, stretch)
+    for s in range(plan.samples):
+        path = sample_path(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
+                           plan.seed, s)
+        for j, (dt, n) in enumerate(res):
+            if plan.scheme == SCHEME_A:
+                part = build_adapted_partition(plan.horizon, dt, path.skeleton)
+            else:
+                part = uniform_partition(plan.horizon, dt)
+            oracle = restrict_path(path, part, n)
+            joined = np.concatenate(nodes[s, j] + [part.nodes[-1:]])
+            assert joined.tobytes() == part.nodes.tobytes()
+            streamed = np.concatenate(incs[s, j])
+            assert streamed.tobytes() == oracle.wiener.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:uniform-grid scheme")
+@pytest.mark.parametrize("axis", ["temporal", "spatial"])
+@pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
+def test_streamed_folds_match_restrict_path(monkeypatch, scheme, axis):
+    plan = _block_plan(scheme, axis, samples=6)
+    dt = plan.dt_ref
+    # temporal: two stretches of 16 steps; spatial: stretches of 5 steps,
+    # the last one a single step
+    stretch = 16 if axis == "temporal" else 5
+    edge = stretch * dt  # the first stretch boundary inside the horizon
+    _force_jumps(monkeypatch, {
+        0: [0.3 * dt, plan.horizon - 0.5 * dt],  # first and last micro rows
+        1: [edge - 0.4 * dt, edge + 0.3 * dt],  # both rows beside a boundary
+        2: [2.1 * dt, 2.1 * dt + 1e-4, 2.7 * dt],  # three in one micro row
+        3: [],
+    })
+    _check_streamed(plan, stretch)
+
+
+@pytest.mark.filterwarnings("ignore:uniform-grid scheme")
+@pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
+def test_a_coarsest_level_of_the_horizon_streams_in_one_stretch(scheme):
+    plan = _block_plan(scheme, "temporal", levels=(0.5, 2.0**-3), samples=6)
+    steps = round(plan.horizon / plan.dt_ref)
+    assert _blocking(plan)[1] == steps
+    _check_streamed(plan, steps)
+
+
+@pytest.mark.filterwarnings("ignore:uniform-grid scheme")
+@pytest.mark.parametrize("axis", ["temporal", "spatial"])
+@pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
+def test_samples_stepped_in_stretches_match_runs_alone(monkeypatch, scheme,
+                                                       axis):
+    plan = _block_plan(scheme, axis)
+    _budget_for(monkeypatch, plan, 16 if axis == "temporal" else 5)
+    terminals, aborted = _run_block(plan, range(plan.samples))
+    assert aborted == []
+    for i in range(plan.samples):
+        finals, diverged = _alone(plan, i)
+        assert diverged is None
+        for j, final in enumerate(finals):
+            assert terminals[i, j, :final.dim].tobytes() == \
+                final.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("axis", ["temporal", "spatial"])
+@pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
+def test_aborts_in_later_stretches_keep_their_step_and_time(monkeypatch,
+                                                            scheme, axis):
+    plan = _diverging_plan(scheme, axis)
+    _budget_for(monkeypatch, plan, 16 if axis == "temporal" else 5)
+    expected_aborts, expected_norms = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(plan.samples):
+            finals, diverged = _alone(plan, i)
+            if diverged is None:
+                expected_norms.append([hnorm(finals[0] - f)
+                                       for f in finals[1:]])
+            else:
+                level, step, t = diverged
+                expected_aborts.append(
+                    {"index": i, "level": level, "step": step, "time": t})
+        norms, aborted = _collect_norms(plan, workers=1)
+    # some samples abort after the first stretch, some at a coarse level
+    assert any(a["time"] > 16 * plan.dt_ref for a in expected_aborts)
+    assert aborted == expected_aborts
+    assert norms.tobytes() == np.array(expected_norms).tobytes()

@@ -4,7 +4,6 @@ Monte Carlo assertions use fixed seeds and standard-error-scaled tolerances;
 quadrature results are cross-checked by independent hand-rolled integrators.
 """
 
-import io
 import math
 
 import numpy as np
@@ -29,8 +28,6 @@ from levyheat.noise import (
     compensator_coeffs,
     compose_convolution,
     conv_variance,
-    dump_path,
-    load_path,
     power_profile,
     profile_tail_fraction,
     restrict_path,
@@ -608,25 +605,3 @@ def test_jump_convolution_rejects_bad_time():
     sk = JumpSkeleton(1.0, [0.5], [1.0])
     with pytest.raises(ValueError):
         compensated_jump_convolution(sk, model, 8, 1.5)
-
-
-# ---------------------------------------------------------------------------
-# binary dump
-
-
-def test_dump_load_round_trip():
-    model = two_point_model()
-    path = sample_path(1.0, 2.0**-6, 8, model, 21, 9)
-    buf = io.BytesIO()
-    dump_path(path, buf)
-    buf.seek(0)
-    loaded = load_path(buf)
-    assert loaded.n_ref == path.n_ref
-    assert loaded.seed == path.seed
-    assert np.array_equal(loaded.grid.nodes, path.grid.nodes)
-    assert np.array_equal(loaded.grid.is_jump, path.grid.is_jump)
-    assert loaded.wiener.tobytes() == path.wiener.tobytes()
-    assert np.array_equal(loaded.skeleton.times, path.skeleton.times)
-    assert np.array_equal(loaded.skeleton.xis, path.skeleton.xis)
-    with pytest.raises(ValueError):
-        load_path(io.BytesIO(b"not a dump at all"))

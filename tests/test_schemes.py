@@ -89,6 +89,17 @@ def test_partition_invariants():
     assert np.max(part.deltas) <= 0.5
 
 
+def test_partition_checks_name_what_is_wrong():
+    flags = np.ones(5, dtype=bool)
+    with pytest.raises(ValueError, match="every multiple of dt_nominal"):
+        # 0.5 is missing, yet no step is longer than 0.5
+        TimePartition(np.array([0.0, 0.25, 0.45, 0.75, 1.0]), 0.5,
+                      flags, ~flags)
+    with pytest.raises(ValueError, match="maximal step exceeds"):
+        TimePartition(np.array([0.0, 0.25, 0.5, 0.75, 1.0]), 0.125,
+                      flags, ~flags)
+
+
 def test_adapted_partition_no_jumps():
     sk = JumpSkeleton(1.0, np.empty(0), np.empty(0))
     part = build_adapted_partition(1.0, 0.25, sk)

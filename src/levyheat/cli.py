@@ -36,6 +36,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import logging
 import math
 import os
 import platform
@@ -499,8 +500,10 @@ def _study_entry(plan: StudyPlan, result, csv_name, elapsed, error) -> dict:
     ]
     entry.update(status="ok", csv=csv_name, aborts=result.aborts,
                  aborted=list(result.extras.get("aborted", [])),
-                 effective_samples=result.effective_samples, fits=fits,
-                 phases=result.extras["phases"])
+                 effective_samples=result.effective_samples,
+                 samples_per_s=round(result.effective_samples
+                                     / entry["elapsed_seconds"], 3),
+                 fits=fits, phases=result.extras["phases"])
     return entry
 
 
@@ -627,12 +630,22 @@ def main(argv=None) -> int:
                   f"seed={plan.seed}")
         return 0
 
+    # progress of the studies on stderr; library calls log nowhere
+    log = logging.getLogger("levyheat")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         manifest = execute(plans, args.out, threads=threads,
                            seed_override=args.seed)
     except RuntimeError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
     for entry in manifest.studies:
         if entry["status"] == "ok":

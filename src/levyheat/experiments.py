@@ -15,6 +15,7 @@ one batched loop, drawing a block's paths one stretch of time at a time,
 which gives each sample exactly the doubles of a run on its own.
 """
 
+import logging
 import math
 import time
 import warnings
@@ -60,8 +61,12 @@ __all__ = [
     "run_study",
 ]
 
+_log = logging.getLogger(__name__)
+
 AXES = ("temporal", "spatial", "holder")
 N_BOOTSTRAP = 1000
+# byte budget of the resample indices one chunk of bootstrap draws holds
+_BOOTSTRAP_BYTES = 2**20
 # byte budget of the reference-resolution rows one block holds at once:
 # one stretch of time of each sample's path (see `_blocking`)
 BLOCK_BYTES = 8 * 2**20
@@ -241,14 +246,25 @@ def _lp_point(norms: np.ndarray, p: float) -> float:
 
 
 def _bootstrap_interval(norms: np.ndarray, p: float, rng) -> tuple:
+    """The 2.5 and 97.5 percentiles of N_BOOTSTRAP resampled L^p points.
+
+    The resamples are drawn in chunks of up to _BOOTSTRAP_BYTES of indices,
+    one draw and one sum per row for a whole chunk: the Philox stream gives
+    the same indices however its draws are split, and each row sums as the
+    one-dimensional draw of that resample would.
+    """
     m = norms.size
     powers = norms**p
     stats = np.empty(N_BOOTSTRAP)
-    for b in range(N_BOOTSTRAP):
-        idx = rng.integers(0, m, m)
+    chunk = min(N_BOOTSTRAP, max(1, _BOOTSTRAP_BYTES // (8 * m)))
+    for b0 in range(0, N_BOOTSTRAP, chunk):
+        idx = rng.integers(0, m, (min(chunk, N_BOOTSTRAP - b0), m))
+        sums = np.add.reduce(powers.take(idx), axis=1)
         # np.mean's own doubles (a sum by add.reduce, then one division)
-        # without its per-call overhead
-        stats[b] = (np.add.reduce(powers.take(idx)) / m) ** (1.0 / p)
+        # without its per-call overhead; the division and the root stay
+        # scalar operations, as the root of a whole array moves last digits
+        for b, total in enumerate(sums, b0):
+            stats[b] = (total / m) ** (1.0 / p)
     return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
 
 
@@ -439,20 +455,29 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
         at[alive[0]] = np.arange(alive[0].size)
         t1 = clock()
         spent["draw"] += t1 - t0
+        # each time grid's partitions and folds at n_ref, by dt: the fold is
+        # elementwise per mode, so a resolution of fewer modes on the same
+        # grid (every spatial level) steps on the leading columns
+        folded = {}
         for j, cfg in enumerate(cfgs):
             rows = alive[j]
             if not rows.size:
                 continue
             t0 = clock()
-            r = ratios[j]
-            if cfg.scheme == SCHEME_A and r == 1:
-                parts = chunk.micro
-            else:
-                level = grids[j][k0 // r:k1 // r + 1]
-                parts = [stretch_nodes(cfg, level, t) for t in chunk.times]
-            wiener, starts = restrict_chunk(chunk, parts, cfg.n_modes)
+            dt, r = res[j][0], ratios[j]
+            if dt not in folded:
+                if cfg.scheme == SCHEME_A and r == 1:
+                    parts = chunk.micro
+                else:
+                    level = grids[j][k0 // r:k1 // r + 1]
+                    parts = [stretch_nodes(cfg, level, t)
+                             for t in chunk.times]
+                folded[dt] = (parts,
+                              *restrict_chunk(chunk, parts, plan.n_ref))
+            parts, wiener, starts = folded[dt]
             sel = at[rows]
-            block = StepBlock([parts[s] for s in sel], wiener, starts[sel],
+            block = StepBlock([parts[s] for s in sel],
+                              wiener[:, :cfg.n_modes], starts[sel],
                               taken[j][rows], [chunk.times[s] for s in sel],
                               [chunk.xis[s] for s in sel])
             t1 = clock()
@@ -470,7 +495,7 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
                 keep = ~np.isin(alive[h], dead)
                 alive[h], states[h] = alive[h][keep], states[h][keep]
         # one stretch at a time: drop it before the next one is drawn
-        del chunk, parts, wiener, block
+        del chunk, folded, parts, wiener, block
     terminals = np.zeros((size, len(res), plan.n_ref))
     for j, (_, n) in enumerate(res):
         terminals[alive[j], j, :n] = states[j]
@@ -520,11 +545,22 @@ def _collect_norms(plan: StudyPlan, workers: int, phases=None) -> tuple:
     size = block_size(plan)
     job = partial(_timed_block, plan, size)
     starts = range(0, plan.samples, size)
+    t0 = time.perf_counter()
+
+    def logged(blocks):
+        for start, block in zip(starts, blocks):
+            done = min(start + size, plan.samples)
+            elapsed = time.perf_counter() - t0
+            _log.info("%s: %d/%d samples, %.1f s elapsed, ETA %.1f s",
+                      plan.name, done, plan.samples, elapsed,
+                      elapsed / done * (plan.samples - done))
+            yield block
+
     if workers <= 1:
-        parts = [job(s) for s in starts]
+        parts = list(logged(map(job, starts)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, starts))
+            parts = list(logged(pool.map(job, starts)))
     if phases is not None:
         for _, _, spent in parts:
             for key, value in spent.items():
@@ -595,6 +631,8 @@ def _holder_norms(plan: StudyPlan, phases=None) -> np.ndarray:
                                                plan.seed, range(m_samples))
     owner = np.repeat(np.arange(m_samples), counts)
     t1 = time.perf_counter()
+    _log.info("%s: skeletons of %d samples, %.1f s", plan.name, m_samples,
+              t1 - t0)
 
     # per-sample profile of the pre-t jumps: S[i, k] = sum_j xi_j e^{-lam_k (t - sigma_j)}
     old = times <= t
@@ -619,8 +657,11 @@ def _holder_norms(plan: StudyPlan, phases=None) -> np.ndarray:
         comp = (np.expm1(-lam * (t + h)) - np.expm1(-lam * t)) / lam * mg
         delta += comp
         norms[:, j] = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    t2 = time.perf_counter()
+    _log.info("%s: norms at %d increments, %.1f s", plan.name,
+              len(plan.levels), t2 - t1)
     if phases is not None:
-        phases.update(skeletons=t1 - t0, norms=time.perf_counter() - t1)
+        phases.update(skeletons=t1 - t0, norms=t2 - t1)
     return norms
 
 
@@ -643,6 +684,8 @@ def run_holder_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     t0 = time.perf_counter()
     reports = _build_reports(plan, norms, False)
     phases["bootstrap"] = time.perf_counter() - t0
+    _log.info("%s: bootstrap of %d intervals, %.1f s", plan.name,
+              len(plan.p_list) * len(plan.levels), phases["bootstrap"])
     return StudyResult(plan, reports, 0,
                        dict(plan.model_info, phases=phases))
 

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -729,44 +728,59 @@ _FOLD_ROWS = 1024
 def _fold(inc: np.ndarray, deltas: np.ndarray, dt_ref: float,
           pos: np.ndarray) -> np.ndarray:
     """Left-to-right convolution folds of the micro rows between the
-    micro indices `pos`: row i folds rows pos[i] .. pos[i+1] - 1."""
+    micro indices `pos`: row i folds rows pos[i] .. pos[i+1] - 1.
+
+    A step's first row enters as it is, and every later row j scales the
+    sum so far by exp(-lam deltas[j]) before it is added.  All steps fold
+    together, one position at a time, longest first, so that the steps
+    still folding are a leading slice, and at most _FOLD_ROWS steps at
+    once, which keeps the working set far below a whole path's output.
+    A position scales every step by the dt_ref decay, and only the few
+    steps whose row there is irregular (shorter than dt_ref, beside a
+    jump) by their own: each step gets the multiplies and adds of its own
+    sequential fold, in the same order.
+    """
     lam = eigenvalues(inc.shape[1])
     start, end = pos[:-1], pos[1:]
-    out = np.empty((start.size, inc.shape[1]))
-    # steps whose micro slice is uniform fold with one shared decay factor;
-    # vectorising over equal-length groups keeps the arithmetic identical to
-    # the per-step sequential fold (same doubles, same order); gathering one
-    # micro row per step at a time, for at most _FOLD_ROWS steps, keeps the
-    # working set far below the size of a whole path's output
-    irregular_before = np.concatenate([[0], np.cumsum(deltas != dt_ref)])
-    clean = irregular_before[end] == irregular_before[start]
     decay_ref = np.exp(-lam * dt_ref)
-    lengths = end - start
-    for m in np.unique(lengths[clean]):
-        group = np.nonzero(clean & (lengths == m))[0]
-        for lo in range(0, group.size, _FOLD_ROWS):
-            sel = group[lo:lo + _FOLD_ROWS]
-            row = start[sel]
-            acc = inc[row]
-            rows = np.empty_like(acc)
-            for _ in range(1, m):
-                acc *= decay_ref
-                row += 1
-                np.take(inc, row, axis=0, out=rows, mode="clip")
-                acc += rows
-            out[sel] = acc
-    decay_cache = {dt_ref: decay_ref}
-    for i in np.nonzero(~clean)[0]:
-        acc = inc[start[i]].copy()
-        for j in range(start[i] + 1, end[i]):
-            d = deltas[j]
-            dec = decay_cache.get(d)
-            if dec is None:
-                dec = np.exp(-lam * d)
-                decay_cache[d] = dec
-            acc *= dec
-            acc += inc[j]
-        out[i] = acc
+    out = np.empty((start.size, inc.shape[1]))
+    order = np.argsort(start - end, kind="stable")
+    # the irregular rows after the first row of their step: the step's
+    # place in `order`, the row's position in the step and its decay
+    odd = np.nonzero(deltas != dt_ref)[0]
+    step = np.searchsorted(start, odd, side="right") - 1
+    inside = (step >= 0) & (odd > start[step]) & (odd < end[step])
+    odd, step = odd[inside], step[inside]
+    place = np.empty(start.size, dtype=np.intp)
+    place[order] = np.arange(start.size)
+    sizes, which = np.unique(deltas[odd], return_inverse=True)
+    decays = np.array([np.exp(-lam * d) for d in sizes]).reshape(
+        sizes.size, lam.size)
+    fixes = {}
+    for slot, q, code in zip(place[step].tolist(),
+                             (odd - start[step]).tolist(), which.tolist()):
+        fixes.setdefault((slot // _FOLD_ROWS, q), []).append(
+            (slot % _FOLD_ROWS, code))
+    for lo in range(0, order.size, _FOLD_ROWS):
+        sel = order[lo:lo + _FOLD_ROWS]
+        first = start[sel]
+        length = end[sel] - first
+        acc = inc[first]
+        rows = np.empty_like(acc)
+        later = np.arange(1, length[0])  # the positions after the first
+        live = np.searchsorted(-length, -later, side="left").tolist()
+        for q, k in zip(later.tolist(), live):
+            part = acc[:k]
+            fix = fixes.get((lo // _FOLD_ROWS, q))
+            if fix is not None:
+                at, code = np.array(fix).T
+                kept = acc[at] * decays[code]
+            part *= decay_ref
+            if fix is not None:
+                acc[at] = kept
+            np.take(inc, first[:k] + q, axis=0, out=rows[:k], mode="clip")
+            part += rows[:k]
+        out[sel] = acc
     return out
 
 

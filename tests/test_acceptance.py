@@ -72,6 +72,9 @@ from levyheat.spectral import (
     to_physical,
 )
 
+# minutes of studies: `pytest -m "not slow"` runs the unit suites alone
+pytestmark = pytest.mark.slow
+
 REPORT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir,
                  "acceptance_report.txt")

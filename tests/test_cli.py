@@ -418,6 +418,9 @@ def test_manifest_times_each_phase(tmp_path):
             seconds += phases["step"]
         assert all(v >= 0.0 for v in seconds)
         assert sum(seconds) <= entry["elapsed_seconds"]
+        assert entry["samples_per_s"] > 0.0
+        assert entry["samples_per_s"] == round(
+            entry["effective_samples"] / entry["elapsed_seconds"], 3)
 
 
 def test_failed_write_leaves_the_previous_run_intact(tmp_path, monkeypatch):
@@ -533,6 +536,41 @@ def test_main_success_and_seed_override(tmp_path, capsys):
     # the override must change the digest (seed is semantic)
     plans = parse_config(cfg)
     assert manifest["digest"] != config_digest(plans)
+
+
+def test_run_prints_progress_on_stderr_only(tmp_path):
+    # `levyheat run` logs each finished block and each Hölder phase on
+    # stderr; its stdout and CSVs are those of a run without a handler
+    holder = study_dict(name="holder", axis="holder", levels=[0.125, 0.0625],
+                        nonlinearity={"kind": "zero"})
+    cfg = write_config(tmp_path, study_dict(), holder)
+    out = tmp_path / "out"
+    src = os.path.dirname(levyheat.__path__[0])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys\nfrom levyheat.cli import main\nsys.exit(main())\n"
+    run = subprocess.run([sys.executable, "-c", code, "run", str(cfg),
+                          "--out", str(out)], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0
+    # only the logger's lines: an unrelated warning may share stderr
+    progress = [line for line in run.stderr.splitlines()
+                if line.startswith(("unit:", "holder:"))]
+    assert [line.split(",")[0] for line in progress] == [
+        "unit: 32/100 samples", "unit: 64/100 samples",
+        "unit: 96/100 samples", "unit: 100/100 samples",
+        "holder: skeletons of 100 samples", "holder: norms at 2 increments",
+        "holder: bootstrap of 2 intervals"]
+    assert "ETA" in progress[0]
+
+    quiet = tmp_path / "quiet"
+    manifest = execute(parse_config(cfg), quiet)
+    assert run.stdout.splitlines() == [
+        f"{e['name']}: ok aborts=0 "
+        + " ".join(f"p={f['p']:g}:order={f['order']:.4f}"
+                   for f in e["fits"] if f["order"] is not None)
+        for e in manifest.studies]
+    for name in ("unit.csv", "holder.csv"):
+        assert (out / name).read_bytes() == (quiet / name).read_bytes()
 
 
 def test_thread_resolution_precedence(monkeypatch):

@@ -150,6 +150,45 @@ def test_lp_error_rejects_bad_input():
         estimate_lp_error(xs, xs, 1.5)
 
 
+def _bootstrap_per_resample(norms, p, rng):
+    """The bootstrap statistics drawn one resample at a time: one draw of m
+    indices and one sum each (the oracle of the chunked draws)."""
+    m = norms.size
+    powers = norms**p
+    stats = np.empty(experiments.N_BOOTSTRAP)
+    for b in range(experiments.N_BOOTSTRAP):
+        idx = rng.integers(0, m, m)
+        stats[b] = (np.add.reduce(powers.take(idx)) / m) ** (1.0 / p)
+    return stats
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 32, 129, 1000, 4097, 100000])
+def test_chunked_bootstrap_matches_one_resample_at_a_time(monkeypatch, m):
+    if m == 100000:
+        # chunks of one resample here; fewer of them keep the test quick
+        monkeypatch.setattr(experiments, "N_BOOTSTRAP", 40)
+    seen = []
+    percentile = np.percentile
+
+    def record(stats, q):
+        seen.append(stats.copy())
+        return percentile(stats, q)
+
+    monkeypatch.setattr(np, "percentile", record)
+    norms = np.random.default_rng(m).exponential(size=m)
+    ours = stream(3, 0, noise.PURPOSE_BOOTSTRAP)
+    oracle = stream(3, 0, noise.PURPOSE_BOOTSTRAP)
+    for p in (2.0, 4.0, 8.0):
+        # two successive intervals from one stream, as reports draw them
+        for _ in range(2):
+            lo, hi = experiments._bootstrap_interval(norms, p, ours)
+            stats = _bootstrap_per_resample(norms, p, oracle)
+            assert seen[-1].tobytes() == stats.tobytes()
+            assert (lo, hi) == (float(percentile(stats, 2.5)),
+                                float(percentile(stats, 97.5)))
+    assert ours.integers(0, 2**62) == oracle.integers(0, 2**62)
+
+
 # ---------------------------------------------------------------------------
 # fit_order
 
@@ -663,6 +702,43 @@ def test_streamed_folds_match_restrict_path(monkeypatch, scheme, axis):
         3: [],
     })
     _check_streamed(plan, stretch)
+
+
+@pytest.mark.filterwarnings("ignore:uniform-grid scheme")
+def test_spatial_levels_step_on_the_reference_fold(monkeypatch):
+    # scheme B folds every stretch once, at n_ref, and each spatial level
+    # steps on its leading columns: the doubles of a restriction at N
+    plan = _block_plan(SCHEME_B, "spatial", samples=6)
+    dt, stretch = plan.dt_ref, 5
+    _budget_for(monkeypatch, plan, stretch)
+    edge = stretch * dt
+    _force_jumps(monkeypatch, {
+        0: [0.3 * dt, plan.horizon - 0.5 * dt],
+        1: [edge - 0.4 * dt, edge + 0.3 * dt],
+        2: [2.1 * dt, 2.1 * dt + 1e-4, 2.7 * dt],
+        3: [2 * edge + 0.5 * dt],
+        4: [],
+    })
+    stepped = {}  # (n, sample) -> increments stepped on, stretch by stretch
+    real = experiments.run_block
+
+    def spy(cfg, block, state=None, record=False):
+        for s, (nodes, a) in enumerate(zip(block.nodes, block.starts)):
+            stepped.setdefault((cfg.n_modes, s), []).append(
+                block.wiener[a:a + nodes.size - 1].copy())
+        return real(cfg, block, state, record)
+
+    monkeypatch.setattr(experiments, "run_block", spy)
+    _, aborted = _run_block(plan, range(plan.samples))
+    assert aborted == []
+    part = uniform_partition(plan.horizon, dt)
+    for s in range(plan.samples):
+        path = sample_path(plan.horizon, dt, plan.n_ref, plan.model,
+                           plan.seed, s)
+        for _, n in _resolutions(plan):
+            oracle = restrict_path(path, part, n).wiener
+            assert np.concatenate(stepped[n, s]).tobytes() == \
+                oracle.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:uniform-grid scheme")

@@ -502,6 +502,41 @@ def test_restriction_is_bitwise_fold():
             assert np.array_equal(acc, bundle.wiener[i])
 
 
+def _sequential_fold(inc, deltas, lam, start, end):
+    """One step's fold on its own, row after row (the oracle of `_fold`)."""
+    acc = inc[start].copy()
+    for j in range(start + 1, end):
+        acc *= np.exp(-lam * deltas[j])
+        acc += inc[j]
+    return acc
+
+
+@pytest.mark.parametrize("fold_rows", [3, 1024])
+def test_fold_matches_a_sequential_fold_of_each_step(monkeypatch, fold_rows):
+    # irregular rows first, last, alone, in runs and apart within a step,
+    # over partitions that start and end inside the micro grid
+    monkeypatch.setattr(noise, "_FOLD_ROWS", fold_rows)
+    dt = 2.0**-6
+    deltas = np.full(60, dt)
+    for row in (0, 3, 4, 9, 14, 15, 16, 22, 30, 31, 41, 47, 59):
+        deltas[row] = dt * (0.1 + 0.05 * (row % 7))
+    deltas[31] = deltas[30]  # two rows of one size
+    inc = np.random.default_rng(5).standard_normal((60, 6))
+    lam = eigenvalues(6)
+    partitions = [
+        np.array([0, 60]),
+        np.array([0, 4, 5, 9, 10, 17, 23, 31, 32, 40, 48, 56, 60]),
+        np.array([3, 8, 16, 24, 32, 40, 48, 57]),
+        np.arange(0, 61, 3),
+        np.arange(2, 59),
+    ]
+    for pos in partitions:
+        folded = noise._fold(inc[:, :4], deltas, dt, pos)
+        for i, (a, b) in enumerate(zip(pos[:-1], pos[1:])):
+            expected = _sequential_fold(inc[:, :4], deltas, lam[:4], a, b)
+            assert folded[i].tobytes() == expected.tobytes()
+
+
 def test_restriction_identity_on_micro_grid():
     model = two_point_model()
     path = sample_path(1.0, 2.0**-6, 8, model, 11, 0)

@@ -44,7 +44,7 @@ from .schemes import (
     run_block,
     stretch_nodes,
 )
-from .spectral import NonlinearitySpec, SpectralState, eigenvalues, hnorm, project
+from .spectral import NonlinearitySpec, SpectralState, eigenvalues, project
 
 __all__ = [
     "AXES",
@@ -53,7 +53,6 @@ __all__ = [
     "StudyResult",
     "StudyAborted",
     "block_size",
-    "estimate_lp_error",
     "fit_order",
     "run_temporal_study",
     "run_spatial_study",
@@ -268,27 +267,6 @@ def _bootstrap_interval(norms: np.ndarray, p: float, rng) -> tuple:
     return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
 
 
-def estimate_lp_error(ref_terminals, coarse_terminals, p: float,
-                      seed: int = 0) -> tuple:
-    """L^p(Omega, H) distance of two coupled terminal-value samples.
-
-    Returns (error, half_width): the p-power mean of the per-sample H-norm
-    differences and half the spread of its 95% bootstrap interval
-    (1000 resamples, 2.5/97.5 percentiles, deterministic for a given seed).
-    """
-    if len(ref_terminals) != len(coarse_terminals):
-        raise ValueError("coupled samples must have equal length")
-    if len(ref_terminals) == 0:
-        raise ValueError("empty sample")
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    norms = np.array(
-        [hnorm(r - c) for r, c in zip(ref_terminals, coarse_terminals)]
-    )
-    lo, hi = _bootstrap_interval(norms, p, stream(seed, 0, PURPOSE_BOOTSTRAP))
-    return _lp_point(norms, p), (hi - lo) / 2.0
-
-
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple:
     xm, ym = x.mean(), y.mean()
     dx = x - xm
@@ -422,7 +400,7 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
     The paths are drawn one stretch of time at a time (see `_blocking`),
     and each resolution steps through the stretch from where it stood at
     the end of the last one.  The seconds spent are added to `phases`
-    (see `_new_phases`) when it is given.
+    (see `_new_phases`), a dict of the call's own unless one is given.
     """
     clock = time.perf_counter
     spent = _new_phases(plan) if phases is None else phases
@@ -521,27 +499,30 @@ def _block_norms(plan: StudyPlan, size: int, start: int,
                  phases=None) -> tuple:
     """Coupled norms of the surviving samples of the block of `size`
     samples from `start`, and the block's abort records; the seconds spent
-    are added to `phases` when it is given."""
+    are added to `phases` as in `_run_block`."""
+    phases = _new_phases(plan) if phases is None else phases
     indices = range(start, min(start + size, plan.samples))
     terminals, aborted = _run_block(plan, indices, phases)
     t0 = time.perf_counter()
     dead = {a["index"] for a in aborted}
     kept = [b for b, i in enumerate(indices) if i not in dead]
     norms = _coupled_norms(terminals[kept])
-    if phases is not None:
-        phases["norms"] += time.perf_counter() - t0
+    phases["norms"] += time.perf_counter() - t0
     return norms, aborted
 
 
 def _timed_block(plan: StudyPlan, size: int, start: int) -> tuple:
+    """`_block_norms` of one block and its phases, as a worker returns
+    them across the process pool."""
     phases = _new_phases(plan)
     return (*_block_norms(plan, size, start, phases), phases)
 
 
 def _collect_norms(plan: StudyPlan, workers: int, phases=None) -> tuple:
     """The (samples, levels) coupled norms of the surviving samples and
-    the abort records.  The blocks' seconds are added to `phases` when it
-    is given: with several workers, summed over the workers."""
+    the abort records.  The blocks' seconds are added to `phases` as in
+    `_run_block`: with several workers, summed over the workers."""
+    phases = _new_phases(plan) if phases is None else phases
     size = block_size(plan)
     job = partial(_timed_block, plan, size)
     starts = range(0, plan.samples, size)
@@ -561,13 +542,12 @@ def _collect_norms(plan: StudyPlan, workers: int, phases=None) -> tuple:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(logged(pool.map(job, starts)))
-    if phases is not None:
-        for _, _, spent in parts:
-            for key, value in spent.items():
-                if key == "step":
-                    phases[key] = [a + b for a, b in zip(phases[key], value)]
-                else:
-                    phases[key] += value
+    for _, _, spent in parts:
+        for key, value in spent.items():
+            if key == "step":
+                phases[key] = [a + b for a, b in zip(phases[key], value)]
+            else:
+                phases[key] += value
     aborted = [a for _, block, _ in parts for a in block]
     if len(aborted) == plan.samples:
         raise StudyAborted(aborted)
@@ -609,14 +589,15 @@ def run_spatial_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     return _coupled_study(plan, workers)
 
 
-def _holder_norms(plan: StudyPlan, phases=None) -> np.ndarray:
+def _holder_norms(plan: StudyPlan) -> tuple:
     """Norms of jump-convolution increments N(t+h) - N(t) at t = T/2.
 
     Evaluated in closed form from the skeletons: jumps before t contribute
     through a per-sample mode profile scaled by (e^{-lam h} - 1), jumps
     inside (t, t+h] enter with their own decay, and the compensator adds a
-    deterministic phi1 difference.  The seconds spent drawing the skeletons
-    and evaluating the norms are stored in `phases` when it is given.
+    deterministic phi1 difference.  Returns the (samples, increments)
+    norms and the seconds spent drawing the skeletons and evaluating them
+    (the phases `skeletons` and `norms`).
     """
     t0 = time.perf_counter()
     t = plan.horizon / 2.0
@@ -660,9 +641,7 @@ def _holder_norms(plan: StudyPlan, phases=None) -> np.ndarray:
     t2 = time.perf_counter()
     _log.info("%s: norms at %d increments, %.1f s", plan.name,
               len(plan.levels), t2 - t1)
-    if phases is not None:
-        phases.update(skeletons=t1 - t0, norms=t2 - t1)
-    return norms
+    return norms, {"skeletons": t1 - t0, "norms": t2 - t1}
 
 
 def run_holder_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
@@ -675,8 +654,7 @@ def run_holder_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     if plan.axis != "holder":
         raise ValueError("plan axis must be holder")
     del workers  # the evaluation is vectorized across samples already
-    phases = {}
-    norms = _holder_norms(plan, phases)
+    norms, phases = _holder_norms(plan)
     if not norms.any():
         raise ValueError(
             "all increments vanish (zero jump model?); exponents undefined"

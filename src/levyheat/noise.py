@@ -37,14 +37,12 @@ __all__ = [
     "PURPOSE_JUMPS",
     "PURPOSE_BOOTSTRAP",
     "stream",
-    "SeedRecord",
     "TwoPointLaw",
     "ExpShiftedLaw",
     "TruncatedStableLaw",
     "G1Spec",
     "MarkModel",
     "power_profile",
-    "profile_tail_fraction",
     "truncate_levy",
     "JumpSkeleton",
     "sample_jump_skeleton",
@@ -124,14 +122,6 @@ def _quad(*args, **kwargs):
     from scipy import integrate
 
     return integrate.quad(*args, **kwargs)
-
-
-@dataclass(frozen=True)
-class SeedRecord:
-    """Identifies every draw behind one noise path."""
-
-    global_seed: int
-    sample_index: int
 
 
 # ---------------------------------------------------------------------------
@@ -338,22 +328,6 @@ def power_profile(c: float, r: float, n: int) -> SpectralState:
     return SpectralState(c * k**-r)
 
 
-def profile_tail_fraction(profile: SpectralState, s: float) -> float:
-    """Share of hnorm(profile, s)^2 carried by the upper half of the modes.
-
-    A profile admissible for the jump noise must have this fraction small
-    and shrinking as the dimension grows (partial-sum convergence of
-    sum_k lambda_k^s phi_k^2).
-    """
-    lam = eigenvalues(profile.dim)
-    weights = lam**s * profile.coeffs**2
-    total = float(np.sum(weights))
-    if total == 0.0:
-        raise ValueError("profile is identically zero")
-    half = profile.dim // 2
-    return float(np.sum(weights[half:])) / total
-
-
 @dataclass(frozen=True)
 class MarkModel:
     """Finite-activity jump noise: intensity, magnitude law, profile, g1."""
@@ -371,24 +345,13 @@ class MarkModel:
     def profile_norm(self) -> float:
         return hnorm(self.profile)
 
-    def g1_value(self, xi: float) -> float:
-        """g1 evaluated at the mark z = xi * phi."""
-        if self.g1.kind == "zero":
-            return 0.0
-        if self.g1.kind == "constant":
-            return self.g1.value
-        return self.g1.value * min(1.0, abs(xi) * self.profile_norm)
-
     def g1_values(self, xis: np.ndarray) -> np.ndarray:
+        """g1 evaluated at the marks z = xi * phi."""
         if self.g1.kind == "zero":
             return np.zeros_like(xis)
         if self.g1.kind == "constant":
             return np.full_like(xis, self.g1.value)
         return self.g1.value * np.minimum(1.0, np.abs(xis) * self.profile_norm)
-
-    def mark(self, xi: float, n_modes: int) -> SpectralState:
-        """The projected mark P_N(xi * phi)."""
-        return project(self.profile, n_modes) * xi
 
 
 def compensator_coeffs(model: MarkModel, n_modes: int):
@@ -577,21 +540,17 @@ class MicroGrid:
     horizon: float
     dt_ref: float
     nodes: np.ndarray
-    is_jump: np.ndarray
 
     def __post_init__(self):
         n = np.asarray(self.nodes, dtype=np.float64).copy()
-        j = np.asarray(self.is_jump, dtype=bool).copy()
-        if n.ndim != 1 or n.size < 2 or n.shape != j.shape:
+        if n.ndim != 1 or n.size < 2:
             raise ValueError("grid nodes malformed")
         if n[0] != 0.0 or n[-1] != self.horizon:
             raise ValueError("grid must span [0, horizon]")
         if np.any(np.diff(n) <= 0.0):
             raise ValueError("grid nodes must be strictly increasing")
         n.setflags(write=False)
-        j.setflags(write=False)
         object.__setattr__(self, "nodes", n)
-        object.__setattr__(self, "is_jump", j)
 
     @property
     def deltas(self) -> np.ndarray:
@@ -612,16 +571,10 @@ def uniform_nodes(horizon: float, dt: float, name: str = "dt_ref") -> np.ndarray
 def build_micro_grid(horizon: float, dt_ref: float,
                      skeleton: JumpSkeleton) -> MicroGrid:
     base = uniform_nodes(horizon, dt_ref)
-    if skeleton.count == 0:
-        return MicroGrid(horizon, dt_ref, base, np.zeros(base.size, dtype=bool))
     if np.any(np.isin(skeleton.times, base)):
         raise ArithmeticError("jump time collides with a grid node")
-    nodes = np.concatenate([base, skeleton.times])
-    order = np.argsort(nodes, kind="stable")
-    is_jump = np.concatenate(
-        [np.zeros(base.size, dtype=bool), np.ones(skeleton.count, dtype=bool)]
-    )[order]
-    return MicroGrid(horizon, dt_ref, nodes[order], is_jump)
+    return MicroGrid(horizon, dt_ref,
+                     np.sort(np.concatenate([base, skeleton.times])))
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +608,6 @@ class CoupledNoisePath:
     wiener: np.ndarray
     skeleton: JumpSkeleton
     n_ref: int
-    seed: SeedRecord
 
     def __post_init__(self):
         w = np.asarray(self.wiener, dtype=np.float64)
@@ -680,13 +632,7 @@ def sample_path(horizon: float, dt_ref: float, n_ref: int, model: MarkModel,
     irregular = np.nonzero(deltas != dt_ref)[0]
     for row in irregular:
         z[row] *= np.sqrt(conv_variance(lam, deltas[row])) / base_std
-    return CoupledNoisePath(
-        grid=grid,
-        wiener=z,
-        skeleton=skel,
-        n_ref=n_ref,
-        seed=SeedRecord(global_seed, sample_index),
-    )
+    return CoupledNoisePath(grid=grid, wiener=z, skeleton=skel, n_ref=n_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -695,31 +641,12 @@ def sample_path(horizon: float, dt_ref: float, n_ref: int, model: MarkModel,
 
 @dataclass(frozen=True)
 class StepBundle:
-    """Per-step noise of one scheme run on a coarse partition.
-
-    wiener[i] is the exact convolution increment over step i; jumps are
-    assigned to the unique step (t_i, t_{i+1}] containing their time.
-    `node_event[i]` is the skeleton index of the jump exactly at node i
-    (jump-adapted partitions), or -1.
-    """
+    """Per-step noise of one scheme run on a coarse partition: wiener[i] is
+    the exact convolution increment over nodes[i] .. nodes[i + 1]."""
 
     nodes: np.ndarray
-    n_modes: int
     wiener: np.ndarray
-    event_step: np.ndarray  # skeleton index -> step index
-    node_event: np.ndarray  # node index -> skeleton index or -1
     skeleton: JumpSkeleton
-
-    @property
-    def dts(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-    @property
-    def n_steps(self) -> int:
-        return self.nodes.size - 1
-
-    def events_in_step(self, i: int) -> np.ndarray:
-        return np.nonzero(self.event_step == i)[0]
 
 
 _FOLD_ROWS = 1024
@@ -818,23 +745,9 @@ def restrict_path(path: CoupledNoisePath, partition, n_modes: int) -> StepBundle
         out = _fold(inc, path.grid.deltas, path.grid.dt_ref, pos)
 
     times = path.skeleton.times
-    # jump at sigma belongs to the step with nodes[i] < sigma <= nodes[i+1]
-    event_step = np.searchsorted(nodes, times, side="left") - 1
     if times.size and (times[0] <= nodes[0] or times[-1] > nodes[-1]):
         raise ValueError("skeleton extends outside the partition")
-    node_event = np.full(nodes.size, -1, dtype=np.int64)
-    at_node = np.searchsorted(nodes, times)
-    for j, (p, t) in enumerate(zip(at_node, times)):
-        if p < nodes.size and nodes[p] == t:
-            node_event[p] = j
-    return StepBundle(
-        nodes=nodes,
-        n_modes=n_modes,
-        wiener=out,
-        event_step=event_step,
-        node_event=node_event,
-        skeleton=path.skeleton,
-    )
+    return StepBundle(nodes=nodes, wiener=out, skeleton=path.skeleton)
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,7 @@ __all__ = [
     "uniform_partition",
     "build_adapted_partition",
     "SchemeConfig",
-    "StepNoise",
     "Trajectory",
-    "one_step_phi",
-    "jump_apply",
     "run_scheme_A",
     "run_scheme_B",
     "StepBlock",
@@ -194,16 +191,6 @@ class SchemeConfig:
 
 
 @dataclass(frozen=True)
-class StepNoise:
-    """Noise consumed by a single step: the exact Wiener convolution
-    increment and, for the uniform scheme, the magnitudes of the jumps
-    landing inside the step (empty between jumps on the adapted grid)."""
-
-    wiener: np.ndarray
-    xis: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Per-node states of one scheme run.
 
@@ -242,16 +229,6 @@ class Trajectory:
     def final(self) -> SpectralState:
         return SpectralState(self.states[-1])
 
-    def state(self, i: int) -> SpectralState:
-        return SpectralState(self.states[i])
-
-    def state_before(self, i: int) -> SpectralState:
-        """The pre-jump value at node i (equals the node value off jumps)."""
-        hits = np.nonzero(self.jump_nodes == i)[0]
-        if hits.size:
-            return SpectralState(self.pre_jump[hits[0]])
-        return SpectralState(self.states[i])
-
 
 # ---------------------------------------------------------------------------
 # the one-step map
@@ -259,8 +236,8 @@ class Trajectory:
 
 def _apply_step(x, fv, wiener, e_vec, p_vec, jump_coeff, jump_shift):
     # y = E(dt) x + phi1(dt) F_N(x) + WienerConvIncrement + E(dt) JumpTerm
-    # with JumpTerm = jump_coeff * x + jump_shift; the runners and the public
-    # one_step_phi share this kernel so they agree bit for bit
+    # with JumpTerm = jump_coeff * x + jump_shift, for every row of a
+    # `run_block` step at once
     y = e_vec * x
     if fv is not None:
         y += p_vec * fv
@@ -271,61 +248,6 @@ def _apply_step(x, fv, wiener, e_vec, p_vec, jump_coeff, jump_shift):
         jv *= e_vec
         y += jv
     return y
-
-
-def one_step_phi(x: SpectralState, step_noise: StepNoise, dt_step: float,
-                 cfg: SchemeConfig) -> SpectralState:
-    """One application of the one-step map on a coefficient state.
-
-    For the adapted scheme the jump term is the compensator alone (realized
-    jumps are applied separately at nodes via `jump_apply`); for the uniform
-    scheme the jumps supplied in `step_noise.xis` are aggregated into it.
-    """
-    n = cfg.n_modes
-    if x.dim != n:
-        raise ValueError("state dimension does not match the configuration")
-    wiener = np.asarray(step_noise.wiener, dtype=np.float64)
-    xis = np.asarray(step_noise.xis, dtype=np.float64)
-    if wiener.shape != (n,):
-        raise ValueError("step noise does not match the mode count")
-    if dt_step <= 0:
-        raise ValueError("step size must be positive")
-    if cfg.scheme == SCHEME_A and xis.size:
-        raise ValueError("adapted-scheme steps carry no aggregated jumps")
-    lam = eigenvalues(n)
-    e_vec = np.exp(-lam * dt_step)
-    p_vec = -np.expm1(-lam * dt_step) / lam
-    fv = None
-    if cfg.nonlinearity.kind != "zero":
-        fv = NemytskiiKernel(cfg.nonlinearity, n, n)(x.coeffs)
-    coeff, shift = None, None
-    if cfg.model.intensity > 0 or xis.size:
-        mean_g1, mean_g = compensator_coeffs(cfg.model, n)
-        shift = -dt_step * mean_g.coeffs
-        coeff = -dt_step * mean_g1
-        if cfg.scheme == SCHEME_B:
-            sum_g1 = 0.0
-            sum_xi = 0.0
-            for g1 in cfg.model.g1_values(xis):
-                sum_g1 += g1
-            for xi in xis:
-                sum_xi += xi
-            coeff += sum_g1
-            if sum_xi != 0.0:
-                shift = sum_xi * project(cfg.model.profile, n).coeffs + shift
-    return SpectralState(_apply_step(x.coeffs, fv, wiener, e_vec, p_vec,
-                                     coeff, shift))
-
-
-def jump_apply(x_minus: SpectralState, mark: SpectralState, xi: float,
-               model: MarkModel) -> SpectralState:
-    """Apply one realized jump to the pre-jump state:
-    (1 + g1(z)) X_minus + P_N(mark)."""
-    if xi == 0.0:
-        raise ValueError("zero mark: the jump indicator vanishes, skip the node")
-    y = (1.0 + model.g1_value(xi)) * x_minus.coeffs
-    y += project(mark, x_minus.dim).coeffs
-    return SpectralState(y)
 
 
 # ---------------------------------------------------------------------------

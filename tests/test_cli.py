@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -359,6 +360,41 @@ def test_package_metadata_reads_the_package_version():
     assert doc["project"]["dynamic"] == ["version"]
     assert doc["tool"]["setuptools"]["dynamic"]["version"] == {
         "attr": "levyheat.__version__"}
+
+
+def _readme_imports() -> list:
+    """The names README's `from levyheat import ...` lines list."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    names = []
+    for block, line in re.findall(
+            r"^from levyheat import (?:\(([^)]*)\)|(.+))$", text, re.M):
+        names += [n.strip() for n in (block or line).split(",") if n.strip()]
+    return names
+
+
+def test_package_exports_the_readme_imports_and_nothing_else():
+    names = _readme_imports()
+    assert "run_scheme_A" in names and "StudyPlan" in names
+    for name in names:
+        exec(f"from levyheat import {name}", {})
+    assert sorted(levyheat.__all__) == sorted({"__version__", *names})
+
+
+def test_module_run_prints_no_runpy_warning(tmp_path):
+    # `python -m levyheat.cli` runs the module as __main__; importing the
+    # package must not have imported it already
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    src = os.path.dirname(levyheat.__path__[0])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-m", "levyheat.cli",
+         "run", os.path.join(root, "configs", "example.json"),
+         "--out", str(tmp_path / "out"), "--dry-run"],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "RuntimeWarning" not in run.stderr
 
 
 def test_two_point_config_never_loads_scipy_integrate(tmp_path):

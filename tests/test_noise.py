@@ -20,8 +20,6 @@ from levyheat.noise import (
     G1Spec,
     JumpSkeleton,
     MarkModel,
-    MicroGrid,
-    SeedRecord,
     TwoPointLaw,
     build_micro_grid,
     compensated_jump_convolution,
@@ -29,7 +27,6 @@ from levyheat.noise import (
     compose_convolution,
     conv_variance,
     power_profile,
-    profile_tail_fraction,
     restrict_path,
     sample_jump_skeleton,
     sample_jump_skeletons,
@@ -37,7 +34,7 @@ from levyheat.noise import (
     stream,
     truncate_levy,
 )
-from levyheat.spectral import SpectralState, eigenvalues, hnorm, project
+from levyheat.spectral import SpectralState, eigenvalues, hnorm
 
 
 def two_point_model(n=8, intensity=2.0, g1=None):
@@ -104,6 +101,22 @@ def test_exp_shifted_law_moments():
     assert abs(draws.mean() - 1.0) < 4 * draws.std() / math.sqrt(draws.size)
 
 
+def profile_tail_fraction(profile: SpectralState, s: float) -> float:
+    """Share of hnorm(profile, s)^2 carried by the upper half of the modes.
+
+    A profile admissible for the jump noise must have this fraction small
+    and shrinking as the dimension grows (partial-sum convergence of
+    sum_k lambda_k^s phi_k^2).
+    """
+    lam = eigenvalues(profile.dim)
+    weights = lam**s * profile.coeffs**2
+    total = float(np.sum(weights))
+    if total == 0.0:
+        raise ValueError("profile is identically zero")
+    half = profile.dim // 2
+    return float(np.sum(weights[half:])) / total
+
+
 def test_power_profile_validation_and_decay():
     with pytest.raises(ValueError):
         power_profile(1.0, 1.5, 8)
@@ -125,12 +138,11 @@ def test_g1_bound_invariant():
         xis = xis[xis != 0.0]
         vals = model.g1_values(xis)
         assert np.all(np.abs(vals) <= g1.bound + 1e-15)
-        # scalar and vector paths agree
-        assert model.g1_value(2.0) == pytest.approx(vals[np.argmin(np.abs(xis - 2.0))])
     # clipped saturates at |xi| ||phi|| >= 1
     m = two_point_model(g1=G1Spec.clipped(0.5))
-    assert m.g1_value(100.0) == pytest.approx(0.5)
-    assert m.g1_value(0.1) == pytest.approx(0.5 * 0.1 * norm)
+    high, low = m.g1_values(np.array([100.0, 0.1]))
+    assert high == pytest.approx(0.5)
+    assert low == pytest.approx(0.5 * 0.1 * norm)
 
 
 def test_compensator_worked_example():
@@ -399,7 +411,8 @@ def test_micro_grid_construction():
     assert np.array_equal(
         grid.nodes, [0.0, 0.25, 0.3, 0.5, 0.75, 0.77, 1.0]
     )
-    assert np.array_equal(grid.is_jump, [0, 0, 1, 0, 0, 1, 0])
+    assert np.array_equal(build_micro_grid(1.0, 0.25, JumpSkeleton(1.0, [], [])).nodes,
+                          [0.0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(ValueError):
         build_micro_grid(1.0, 0.3, sk)  # horizon not a multiple
     with pytest.raises(ArithmeticError):
@@ -562,21 +575,21 @@ def test_restriction_variance_statistics():
 
 
 def test_restriction_jump_bookkeeping():
+    # the bundle carries the path's skeleton on uniform and adapted
+    # partitions, and refuses a partition that ends before the last jump
     sk = JumpSkeleton(1.0, [0.1, 0.35, 0.40], [1.0, 2.0, -1.0])
     grid = build_micro_grid(1.0, 2.0**-4, sk)
     wiener = np.zeros((grid.nodes.size - 1, 4))
-    path = CoupledNoisePath(grid, wiener, sk, 4, SeedRecord(0, 0))
+    path = CoupledNoisePath(grid, wiener, sk, 4)
     nodes = np.arange(5) * 0.25
-    bundle = restrict_path(path, nodes, 4)
-    assert np.array_equal(bundle.event_step, [0, 1, 1])
-    assert np.array_equal(bundle.events_in_step(1), [1, 2])
-    assert np.all(bundle.node_event == -1)
-    # adapted partition: jumps sit at nodes
     anodes = np.sort(np.concatenate([nodes, sk.times]))
-    ab = restrict_path(path, anodes, 4)
-    hits = {i: e for i, e in enumerate(ab.node_event) if e >= 0}
-    assert list(hits.values()) == [0, 1, 2]
-    assert all(anodes[i] == sk.times[e] for i, e in hits.items())
+    for part in (nodes, anodes):
+        bundle = restrict_path(path, part, 4)
+        assert bundle.skeleton is sk
+        assert np.array_equal(bundle.nodes, part)
+        assert bundle.wiener.shape == (part.size - 1, 4)
+    with pytest.raises(ValueError, match="skeleton extends outside"):
+        restrict_path(path, nodes[:2], 4)
 
 
 def test_restriction_rejects_unrefined_partitions():

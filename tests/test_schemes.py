@@ -16,7 +16,6 @@ from levyheat.noise import (
     G1Spec,
     JumpSkeleton,
     MarkModel,
-    SeedRecord,
     TwoPointLaw,
     build_micro_grid,
     power_profile,
@@ -28,12 +27,11 @@ from levyheat.schemes import (
     SCHEME_B,
     DivergenceError,
     SchemeConfig,
-    StepNoise,
+    StepBlock,
     TimePartition,
     Trajectory,
     build_adapted_partition,
-    jump_apply,
-    one_step_phi,
+    run_block,
     run_scheme_A,
     run_scheme_B,
     uniform_partition,
@@ -49,7 +47,7 @@ def silent_path(horizon, dt_ref, n, skeleton):
     """A noise path with all Wiener draws fixed to zero."""
     grid = build_micro_grid(horizon, dt_ref, skeleton)
     wiener = np.zeros((grid.nodes.size - 1, n))
-    return CoupledNoisePath(grid, wiener, skeleton, n, SeedRecord(0, 0))
+    return CoupledNoisePath(grid, wiener, skeleton, n)
 
 
 def config(scheme, n, dt, model, f=None, x0=None, horizon=1.0):
@@ -145,13 +143,22 @@ def test_scheme_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# the one-step map
+# single steps and single jumps, as runs of the scheme
+
+
+def one_step(cfg):
+    """The final state of a one-step scheme-A run (horizon = dt) on a
+    silent path without jumps."""
+    sk = JumpSkeleton(cfg.horizon, np.empty(0), np.empty(0))
+    tr = run_scheme_A(cfg, silent_path(cfg.horizon, cfg.dt_nominal,
+                                       cfg.n_modes, sk))
+    assert tr.partition.n_steps == 1
+    return tr.final
 
 
 def test_one_step_pure_heat_flow():
-    cfg = config(SCHEME_A, 4, 0.25, zero_model())
     x = SpectralState([1.0, 2.0, 3.0, 4.0])
-    y = one_step_phi(x, StepNoise(np.zeros(4), np.empty(0)), 0.25, cfg)
+    y = one_step(config(SCHEME_A, 4, 0.25, zero_model(), x0=x, horizon=0.25))
     assert np.array_equal(y.coeffs, np.exp(-eigenvalues(4) * 0.25) * x.coeffs)
 
 
@@ -164,8 +171,7 @@ def test_one_step_linear_f_matches_scalar_flow():
     for dt in [2e-3, 1e-3, 5e-4]:
         cfg = config(SCHEME_A, 1, dt, zero_model(1), f=NonlinearitySpec.linear(c),
                      x0=SpectralState([a]), horizon=dt)
-        y = one_step_phi(SpectralState([a]), StepNoise(np.zeros(1), np.empty(0)),
-                         dt, cfg)
+        y = one_step(cfg)
         errs.append(abs(float(y.coeffs[0]) - math.exp((c - lam) * dt) * a))
     assert errs[0] < 1e-4
     for e_big, e_small in zip(errs, errs[1:]):  # local error is O(dt^2)
@@ -177,38 +183,39 @@ def test_one_step_gamma_factor():
     beta, nu, dt = 0.3, 2.0, 0.125
     model = MarkModel(nu, TwoPointLaw(0.5, 1.0, -1.0),
                       power_profile(1.0, 2.0, 4), G1Spec.constant(beta))
-    cfg = config(SCHEME_A, 4, dt, model)
     x = SpectralState([1.0, -0.5, 0.25, 2.0])
-    y = one_step_phi(x, StepNoise(np.zeros(4), np.empty(0)), dt, cfg)
+    y = one_step(config(SCHEME_A, 4, dt, model, x0=x, horizon=dt))
     expected = np.exp(-eigenvalues(4) * dt) * (1.0 - dt * nu * beta) * x.coeffs
     assert np.allclose(y.coeffs, expected, rtol=1e-15, atol=0)
 
 
-def test_one_step_rejects_mismatched_noise():
-    cfg = config(SCHEME_A, 4, 0.25, zero_model())
-    x = SpectralState([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        one_step_phi(x, StepNoise(np.zeros(3), np.empty(0)), 0.25, cfg)
-    with pytest.raises(ValueError):  # adapted steps carry no aggregated jumps
-        one_step_phi(x, StepNoise(np.zeros(4), np.array([1.0])), 0.25, cfg)
+def one_jump(profile, g1, x0):
+    """A scheme-A run over [0, 1] in one uniform step with one jump of
+    magnitude 1 at 1/2, no intensity, f zero and silent Wiener draws: the
+    states just before and just after the jump."""
+    model = MarkModel(0.0, TwoPointLaw(0.5, 1.0, -1.0), profile, g1)
+    sk = JumpSkeleton(1.0, np.array([0.5]), np.array([1.0]))
+    tr = run_scheme_A(config(SCHEME_A, x0.dim, 1.0, model, x0=x0),
+                      silent_path(1.0, 1.0, x0.dim, sk))
+    assert np.array_equal(tr.jump_nodes, [1])
+    pre = tr.pre_jump[0]
+    assert np.array_equal(pre, np.exp(-eigenvalues(x0.dim) * 0.5) * x0.coeffs)
+    return pre, tr.states[1]
 
 
 def test_jump_apply_examples():
-    model = zero_model(2)
-    out = jump_apply(SpectralState([1.0, 0.0]), SpectralState([0.0, 2.0]),
-                     1.0, model)
-    assert np.array_equal(out.coeffs, [1.0, 2.0])
-    scaled = MarkModel(1.0, TwoPointLaw(0.5, 1.0, -1.0),
-                       power_profile(1.0, 2.0, 2), G1Spec.constant(0.5))
-    out = jump_apply(SpectralState([2.0, -4.0]), SpectralState([0.0, 0.0]),
-                     1.0, scaled)
-    assert np.array_equal(out.coeffs, [3.0, -6.0])
+    # the additive mark: X_minus + P_N(xi phi)
+    pre, post = one_jump(SpectralState([0.0, 2.0]), G1Spec.zero(),
+                         SpectralState([1.0, 0.0]))
+    assert np.array_equal(post, [pre[0], 2.0])
+    # the g1 factor: (1 + g1) X_minus with a zero mark
+    pre, post = one_jump(SpectralState([0.0, 0.0]), G1Spec.constant(0.5),
+                         SpectralState([2.0, -4.0]))
+    assert np.array_equal(post, 1.5 * pre)
     # mark modes above the state dimension are truncated by projection
-    out = jump_apply(SpectralState([1.0, 1.0]),
-                     SpectralState([0.5, 0.5, 9.0, 9.0]), 1.0, model)
-    assert np.array_equal(out.coeffs, [1.5, 1.5])
-    with pytest.raises(ValueError):
-        jump_apply(SpectralState([1.0]), SpectralState([1.0]), 0.0, model)
+    pre, post = one_jump(SpectralState([0.5, 0.5, 9.0, 9.0]), G1Spec.zero(),
+                         SpectralState([1.0, 1.0]))
+    assert np.array_equal(post, pre + [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -320,42 +327,33 @@ def test_coupling_constraint_enforced():
 
 
 def test_one_step_composition_matches_runners():
+    # every step of a run, restarted alone from the run's state at its left
+    # node, gives the run's state at its right node byte for byte
     model = MarkModel(3.0, TwoPointLaw(0.5, 2.0, -1.0),
                       power_profile(1.0, 2.0, 6), G1Spec.constant(0.3))
     x0 = SpectralState(np.linspace(0.5, -0.5, 6))
     f = NonlinearitySpec.sine(1.0)
     path = sample_path(1.0, 2.0**-7, 6, model, 5, 2)
+    times, xis = path.skeleton.times, path.skeleton.xis
     assert path.skeleton.count > 0  # the fixture must exercise jumps
 
-    cfg = config(SCHEME_A, 6, 2.0**-4, model, f=f, x0=x0)
-    tr = run_scheme_A(cfg, path)
-    part = build_adapted_partition(1.0, 2.0**-4, path.skeleton)
-    bundle = restrict_path(path, part, 6)
-    x = tr.states[0]
-    for i in range(part.n_steps):
-        y = one_step_phi(SpectralState(x), StepNoise(bundle.wiener[i], np.empty(0)),
-                         float(part.deltas[i]), cfg)
-        ev = bundle.node_event[i + 1]
-        if ev >= 0:
-            xi = float(path.skeleton.xis[ev])
-            y = jump_apply(y, model.mark(xi, 6), xi, model)
-        assert np.array_equal(y.coeffs, tr.states[i + 1])
-        x = y.coeffs
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        cfg_b = config(SCHEME_B, 6, 2.0**-4, model, f=f, x0=x0)
-    tr_b = run_scheme_B(cfg_b, path)
-    part_b = uniform_partition(1.0, 2.0**-4)
-    bundle_b = restrict_path(path, part_b, 6)
-    x = tr_b.states[0]
-    for i in range(part_b.n_steps):
-        in_step = np.nonzero(bundle_b.event_step == i)[0]
-        y = one_step_phi(SpectralState(x),
-                         StepNoise(bundle_b.wiener[i], path.skeleton.xis[in_step]),
-                         2.0**-4, cfg_b)
-        assert np.array_equal(y.coeffs, tr_b.states[i + 1])
-        x = y.coeffs
+    for scheme, run in ((SCHEME_A, run_scheme_A), (SCHEME_B, run_scheme_B)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = config(scheme, 6, 2.0**-4, model, f=f, x0=x0)
+        tr = run(cfg, path)
+        nodes = tr.partition.nodes
+        wiener = restrict_path(path, nodes, 6).wiener
+        jumps = 0
+        for i in range(nodes.size - 1):
+            mine = (nodes[i] < times) & (times <= nodes[i + 1])
+            jumps += int(mine.sum())
+            block = StepBlock([nodes[i:i + 2]], wiener, np.array([i]),
+                              np.array([i]), [times[mine]], [xis[mine]])
+            finals, diverged, _ = run_block(cfg, block, tr.states[i:i + 1])
+            assert diverged == {}
+            assert finals[0].tobytes() == tr.states[i + 1].tobytes()
+        assert jumps == path.skeleton.count
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from levyheat import (
+from levyheat.spectral import (
+    NemytskiiKernel,
     NonlinearitySpec,
     SpectralState,
+    _sine_table,
     eigenvalues,
     from_physical,
     hnorm,
@@ -22,7 +24,6 @@ from levyheat import (
     semigroup_apply,
     to_physical,
 )
-from levyheat.spectral import NemytskiiKernel, _sine_table
 
 
 def test_eigenvalues_closed_form():

@@ -5,7 +5,7 @@ at the reference resolution and at every coarse level on restrictions of the
 same path, and turns the per-sample coupled errors into L^p error estimates
 with bootstrap intervals and a fitted order (log-log least squares).  The
 Hölder study skips the schemes entirely and evaluates the compensated jump
-convolution straight from the skeletons.
+convolution straight from the skeletons, in chunks of fixed index ranges.
 
 Samples are keyed by (seed, sample index) counter streams, so the same plan
 always produces the same report no matter how samples are scheduled across
@@ -67,7 +67,9 @@ N_BOOTSTRAP = 1000
 # byte budget of the resample indices one chunk of bootstrap draws holds
 _BOOTSTRAP_BYTES = 2**20
 # byte budget of the reference-resolution rows one block holds at once:
-# one stretch of time of each sample's path (see `_blocking`)
+# one stretch of time of each sample's path (see `_blocking`); a Hölder
+# study's chunk of samples holds its (samples, n_ref) arrays within it
+# (see `_holder_chunk`)
 BLOCK_BYTES = 8 * 2**20
 MAX_BLOCK = 32
 
@@ -589,31 +591,29 @@ def run_spatial_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     return _coupled_study(plan, workers)
 
 
-def _holder_norms(plan: StudyPlan) -> tuple:
-    """Norms of jump-convolution increments N(t+h) - N(t) at t = T/2.
+def _holder_chunk(plan: StudyPlan) -> int:
+    """Samples a Hölder study draws and evaluates at once, fixed by the
+    plan alone, so that the chunk's rows of n_ref doubles fit BLOCK_BYTES.
+    A sample holds two rows (its old-jump profile and its increment), and
+    two more (a decay row and its temporary) for each jump it expects
+    before t, rounded up and at least one: 4,096 samples at n_ref = 64,
+    intensity 2 and horizon 1."""
+    old = max(1, math.ceil(plan.model.intensity * plan.horizon / 2.0))
+    return max(1, BLOCK_BYTES // ((2 + 2 * old) * plan.n_ref * 8))
 
-    Evaluated in closed form from the skeletons: jumps before t contribute
-    through a per-sample mode profile scaled by (e^{-lam h} - 1), jumps
-    inside (t, t+h] enter with their own decay, and the compensator adds a
-    deterministic phi1 difference.  Returns the (samples, increments)
-    norms and the seconds spent drawing the skeletons and evaluating them
-    (the phases `skeletons` and `norms`).
-    """
-    t0 = time.perf_counter()
+
+def _increment_norms(plan: StudyPlan, lam: np.ndarray, phi: np.ndarray,
+                     mg: np.ndarray, times: np.ndarray, xis: np.ndarray,
+                     counts: np.ndarray) -> np.ndarray:
+    """(samples, increments) norms of the samples whose skeletons are
+    (times, xis, counts), concatenated as `sample_jump_skeletons` returns
+    them.  Every operation is per sample, and each sample's jumps are
+    summed in draw order, so a sample's norms do not depend on which
+    samples share the call."""
     t = plan.horizon / 2.0
-    n = plan.n_ref
-    lam = eigenvalues(n)
-    phi = project(plan.model.profile, n).coeffs
-    _, mean_g = compensator_coeffs(plan.model, n)
-    mg = mean_g.coeffs
-
-    m_samples = plan.samples
-    times, xis, counts = sample_jump_skeletons(plan.horizon, plan.model,
-                                               plan.seed, range(m_samples))
+    m_samples = counts.size
+    n = lam.size
     owner = np.repeat(np.arange(m_samples), counts)
-    t1 = time.perf_counter()
-    _log.info("%s: skeletons of %d samples, %.1f s", plan.name, m_samples,
-              t1 - t0)
 
     # per-sample profile of the pre-t jumps: S[i, k] = sum_j xi_j e^{-lam_k (t - sigma_j)}
     old = times <= t
@@ -638,10 +638,46 @@ def _holder_norms(plan: StudyPlan) -> tuple:
         comp = (np.expm1(-lam * (t + h)) - np.expm1(-lam * t)) / lam * mg
         delta += comp
         norms[:, j] = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-    t2 = time.perf_counter()
+    return norms
+
+
+def _holder_norms(plan: StudyPlan) -> tuple:
+    """Norms of jump-convolution increments N(t+h) - N(t) at t = T/2.
+
+    Evaluated in closed form from the skeletons: jumps before t contribute
+    through a per-sample mode profile scaled by (e^{-lam h} - 1), jumps
+    inside (t, t+h] enter with their own decay, and the compensator adds a
+    deterministic phi1 difference.  The samples are drawn and evaluated in
+    chunks of fixed index ranges (`_holder_chunk`), which give the same
+    doubles as one call over all of them, so memory does not grow with the
+    sample count.  Returns the (samples, increments) norms and the seconds
+    spent drawing the skeletons and evaluating them (the phases
+    `skeletons` and `norms`, summed over the chunks).
+    """
+    t0 = time.perf_counter()
+    n = plan.n_ref
+    lam = eigenvalues(n)
+    phi = project(plan.model.profile, n).coeffs
+    _, mean_g = compensator_coeffs(plan.model, n)
+    spent = {"skeletons": time.perf_counter() - t0, "norms": 0.0}
+
+    size = _holder_chunk(plan)
+    norms = np.empty((plan.samples, len(plan.levels)))
+    for c0 in range(0, plan.samples, size):
+        c1 = min(c0 + size, plan.samples)
+        t0 = time.perf_counter()
+        skeletons = sample_jump_skeletons(plan.horizon, plan.model,
+                                          plan.seed, range(c0, c1))
+        t1 = time.perf_counter()
+        norms[c0:c1] = _increment_norms(plan, lam, phi, mean_g.coeffs,
+                                        *skeletons)
+        spent["skeletons"] += t1 - t0
+        spent["norms"] += time.perf_counter() - t1
+    _log.info("%s: skeletons of %d samples, %.1f s", plan.name, plan.samples,
+              spent["skeletons"])
     _log.info("%s: norms at %d increments, %.1f s", plan.name,
-              len(plan.levels), t2 - t1)
-    return norms, {"skeletons": t1 - t0, "norms": t2 - t1}
+              len(plan.levels), spent["norms"])
+    return norms, spent
 
 
 def run_holder_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
@@ -653,7 +689,7 @@ def run_holder_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     """
     if plan.axis != "holder":
         raise ValueError("plan axis must be holder")
-    del workers  # the evaluation is vectorized across samples already
+    del workers  # one process; most of the time is the bootstrap, serial on every axis
     norms, phases = _holder_norms(plan)
     if not norms.any():
         raise ValueError(

@@ -97,25 +97,6 @@ def stream(global_seed: int, sample_index: int, purpose: int) -> np.random.Gener
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
-
-
-def _rekey(rng: np.random.Generator, global_seed: int, sample_index: int,
-           purpose: int) -> None:
-    """Move a Philox generator to the start of stream (seed, sample,
-    purpose): counter 0 and an empty output buffer, so the draws that
-    follow are those of a fresh `stream` with that key."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS,
-                  "key": _philox_key(global_seed, sample_index, purpose)},
-        "buffer": _ZERO_WORDS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def _quad(*args, **kwargs):
     """`scipy.integrate.quad`, imported on first use, so that a run whose
     laws need no quadrature never loads scipy.integrate."""
@@ -468,7 +449,8 @@ def _draw_jumps(horizon: float, model: MarkModel,
     count = int(rng.poisson(horizon * model.intensity)) if model.intensity > 0 else 0
     if count == 0:
         return np.empty(0), np.empty(0)
-    times = np.sort(rng.uniform(0.0, horizon, count))
+    times = rng.uniform(0.0, horizon, count)
+    times.sort()
     xis = np.asarray(model.law.sample(rng, count), dtype=np.float64)
     return times, xis
 
@@ -507,11 +489,29 @@ def sample_jump_skeletons(horizon: float, model: MarkModel, global_seed: int,
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    rng = np.random.Generator(np.random.Philox(0))  # re-keyed before each draw
+    # every index lies between these two, so their checks cover all keys
+    _philox_key(global_seed, min(indices, default=0), PURPOSE_JUMPS)
+    key = _philox_key(global_seed, max(indices, default=0), PURPOSE_JUMPS)
+    tag = PURPOSE_JUMPS << 48
+    # one Philox generator moved to the start of each sample's stream: the
+    # key's second word is rewritten in place, then the whole state is set
+    # (counter 0, empty output buffer), so the draws that follow are those
+    # of a fresh `stream` with that key
+    rng = np.random.Generator(np.random.Philox(0))
+    zeros = np.zeros(4, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     counts = np.zeros(len(indices), dtype=np.int64)
     times_parts, xis_parts = [], []
     for b, i in enumerate(indices):
-        _rekey(rng, global_seed, i, PURPOSE_JUMPS)
+        key[1] = tag | i
+        rng.bit_generator.state = state
         t, x = _draw_jumps(horizon, model, rng)
         if t.size:
             counts[b] = t.size

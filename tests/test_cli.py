@@ -1,11 +1,13 @@
 """Tests for the batch CLI: config parsing, serialization round trips,
 digest stability, output files, and exit codes."""
 
+import ast
 import copy
 import dataclasses
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -380,6 +382,36 @@ def test_package_exports_the_readme_imports_and_nothing_else():
     for name in names:
         exec(f"from levyheat import {name}", {})
     assert sorted(levyheat.__all__) == sorted({"__version__", *names})
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # experiments imports sample_path for no use of its own:
+    # bench/test_bench.py looks it up there
+    kept = {("experiments", "sample_path")}
+    unused = []
+    for path in sorted(pathlib.Path(levyheat.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        exported = set()
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets]
+                    == ["__all__"]):
+                exported = set(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items()
+                   if name not in read | exported
+                   and (path.stem, name) not in kept]
+    assert unused == []
 
 
 def test_module_run_prints_no_runpy_warning(tmp_path):

@@ -6,6 +6,7 @@ are checked for determinism, correct sample accounting, and agreement with
 closed-form second moments where those exist.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -37,11 +38,13 @@ from levyheat.noise import (
     PathStream,
     TwoPointLaw,
     compensated_jump_convolution,
+    compensator_coeffs,
     conv_variance,
     power_profile,
     restrict_chunk,
     restrict_path,
     sample_jump_skeleton,
+    sample_jump_skeletons,
     sample_path,
     stream,
     uniform_nodes,
@@ -57,7 +60,13 @@ from levyheat.schemes import (
     stretch_nodes,
     uniform_partition,
 )
-from levyheat.spectral import NonlinearitySpec, SpectralState, eigenvalues, hnorm
+from levyheat.spectral import (
+    NonlinearitySpec,
+    SpectralState,
+    eigenvalues,
+    hnorm,
+    project,
+)
 
 
 def unit_state(n, k=0):
@@ -455,6 +464,100 @@ def test_holder_norms_match_per_sample_jump_convolutions():
                 compensated_jump_convolution(sk, model, n, t + h)
                 - compensated_jump_convolution(sk, model, n, t))
     assert np.allclose(norms, expect, rtol=1e-12, atol=0.0)
+
+
+def _whole_array_holder_norms(plan):
+    """The Hölder norms evaluated over every sample at once, as one call
+    did before the study evaluated its samples in chunks."""
+    t = plan.horizon / 2.0
+    n = plan.n_ref
+    lam = eigenvalues(n)
+    phi = project(plan.model.profile, n).coeffs
+    _, mean_g = compensator_coeffs(plan.model, n)
+    mg = mean_g.coeffs
+
+    m_samples = plan.samples
+    times, xis, counts = sample_jump_skeletons(plan.horizon, plan.model,
+                                               plan.seed, range(m_samples))
+    owner = np.repeat(np.arange(m_samples), counts)
+
+    old = times <= t
+    s_old = np.zeros((m_samples, n))
+    if np.any(old):
+        decay = xis[old, None] * np.exp(-lam[None, :] * (t - times[old, None]))
+        for k in range(n):
+            s_old[:, k] = np.bincount(owner[old], weights=decay[:, k],
+                                      minlength=m_samples)
+    s_old *= phi
+
+    norms = np.empty((m_samples, len(plan.levels)))
+    for j, h in enumerate(plan.levels):
+        delta = s_old * np.expm1(-lam * h)
+        fresh = (t < times) & (times <= t + h)
+        if np.any(fresh):
+            rows = xis[fresh, None] * np.exp(
+                -lam[None, :] * (t + h - times[fresh, None])
+            ) * phi
+            np.add.at(delta, owner[fresh], rows)
+        comp = (np.expm1(-lam * (t + h)) - np.expm1(-lam * t)) / lam * mg
+        delta += comp
+        norms[:, j] = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    return norms
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, 64])
+def test_holder_norms_are_the_same_in_any_chunking(monkeypatch, chunk):
+    n = 8
+    model = MarkModel(3.0, TwoPointLaw(0.5, 2.0, -1.0),
+                      power_profile(1.0, 2.0, n))
+    plan = make_plan(axis="holder", levels=(2.0**-10, 2.0**-6, 2.0**-2),
+                     n_ref=n, model=model, x0=unit_state(n), samples=40,
+                     horizon=1.0, dt_ref=2.0**-10)
+    t, h = 0.5, 2.0**-6
+    _force_jumps(monkeypatch, {
+        0: [t],  # exactly at t: a pre-t jump without decay
+        1: [np.nextafter(t, 1.0)],  # just after t: fresh at every h
+        2: [t + h],  # exactly at t + h: fresh at h, not at 2^-10
+        3: [0.9],  # after t + h at every level
+        4: [0.1, 0.3, t, t + 2.0**-10, t + h, 0.7, 0.9],  # several
+        5: [], 6: [], 13: [],  # jumpless
+        7: [0.2, 0.4],  # two pre-t jumps only
+    })
+    # six rows of n doubles a sample: two, and two for each of the 1.5 jumps
+    # it expects before t, rounded up
+    monkeypatch.setattr(experiments, "BLOCK_BYTES", chunk * 6 * n * 8)
+    assert experiments._holder_chunk(plan) == chunk
+    norms, _ = _holder_norms(plan)
+    expect = _whole_array_holder_norms(plan)
+    assert norms.tobytes() == expect.tobytes()
+    # the natural draws hold jumpless and crowded samples as well
+    counts = sample_jump_skeletons(1.0, model, plan.seed, range(14, 40))[2]
+    assert 0 in counts and counts.max() >= 3
+
+
+@pytest.mark.parametrize("intensity, chunk", [(2.0, 4096), (20.0, 744)])
+def test_holder_memory_does_not_grow_with_samples(intensity, chunk):
+    # at the budget's chunk, twice the samples add only the rows of the
+    # norms they fill, and a chunk's arrays stay near the budget however
+    # many jumps a sample expects before t
+    n = 64
+    model = MarkModel(intensity, TwoPointLaw(0.5, 2.0, -1.0),
+                      power_profile(1.0, 2.0, n))
+    peaks = []
+    for samples in (chunk, 2 * chunk):
+        plan = make_plan(axis="holder", levels=(2.0**-12, 2.0**-9, 2.0**-7),
+                         n_ref=n, model=model, x0=unit_state(n),
+                         samples=samples, horizon=1.0, dt_ref=2.0**-12)
+        tracemalloc.start()
+        try:
+            _holder_norms(plan)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    norms_bytes = chunk * len(plan.levels) * 8
+    assert peaks[1] - peaks[0] < norms_bytes + 2**20
+    assert peaks[1] < 1.25 * experiments.BLOCK_BYTES + 2 * norms_bytes
+    assert experiments._holder_chunk(plan) == chunk
 
 
 def test_holder_study_zero_jump_model_rejected():

@@ -608,7 +608,8 @@ def main(argv=None) -> int:
     run_p.add_argument("--seed", type=int, default=None,
                        help="override every study seed")
     run_p.add_argument("--threads", type=int, default=None,
-                       help=f"worker processes (default ${THREADS_ENV} or 1)")
+                       help=f"worker processes (default ${THREADS_ENV} or 1)"
+                            "; holder-axis studies run in one process")
     run_p.add_argument("--dry-run", action="store_true",
                        help="validate the config and print the plan, no runs")
     args = parser.parse_args(argv)

@@ -424,6 +424,12 @@ def test_criterion_08c_residual_in_manifest(stable_manifest):
 
 
 def test_holder_errors_match_isometry(holder_result):
+    # each error estimates the closed form up to sampling error, within 4
+    # standard errors read from its 95% bootstrap interval, as the benchmark
+    # checks do.  A few rare jumps carry the error at the smallest
+    # increments, where the standard error is about 8% of the error, so a
+    # fixed 12% band failed on one seed in four (12.7% off, 1.5 standard
+    # errors) while being 8 standard errors wide at h = 2^-7
     plan = holder_result.plan
     lam = eigenvalues(plan.n_ref)
     phi = plan.model.profile.coeffs
@@ -435,7 +441,8 @@ def test_holder_errors_match_isometry(holder_result):
             phi**2 * ((1.0 - np.exp(-lam * h)) ** 2 * conv_variance(lam, t)
                       + conv_variance(lam, h))
         ))
-        assert rep.errors[j] == pytest.approx(math.sqrt(v), rel=0.12)
+        se = (rep.ci_hi[j] - rep.ci_lo[j]) / (2.0 * 1.96)
+        assert abs(rep.errors[j] - math.sqrt(v)) <= 4.0 * se
 
 
 def test_jump_convolution_terminal_value_is_centred():

@@ -626,10 +626,19 @@ def _block_plan(scheme, axis, **overrides):
 
 
 @pytest.mark.filterwarnings("ignore:uniform-grid scheme")
-@pytest.mark.parametrize("axis", ["temporal", "spatial"])
+@pytest.mark.parametrize("axis, overrides", [
+    pytest.param("temporal", {}, id="temporal"),
+    pytest.param("spatial", {}, id="spatial"),
+    # the reference and the finer level on the mirrored Nemytskii transform
+    # (128 modes on), the coarser level on the full table
+    pytest.param("spatial", dict(
+        n_ref=256, levels=(64, 128), horizon=2.0**-3, dt_ref=2.0**-5,
+        model=tiny_model(256, intensity=8.0, g1=G1Spec.constant(0.3)),
+        x0=unit_state(256)), id="spatial_n256"),
+])
 @pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
-def test_sample_is_bitwise_the_same_in_any_block(scheme, axis):
-    plan = _block_plan(scheme, axis)
+def test_sample_is_bitwise_the_same_in_any_block(scheme, axis, overrides):
+    plan = _block_plan(scheme, axis, **overrides)
     i = 5
     finals, diverged = _alone(plan, i)
     assert diverged is None
@@ -805,6 +814,54 @@ def test_streamed_folds_match_restrict_path(monkeypatch, scheme, axis):
         3: [],
     })
     _check_streamed(plan, stretch)
+
+
+def test_restrict_chunk_locates_every_samples_nodes(monkeypatch):
+    # all samples' nodes are found with one search; the fold must get the
+    # positions of a search of each sample's nodes in its own micro nodes
+    plan = _block_plan(SCHEME_A, "temporal", samples=4)
+    dt = plan.dt_ref
+    _force_jumps(monkeypatch, {
+        0: [0.3 * dt], 1: [2.1 * dt, 2.1 * dt + 1e-4, 7.5 * dt], 2: []})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        cfg = SchemeConfig(plan.scheme, plan.n_ref, 2 * dt, plan.horizon,
+                           plan.nonlinearity, plan.model, plan.x0)
+    chunk = PathStream(plan.horizon, dt, plan.n_ref, plan.model, plan.seed,
+                       range(4)).draw(0, 8, range(4))
+    level = uniform_nodes(plan.horizon, 2 * dt)[:5]
+    parts = [stretch_nodes(cfg, level, t) for t in chunk.times]
+    expected = np.concatenate(
+        [np.searchsorted(m, p)[:-1] + a
+         for p, m, a in zip(parts, chunk.micro, chunk.starts)]
+        + [chunk.starts[-1:]])
+    seen = []
+    fold = noise._fold
+
+    def spy(inc, deltas, dt_ref, pos):
+        seen.append(pos)
+        return fold(inc, deltas, dt_ref, pos)
+
+    monkeypatch.setattr(noise, "_fold", spy)
+    restrict_chunk(chunk, parts, plan.n_ref)
+    assert seen[0].dtype == expected.dtype
+    assert seen[0].tobytes() == expected.tobytes()
+
+    def with_node(s, t):
+        return [np.sort(np.append(p, t)) if i == s else p
+                for i, p in enumerate(parts)]
+
+    # a node off every micro grid, sample 0's jump time in sample 1's
+    # partition, and a node past the stretch, beyond every micro node
+    for bad in (with_node(0, 0.5 * dt), with_node(1, 0.3 * dt),
+                with_node(3, 9 * dt)):
+        with pytest.raises(ValueError, match="not refined by the micro grid"):
+            restrict_chunk(chunk, bad, plan.n_ref)
+    for s in range(4):
+        for cut in (slice(1, None), slice(None, -1)):
+            bad = [p[cut] if i == s else p for i, p in enumerate(parts)]
+            with pytest.raises(ValueError, match="must span the stretch"):
+                restrict_chunk(chunk, bad, plan.n_ref)
 
 
 @pytest.mark.filterwarnings("ignore:uniform-grid scheme")

@@ -233,31 +233,90 @@ def test_nemytskii_sine_against_dense_quadrature_oracle():
         assert np.max(np.abs(got.coeffs - expected)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [4, 64, 256])
+def _full_table_reference(row, coef, n_in, n_out):
+    """P_N f(u) of one row through the full sine tables, in 1-D."""
+    m = 2 * max(n_in, n_out) + 1
+    values = math.sqrt(2.0) * (row @ _sine_table(n_in, m))
+    np.sin(values, out=values)
+    values *= coef
+    return math.sqrt(2.0) / (m + 1) * (_sine_table(n_out, m) @ values)
+
+
+def _mirrored_reference(row, coef, n):
+    """P_N f(u) of one row through the half-width tables, in 1-D.
+
+    sin(k pi (1 - x)) = (-1)^(k+1) sin(k pi x), so the odd modes give P and
+    the even modes Q on the nodes up to the middle one x = 1/2, the node
+    values are P + Q there and P - Q at the mirror nodes, and the analysis
+    reads node plus mirror for odd modes and node minus mirror for even.
+    An odd n pads the even modes with a zero.
+    """
+    m, half, width = 2 * n + 1, n + 1, (n + 1) // 2
+    table = _sine_table(n, m)
+    odd, even = np.zeros((width, half)), np.zeros((width, half))
+    odd[:] = table[0::2, :half]
+    even[:n // 2] = table[1::2, :half]
+    a_odd, a_even = np.zeros(width), np.zeros(width)
+    a_odd[:] = row[0::2]
+    a_even[:n // 2] = row[1::2]
+    p, q = a_odd @ odd, a_even @ even
+    values = np.concatenate([p + q, (p - q)[-2::-1]])
+    values *= math.sqrt(2.0)
+    np.sin(values, out=values)
+    values *= coef
+    near, far, middle = values[:n], values[:n:-1], values[n]
+    out = np.empty(n)
+    out[0::2] = odd @ np.append(near + far, middle)
+    out[1::2] = (even @ np.append(near - far, middle))[:n // 2]
+    return math.sqrt(2.0) / (m + 1) * out
+
+
+@pytest.mark.parametrize("n", [4, 64, 128, 131, 256])
 def test_nemytskii_kernel_block_rows_match_vector_products(n):
     # a (B, n) block must give every row the bytes of the plain 1-D
-    # matrix-vector transform, whatever the block size or the row's place
+    # transform, whatever the block size or the row's place: the full sine
+    # tables below 128 modes (n = 64 is the temporal studies' n_ref), the
+    # half-width mirrored tables from 128 on (the spatial n_ref = 256)
     rng = np.random.default_rng(n)
     block = rng.standard_normal((7, n))
-    m = 2 * n + 1
-    syn, ana = _sine_table(n, m), _sine_table(n, m)
+    # rows whose coefficients fall off like the schemes' states
+    states = rng.standard_normal((7, n)) / np.arange(1, n + 1)
     for coef in (1.0, -0.7):
         kernel = NemytskiiKernel(NonlinearitySpec.sine(coef), n, n)
-        for rows in (block, block[:1], block[2:6]):
+        for rows in (block, block[:1], block[2:6], states):
             got = kernel(rows)
             assert got.shape == rows.shape
             for row, out in zip(rows, got):
-                values = math.sqrt(2.0) * (row @ syn)
-                np.sin(values, out=values)
-                values *= coef
-                expected = math.sqrt(2.0) / (m + 1) * (ana @ values)
+                if n >= 128:
+                    expected = _mirrored_reference(row, coef, n)
+                else:
+                    expected = _full_table_reference(row, coef, n, n)
                 assert out.tobytes() == expected.tobytes()
                 assert out.tobytes() == kernel(row).tobytes()
+        # the mirrored products round differently from the full table's;
+        # on unit-normal rows the full table's own entries, sin of
+        # arguments up to n pi, are off by up to 1e-13, so the bound is
+        # set on rows shaped like the states the schemes step
+        for row, out in zip(states, kernel(states)):
+            full = _full_table_reference(row, coef, n, n)
+            assert np.linalg.norm(out - full) <= 1e-13 * np.linalg.norm(full)
     for spec in (NonlinearitySpec.zero(), NonlinearitySpec.linear(2.5)):
         kernel = NemytskiiKernel(spec, n, n)
         got = kernel(block)
         for row, out in zip(block, got):
             assert out.tobytes() == kernel(row).tobytes()
+
+
+@pytest.mark.parametrize("n_in, n_out", [(131, 256), (256, 131), (40, 128)])
+def test_mirrored_kernel_with_unequal_mode_counts(n_in, n_out):
+    # the larger mode count alone sets the grid and the path
+    rng = np.random.default_rng(n_in + n_out)
+    rows = rng.standard_normal((3, n_in)) / np.arange(1, n_in + 1)
+    kernel = NemytskiiKernel(NonlinearitySpec.sine(0.8), n_in, n_out)
+    for row, out in zip(rows, kernel(rows)):
+        full = _full_table_reference(row, 0.8, n_in, n_out)
+        assert out.tobytes() == kernel(row).tobytes()
+        assert np.linalg.norm(out - full) <= 1e-13 * np.linalg.norm(full)
 
 
 def test_nemytskii_lipschitz_transfer():

@@ -852,34 +852,16 @@ def restrict_chunk(chunk: PathChunk, parts, n_modes: int) -> tuple:
     inc = chunk.wiener[:, :n_modes]
     if all(p.size == m.size for p, m in zip(parts, chunk.micro)):
         return inc, chunk.starts
-    # sample s's micro node i is number starts[s] + s + i of all samples'
-    at = _positions(_sample_keyed(chunk.micro), _sample_keyed(parts))
-    samples = np.arange(len(parts))
-    sizes = np.array([p.size for p in parts])
-    last = np.cumsum(sizes) - 1
-    if (np.any(at[last - sizes + 1] != chunk.starts[:-1] + samples)
-            or np.any(at[last] != chunk.starts[1:] + samples)):
-        raise ValueError("a partition must span the stretch")
-    # a node's row is its micro row; each partition's last node opens none
-    rows = np.delete(at - np.repeat(samples, sizes), last)
+    pos = []
+    for p, m, a in zip(parts, chunk.micro, chunk.starts):
+        at = _positions(m, p)
+        if at[0] != 0 or at[-1] != m.size - 1:
+            raise ValueError("a partition must span the stretch")
+        pos.append(at[:-1] + a)
+    pos.append(chunk.starts[-1:])
     starts = np.zeros(len(parts) + 1, dtype=np.int64)
-    np.cumsum(sizes - 1, out=starts[1:])
-    return (_fold(inc, chunk.deltas, chunk.dt_ref,
-                  np.append(rows, chunk.starts[-1])), starts)
-
-
-def _sample_keyed(nodes) -> np.ndarray:
-    """Every sample's nodes as one array, each node keyed by its sample.
-
-    A complex key holds the sample as its real part and the time as its
-    imaginary part, both exactly, and numpy orders complex numbers by the
-    real part first, so one `searchsorted` finds every sample's nodes in
-    its own micro nodes.
-    """
-    keys = np.empty(sum(n.size for n in nodes), dtype=np.complex128)
-    keys.real = np.repeat(np.arange(len(nodes)), [n.size for n in nodes])
-    keys.imag = np.concatenate(nodes)
-    return keys
+    np.cumsum([p.size - 1 for p in parts], out=starts[1:])
+    return _fold(inc, chunk.deltas, chunk.dt_ref, np.concatenate(pos)), starts
 
 
 # ---------------------------------------------------------------------------

@@ -424,12 +424,11 @@ def test_criterion_08c_residual_in_manifest(stable_manifest):
 
 
 def test_holder_errors_match_isometry(holder_result):
-    # each error estimates the closed form up to sampling error, within 4
-    # standard errors read from its 95% bootstrap interval, as the benchmark
-    # checks do.  A few rare jumps carry the error at the smallest
-    # increments, where the standard error is about 8% of the error, so a
-    # fixed 12% band failed on one seed in four (12.7% off, 1.5 standard
-    # errors) while being 8 standard errors wide at h = 2^-7
+    # each error estimates the closed form up to sampling error: within 12%
+    # and within 4 standard errors, the standard error read from its 95%
+    # bootstrap interval as the benchmark checks do.  The 12% band alone is
+    # 8 standard errors wide at h = 2^-7, and the interval alone would let
+    # a fault that widens the intervals loosen the check
     plan = holder_result.plan
     lam = eigenvalues(plan.n_ref)
     phi = plan.model.profile.coeffs
@@ -437,12 +436,12 @@ def test_holder_errors_match_isometry(holder_result):
     rep = holder_result.report_for(2.0)
     second = plan.model.intensity * plan.model.law.mean_square()
     for j, h in enumerate(plan.levels):
-        v = second * float(np.sum(
+        closed = math.sqrt(second * float(np.sum(
             phi**2 * ((1.0 - np.exp(-lam * h)) ** 2 * conv_variance(lam, t)
                       + conv_variance(lam, h))
-        ))
+        )))
         se = (rep.ci_hi[j] - rep.ci_lo[j]) / (2.0 * 1.96)
-        assert abs(rep.errors[j] - math.sqrt(v)) <= 4.0 * se
+        assert abs(rep.errors[j] - closed) <= min(0.12 * closed, 4.0 * se)
 
 
 def test_jump_convolution_terminal_value_is_centred():

@@ -817,8 +817,9 @@ def test_streamed_folds_match_restrict_path(monkeypatch, scheme, axis):
 
 
 def test_restrict_chunk_locates_every_samples_nodes(monkeypatch):
-    # all samples' nodes are found with one search; the fold must get the
-    # positions of a search of each sample's nodes in its own micro nodes
+    # the fold must get the positions of a search of each sample's nodes in
+    # its own micro nodes, and a partition off the micro grid or short of
+    # the stretch must be refused
     plan = _block_plan(SCHEME_A, "temporal", samples=4)
     dt = plan.dt_ref
     _force_jumps(monkeypatch, {

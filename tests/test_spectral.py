@@ -293,13 +293,16 @@ def test_nemytskii_kernel_block_rows_match_vector_products(n):
                     expected = _full_table_reference(row, coef, n, n)
                 assert out.tobytes() == expected.tobytes()
                 assert out.tobytes() == kernel(row).tobytes()
-        # the mirrored products round differently from the full table's;
-        # on unit-normal rows the full table's own entries, sin of
-        # arguments up to n pi, are off by up to 1e-13, so the bound is
-        # set on rows shaped like the states the schemes step
-        for row, out in zip(states, kernel(states)):
-            full = _full_table_reference(row, coef, n, n)
-            assert np.linalg.norm(out - full) <= 1e-13 * np.linalg.norm(full)
+        # the mirrored products round differently from the full table's:
+        # within 1e-13 on rows shaped like the states the schemes step, and
+        # within 1e-12 on unit-normal rows, where the full table's own
+        # entries, sin of arguments up to n pi, carry most of the rounding
+        # (`test_mirrored_kernel_against_extended_precision`)
+        for rows, rtol in ((states, 1e-13), (block, 1e-12)):
+            for row, out in zip(rows, kernel(rows)):
+                full = _full_table_reference(row, coef, n, n)
+                assert (np.linalg.norm(out - full)
+                        <= rtol * np.linalg.norm(full))
     for spec in (NonlinearitySpec.zero(), NonlinearitySpec.linear(2.5)):
         kernel = NemytskiiKernel(spec, n, n)
         got = kernel(block)
@@ -317,6 +320,44 @@ def test_mirrored_kernel_with_unequal_mode_counts(n_in, n_out):
         full = _full_table_reference(row, 0.8, n_in, n_out)
         assert out.tobytes() == kernel(row).tobytes()
         assert np.linalg.norm(out - full) <= 1e-13 * np.linalg.norm(full)
+
+
+def _extended_reference(row, coef, n):
+    """P_N f(u) of one row in extended precision, with exact sine arguments.
+
+    sin(k pi m / (M + 1)) is evaluated at k m reduced exactly modulo
+    2 (M + 1), so no argument carries the rounding of k m pi.
+    """
+    ld = np.longdouble
+    m = 2 * n + 1
+    r = (np.arange(1, n + 1)[:, None] * np.arange(1, m + 1)) % (2 * (m + 1))
+    table = np.sin(4 * np.arctan(ld(1)) * r.astype(ld) / ld(m + 1))
+    values = ld(coef) * np.sin(np.sqrt(ld(2)) * (row.astype(ld) @ table))
+    return np.sqrt(ld(2)) / ld(m + 1) * (table @ values)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs a long double wider than a double")
+@pytest.mark.parametrize("n", [128, 131, 256])
+def test_mirrored_kernel_against_extended_precision(n):
+    # the mirrored transform is the more accurate of the two double
+    # products: its rows lie closer, in sum, to an extended-precision
+    # transform than the full table's, and within 1e-12 of it
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((7, n))
+    states = rng.standard_normal((7, n)) / np.arange(1, n + 1)
+    kernel = NemytskiiKernel(NonlinearitySpec.sine(1.0), n, n)
+    for rows in (block, states):
+        mirrored = full = 0.0
+        for row, out in zip(rows, kernel(rows)):
+            exact = _extended_reference(row, 1.0, n)
+            scale = float(np.linalg.norm(exact))
+            err = float(np.linalg.norm(out - exact)) / scale
+            assert err <= 1e-12
+            mirrored += err
+            full += float(np.linalg.norm(
+                _full_table_reference(row, 1.0, n, n) - exact)) / scale
+        assert mirrored <= full
 
 
 def test_nemytskii_lipschitz_transfer():

@@ -24,9 +24,9 @@ describe the nonlinearity, jump model and initial state:
 
 Laws: ``two_point`` (p_plus, v_plus, v_minus), ``exp_shifted`` (rate,
 offset) and ``truncated_stable`` (alpha, eps).  For the truncated stable
-measure the intensity is derived from (alpha, eps) by quadrature and must
-be omitted; the discarded small-jump variance lands in the manifest as
-``model_info.residual``.  Unknown keys anywhere are rejected.
+measure the intensity 2 Gamma(-alpha, eps) is derived from (alpha, eps) and
+must be omitted; the discarded small-jump variance 2 gamma(2 - alpha, eps)
+lands in the manifest as ``model_info.residual``.  Unknown keys anywhere are rejected.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure (including
 studies that finished with aborted samples).

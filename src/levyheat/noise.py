@@ -362,27 +362,48 @@ def truncate_levy(alpha: float, eps: float, profile: SpectralState,
 
     Returns (model, residual) where residual = int_{|xi| <= eps} xi^2 nu(d xi)
     quantifies the discarded small-jump variance.  The total intensity is
-    computed by adaptive quadrature (relative tolerance 1e-8) and magnitudes
-    are sampled through a tabulated inverse CDF.
+    2 Gamma(-alpha, eps), integrated in u = ln x by a composite 20-point
+    Gauss-Legendre rule on panels at most 1/2 wide out to ln(eps + 60); the
+    residual is 2 gamma(2 - alpha, eps), summed from its series of positive
+    terms.  Both agree with the closed forms to about 1e-13 relative.
+    Magnitudes are sampled through a tabulated inverse CDF.  Raises
+    ValueError when the intensity, the residual or that table is not
+    finite, or the intensity underflows to zero.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"stability index must lie in (0, 2), got {alpha}")
     if eps <= 0.0:
         raise ValueError(f"truncation level must be positive, got {eps}")
 
+    # x^(-1-alpha) e^(-x) dx = e^(-alpha u - e^u) du; the tail beyond
+    # eps + 60 holds less than e^-58 of the mass
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    lo, hi = math.log(eps), math.log(eps + 60.0)
+    edges = np.linspace(lo, hi, math.ceil(2.0 * (hi - lo)) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    u = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
+    with np.errstate(over="ignore"):
+        half_mass = float(np.sum(half * weights * np.exp(-alpha * u - np.exp(u))))
+    intensity = 2.0 * half_mass
+    if not 0.0 < intensity < math.inf:
+        raise ValueError(f"jump intensity 2 Gamma(-alpha, eps) = {intensity} "
+                         "is not a positive finite number")
+
+    # gamma(s, eps) = eps^s e^-eps sum_k eps^k / (s (s+1) ... (s+k)); the
+    # terms grow while s + k < eps, then fall faster than geometrically
+    s = 2.0 - alpha
+    term = total = 1.0 / s
+    k = 0
+    while s + k < eps or term > 1e-17 * total:
+        k += 1
+        term *= eps / (s + k)
+        total += term
+    residual = 2.0 * eps**s * math.exp(-eps) * total
+    if not math.isfinite(residual):
+        raise ValueError(f"small-jump residual {residual} is not finite")
+
     def density(x):
         return x ** (-1.0 - alpha) * np.exp(-x)
-
-    half_mass, half_err = _quad(
-        density, eps, np.inf, epsrel=1e-10, epsabs=0.0, limit=400
-    )
-    if half_err > 1e-8 * half_mass:
-        raise ArithmeticError("intensity quadrature did not reach tolerance")
-    intensity = 2.0 * half_mass
-
-    residual = 2.0 * _quad(
-        lambda x: x * x * density(x), 0.0, eps, epsrel=1e-10, epsabs=0.0
-    )[0]
 
     # one-sided CDF table: log-spaced grid out to negligible tail mass
     upper = max(40.0, eps * 4.0)
@@ -391,11 +412,14 @@ def truncate_levy(alpha: float, eps: float, profile: SpectralState,
     seg = np.empty(grid.size)
     seg[0] = 0.0
     # composite Simpson on each log cell; integrand smooth away from 0
-    mid = np.sqrt(grid[:-1] * grid[1:])
-    h = grid[1:] - grid[:-1]
-    seg[1:] = h / 6.0 * (density(grid[:-1]) + 4.0 * density(mid) + density(grid[1:]))
-    cdf = np.cumsum(seg) / half_mass
-    cdf /= cdf[-1]  # absorb the discarded tail beyond the table
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mid = np.sqrt(grid[:-1] * grid[1:])
+        h = grid[1:] - grid[:-1]
+        seg[1:] = h / 6.0 * (density(grid[:-1]) + 4.0 * density(mid) + density(grid[1:]))
+        cdf = np.cumsum(seg) / half_mass
+        cdf /= cdf[-1]  # absorb the discarded tail beyond the table
+    if not np.isfinite(cdf).all():
+        raise ValueError(f"magnitude CDF table is not finite at eps = {eps}")
 
     law = TruncatedStableLaw(alpha=alpha, eps=eps, grid=grid, cdf=cdf, half_mass=half_mass)
     model = MarkModel(

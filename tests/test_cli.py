@@ -134,6 +134,7 @@ def test_missing_required_key_rejected(tmp_path):
         parse_config(write_config(tmp_path, incomplete))
 
 
+@pytest.mark.filterwarnings("error")
 def test_truncated_stable_model_parsing(tmp_path):
     study = study_dict(scheme="uniform_B")
     study["model"] = {
@@ -146,10 +147,23 @@ def test_truncated_stable_model_parsing(tmp_path):
     assert plan.model_info["alpha"] == 0.5
     assert plan.model_info["intensity"] == plan.model.intensity > 0
     assert plan.model_info["residual"] > 0
+    # 2 Gamma(-1/2, eps) = 4 (e^-eps / sqrt(eps) - sqrt(pi) erfc(sqrt(eps)))
+    study["model"]["law"]["eps"] = 1e-6
+    plan = parse_config(write_config(tmp_path, study, name="c2.json"))[0]
+    root = math.sqrt(1e-6)
+    assert plan.model.intensity == pytest.approx(
+        4.0 * (math.exp(-1e-6) / root - math.sqrt(math.pi) * math.erfc(root)),
+        rel=1e-12)
+    # eps^-alpha overflows the intensity
+    study["model"]["law"].update(alpha=1.9, eps=1e-300)
+    with pytest.raises(ConfigError,
+                       match=r"studies\[0\]\.model\.law: .*intensity"):
+        parse_config(write_config(tmp_path, study, name="c3.json"))
     # intensity is derived; specifying it is a config error
+    study["model"]["law"].update(alpha=0.5, eps=0.5)
     study["model"]["intensity"] = 2.0
     with pytest.raises(ConfigError, match="intensity"):
-        parse_config(write_config(tmp_path, study, name="c2.json"))
+        parse_config(write_config(tmp_path, study, name="c4.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +459,15 @@ def test_two_point_config_never_loads_scipy_integrate(tmp_path):
 
 
 def test_two_point_run_never_imports_scipy_yet_names_its_version(tmp_path):
-    # the manifest reads scipy's version without importing scipy
+    # the manifest reads scipy's version without importing scipy; a
+    # truncated stable law with zero g1 needs no quadrature either
     scipy = pytest.importorskip("scipy")
-    path = write_config(tmp_path, study_dict(levels=[0.25]))
+    stable = study_dict(name="stable", levels=[0.25], scheme="uniform_B")
+    stable["model"] = {
+        "law": {"kind": "truncated_stable", "alpha": 0.5, "eps": 0.05},
+        "profile": {"c": 1.0, "r": 2.0},
+    }
+    path = write_config(tmp_path, study_dict(levels=[0.25]), stable)
     out = tmp_path / "out"
     code = ("import sys, levyheat\n"
             "from levyheat import cli\n"

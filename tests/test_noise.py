@@ -227,7 +227,9 @@ def _upper_gamma(s, x):
 
 
 @pytest.mark.parametrize("alpha, eps", [(0.5, 0.05), (0.5, 0.5),
-                                        (1.5, 0.1)])
+                                        (1.5, 0.1), (0.5, 1e-6),
+                                        (1.5, 1e-6), (1.999, 0.05),
+                                        (0.01, 20.0)])
 def test_truncate_levy_matches_closed_forms(alpha, eps):
     # intensity 2 Gamma(-alpha, eps); residual 2 gamma(2 - alpha, eps)
     model, residual = truncate_levy(alpha, eps, power_profile(1.0, 2.0, 4))
@@ -260,12 +262,21 @@ def test_truncated_sampler_moments_and_symmetry():
     assert law.mean() == 0.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_truncate_levy_validation():
     profile = power_profile(1.0, 2.0, 4)
     with pytest.raises(ValueError):
         truncate_levy(2.5, 0.1, profile)
     with pytest.raises(ValueError):
         truncate_levy(0.5, 0.0, profile)
+    # eps^-alpha overflows the intensity; e^-eps underflows it to zero
+    with pytest.raises(ValueError, match="intensity.*inf"):
+        truncate_levy(1.9, 1e-300, profile)
+    with pytest.raises(ValueError, match="intensity.*0.0"):
+        truncate_levy(0.5, 800.0, profile)
+    # finite intensity, but the density overflows on the CDF table
+    with pytest.raises(ValueError, match="CDF table"):
+        truncate_levy(1.9, 1e-107, profile)
 
 
 # ---------------------------------------------------------------------------

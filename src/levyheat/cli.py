@@ -34,7 +34,6 @@ studies that finished with aborted samples).
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import logging
 import math
@@ -440,27 +439,6 @@ def _prepare_out_dir(out_dir) -> str:
     return out
 
 
-def _scipy_version():
-    """scipy's version, read without importing scipy where nothing has
-    imported it yet: its `version.py` is run on its own."""
-    if "scipy" in sys.modules:
-        return sys.modules["scipy"].__version__
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        return None
-    path = os.path.join(spec.submodule_search_locations[0], "version.py")
-    try:
-        version = importlib.util.spec_from_file_location("scipy_version",
-                                                         path)
-        module = importlib.util.module_from_spec(version)
-        version.loader.exec_module(module)
-        return module.version
-    except (OSError, AttributeError):
-        import scipy
-
-        return scipy.__version__
-
-
 def _provenance(threads: int) -> dict:
     """Versions of the numerical stack behind a run, and its worker count."""
     import numpy
@@ -470,7 +448,6 @@ def _provenance(threads: int) -> dict:
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": _scipy_version(),
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "workers": threads,
     }

@@ -170,6 +170,13 @@ class StudyPlan:
                 UserWarning,
                 stacklevel=2,
             )
+        # the expected jump rows of one sample must fit one block's budget,
+        # which also keeps the Poisson draws of the jump counts in range
+        if self.model.intensity * self.horizon * self.n_ref * 8 > BLOCK_BYTES:
+            raise ValueError(
+                f"model.intensity: {self.model.intensity} jumps per unit time "
+                f"over horizon {self.horizon} give rows of {self.n_ref} "
+                f"doubles beyond the {BLOCK_BYTES}-byte block budget")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         if not isinstance(self.model_info, dict):

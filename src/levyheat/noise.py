@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -68,8 +68,6 @@ PURPOSE_WIENER = 1
 PURPOSE_JUMPS = 2
 PURPOSE_BOOTSTRAP = 3
 
-_QUAD_TOL = 1e-10  # absolute tolerance for law expectations
-
 
 def _philox_key(global_seed: int, sample_index: int,
                 purpose: int) -> np.ndarray:
@@ -97,12 +95,16 @@ def stream(global_seed: int, sample_index: int, purpose: int) -> np.random.Gener
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _quad(*args, **kwargs):
-    """`scipy.integrate.quad`, imported on first use, so that a run whose
-    laws need no quadrature never loads scipy.integrate."""
-    from scipy import integrate
-
-    return integrate.quad(*args, **kwargs)
+def _gamma_integral(s: float, lo: float, hi: float) -> float:
+    """int x^(s-1) e^(-x) dx over [e^lo, e^hi], as int e^(s u - e^u) du over
+    [lo, hi] by a composite 20-point Gauss-Legendre rule on panels at most
+    1/2 wide."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(lo, hi, math.ceil(2.0 * (hi - lo)) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    u = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
+    with np.errstate(over="ignore"):
+        return float(np.sum(half * weights * np.exp(s * u - np.exp(u))))
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +134,17 @@ class TwoPointLaw:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.where(rng.random(size) < self.p_plus, self.v_plus, self.v_minus)
 
-    def expect(self, fn: Callable[[float], float]) -> float:
-        return self.p_plus * fn(self.v_plus) + (1.0 - self.p_plus) * fn(self.v_minus)
-
     def mean(self) -> float:
-        return self.expect(lambda v: v)
+        return self.p_plus * self.v_plus + (1.0 - self.p_plus) * self.v_minus
 
     def mean_square(self) -> float:
-        return self.expect(lambda v: v * v)
+        return (self.p_plus * (self.v_plus * self.v_plus)
+                + (1.0 - self.p_plus) * (self.v_minus * self.v_minus))
 
-    def abs_moment(self, p: float) -> float:
-        return self.expect(lambda v: abs(v) ** p)
+    def clipped_mean(self, scale: float) -> float:
+        """E[min(1, scale |xi|)]."""
+        return (self.p_plus * min(1.0, abs(self.v_plus) * scale)
+                + (1.0 - self.p_plus) * min(1.0, abs(self.v_minus) * scale))
 
 
 @dataclass(frozen=True)
@@ -161,16 +163,6 @@ class ExpShiftedLaw:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.offset + rng.exponential(1.0 / self.rate, size)
 
-    def expect(self, fn: Callable[[float], float]) -> float:
-        val, _ = _quad(
-            lambda x: fn(self.offset + x) * self.rate * math.exp(-self.rate * x),
-            0.0,
-            np.inf,
-            epsabs=_QUAD_TOL,
-            epsrel=1e-12,
-        )
-        return val
-
     def mean(self) -> float:
         return self.offset + 1.0 / self.rate
 
@@ -178,8 +170,17 @@ class ExpShiftedLaw:
         m = 1.0 / self.rate
         return self.offset**2 + 2.0 * self.offset * m + 2.0 * m * m
 
-    def abs_moment(self, p: float) -> float:
-        return self.expect(lambda v: abs(v) ** p)
+    def clipped_mean(self, scale: float) -> float:
+        """E[min(1, scale xi)]: scale E[xi; xi < 1/scale] + P(xi >= 1/scale)."""
+        u = 1.0 / scale - self.offset
+        if u <= 0.0:
+            return 1.0
+        t = self.rate * u
+        below = -math.expm1(-t)  # P(xi < 1/scale)
+        tail = math.exp(-t)
+        # E[xi; xi < 1/scale] = offset P(xi < 1/scale) + gamma(2, t) / rate
+        return (scale * (self.offset * below + (below - t * tail) / self.rate)
+                + tail)
 
 
 @dataclass(frozen=True)
@@ -211,37 +212,29 @@ class TruncatedStableLaw:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "cdf", c)
 
-    def _density_one_sided(self, x: np.ndarray) -> np.ndarray:
-        # normalised over one side: integrates to 1 on (eps, inf)
-        return x ** (-1.0 - self.alpha) * np.exp(-x) / self.half_mass
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         mag = np.interp(rng.random(size), self.cdf, self.grid)
         sign = np.where(rng.random(size) < 0.5, 1.0, -1.0)
         return sign * mag
 
-    def expect(self, fn: Callable[[float], float]) -> float:
-        def one_side(sgn):
-            val, _ = _quad(
-                lambda x: fn(sgn * x) * self._density_one_sided(np.asarray(x)),
-                self.eps,
-                np.inf,
-                epsabs=_QUAD_TOL,
-                epsrel=1e-12,
-                limit=200,
-            )
-            return 0.5 * val
-
-        return one_side(1.0) + one_side(-1.0)
-
     def mean(self) -> float:
         return 0.0  # symmetric by construction
 
     def mean_square(self) -> float:
-        return self.expect(lambda v: v * v)
+        """E[xi^2] = Gamma(2 - alpha, eps) / half_mass."""
+        return _gamma_integral(2.0 - self.alpha, math.log(self.eps),
+                               math.log(self.eps + 60.0)) / self.half_mass
 
-    def abs_moment(self, p: float) -> float:
-        return self.expect(lambda v: abs(v) ** p)
+    def clipped_mean(self, scale: float) -> float:
+        """E[min(1, scale |xi|)]: with a = 1/scale, (scale (Gamma(1 - alpha,
+        eps) - Gamma(1 - alpha, a)) + Gamma(-alpha, a)) / half_mass."""
+        a = 1.0 / scale
+        if a <= self.eps:
+            return 1.0
+        lo, mid = math.log(self.eps), math.log(a)
+        below = _gamma_integral(1.0 - self.alpha, lo, mid)
+        above = _gamma_integral(-self.alpha, mid, math.log(a + 60.0))
+        return (scale * below + above) / self.half_mass
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedStableLaw):
@@ -339,18 +332,18 @@ def compensator_coeffs(model: MarkModel, n_modes: int):
     """Closed-form compensator coefficients of the jump noise.
 
     Returns (mean_g1, mean_g) with mean_g1 = intensity * E[g1(xi phi)] and
-    mean_g = intensity * E[xi] * P_N phi.  The clipped g1 expectation falls
-    back to the law's quadrature.
+    mean_g = intensity * E[xi] * P_N phi.  The clipped g1 expectation is
+    the law's closed-form `clipped_mean`.
     """
     if model.g1.kind == "zero":
         mean_g1 = 0.0
     elif model.g1.kind == "constant":
         mean_g1 = model.intensity * model.g1.value
     else:
+        # the norm is 0 when the profile's squares underflow, and so is g1
         norm = model.profile_norm
-        mean_g1 = model.intensity * model.g1.value * model.law.expect(
-            lambda v: min(1.0, abs(v) * norm)
-        )
+        clipped = model.law.clipped_mean(norm) if norm > 0.0 else 0.0
+        mean_g1 = model.intensity * model.g1.value * clipped
     mean_g = project(model.profile, n_modes) * (model.intensity * model.law.mean())
     return mean_g1, mean_g
 
@@ -362,10 +355,9 @@ def truncate_levy(alpha: float, eps: float, profile: SpectralState,
 
     Returns (model, residual) where residual = int_{|xi| <= eps} xi^2 nu(d xi)
     quantifies the discarded small-jump variance.  The total intensity is
-    2 Gamma(-alpha, eps), integrated in u = ln x by a composite 20-point
-    Gauss-Legendre rule on panels at most 1/2 wide out to ln(eps + 60); the
-    residual is 2 gamma(2 - alpha, eps), summed from its series of positive
-    terms.  Both agree with the closed forms to about 1e-13 relative.
+    2 Gamma(-alpha, eps), integrated by `_gamma_integral` out to eps + 60;
+    the residual is 2 gamma(2 - alpha, eps), summed from its series of
+    positive terms.  Both agree with the closed forms to about 1e-13 relative.
     Magnitudes are sampled through a tabulated inverse CDF.  Raises
     ValueError when the intensity, the residual or that table is not
     finite, or the intensity underflows to zero.
@@ -375,15 +367,8 @@ def truncate_levy(alpha: float, eps: float, profile: SpectralState,
     if eps <= 0.0:
         raise ValueError(f"truncation level must be positive, got {eps}")
 
-    # x^(-1-alpha) e^(-x) dx = e^(-alpha u - e^u) du; the tail beyond
-    # eps + 60 holds less than e^-58 of the mass
-    nodes, weights = np.polynomial.legendre.leggauss(20)
-    lo, hi = math.log(eps), math.log(eps + 60.0)
-    edges = np.linspace(lo, hi, math.ceil(2.0 * (hi - lo)) + 1)
-    half = 0.5 * np.diff(edges)[:, None]
-    u = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
-    with np.errstate(over="ignore"):
-        half_mass = float(np.sum(half * weights * np.exp(-alpha * u - np.exp(u))))
+    # the tail beyond eps + 60 holds less than e^-58 of the mass
+    half_mass = _gamma_integral(-alpha, math.log(eps), math.log(eps + 60.0))
     intensity = 2.0 * half_mass
     if not 0.0 < intensity < math.inf:
         raise ValueError(f"jump intensity 2 Gamma(-alpha, eps) = {intensity} "

@@ -69,30 +69,21 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimePartition:
-    """Sorted nodes 0 = t_0 < ... < t_n = T with per-node provenance flags.
+    """Sorted nodes 0 = t_0 < ... < t_n = T.
 
-    `on_grid` marks multiples of dt_nominal, `at_jump` marks realized jump
-    times; a merged coincident node carries both flags.  Every step is at
-    most dt_nominal long and every multiple of dt_nominal is a node.
+    Every step is at most dt_nominal long and every multiple of dt_nominal
+    is a node.
     """
 
     nodes: np.ndarray
     dt_nominal: float
-    on_grid: np.ndarray
-    at_jump: np.ndarray
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=np.float64).copy()
-        grid = np.asarray(self.on_grid, dtype=bool).copy()
-        jump = np.asarray(self.at_jump, dtype=bool).copy()
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("a partition needs at least one step")
-        if nodes.shape != grid.shape or nodes.shape != jump.shape:
-            raise ValueError("per-node flags must match the node vector")
         if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must increase strictly from zero")
-        if not np.all(grid | jump):
-            raise ValueError("every node needs a provenance flag")
         if self.dt_nominal <= 0 or not np.isfinite(self.dt_nominal):
             raise ValueError("dt_nominal must be positive and finite")
         if np.max(np.diff(nodes)) > self.dt_nominal * (1.0 + 1e-12):
@@ -105,11 +96,7 @@ class TimePartition:
         if np.any(pos == nodes.size) or np.any(nodes[pos] != base):
             raise ValueError("every multiple of dt_nominal must be a node")
         nodes.setflags(write=False)
-        grid.setflags(write=False)
-        jump.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "on_grid", grid)
-        object.__setattr__(self, "at_jump", jump)
 
     @property
     def horizon(self) -> float:
@@ -126,27 +113,23 @@ class TimePartition:
 
 def uniform_partition(horizon: float, dt_nominal: float) -> TimePartition:
     """The plain deterministic grid with step dt_nominal."""
-    nodes = uniform_nodes(horizon, dt_nominal, "dt_nominal")
-    return TimePartition(nodes, dt_nominal, np.ones(nodes.size, dtype=bool),
-                         np.zeros(nodes.size, dtype=bool))
+    return TimePartition(uniform_nodes(horizon, dt_nominal, "dt_nominal"),
+                         dt_nominal)
 
 
 def build_adapted_partition(horizon: float, dt_nominal: float,
                             skeleton: JumpSkeleton) -> TimePartition:
     """Merge the uniform grid with the jump times of a skeleton.
 
-    A jump time coinciding with a grid node collapses to a single node
-    flagged as both; the continuous step is applied first and the jump
-    second, so the order of updates at such a node is unambiguous.
+    A jump time coinciding with a grid node collapses to a single node;
+    the continuous step is applied first and the jump second, so the order
+    of updates at such a node is unambiguous.
     """
     times = skeleton.times
     if times.size and times[-1] > horizon:
         raise ValueError("skeleton extends beyond the partition horizon")
     base = uniform_nodes(horizon, dt_nominal, "dt_nominal")
-    nodes = np.union1d(base, times)
-    return TimePartition(
-        nodes, dt_nominal, np.isin(nodes, base), np.isin(nodes, times)
-    )
+    return TimePartition(np.union1d(base, times), dt_nominal)
 
 
 # ---------------------------------------------------------------------------

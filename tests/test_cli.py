@@ -344,7 +344,7 @@ def test_manifest_records_provenance_and_aborted_samples(tmp_path):
     recorded = json.loads((tmp_path / "out" / "manifest.json").read_text())
     prov = recorded["provenance"]
     assert prov["numpy"] == np.__version__ and prov["workers"] == 2
-    assert set(prov) == {"python", "numpy", "scipy", "blas", "workers"}
+    assert set(prov) == {"python", "numpy", "blas", "workers"}
     assert set(prov["blas"]) == {"name", "version"}
     entry = recorded["studies"][0]
     assert entry["block_size"] == 32
@@ -443,43 +443,60 @@ def test_module_run_prints_no_runpy_warning(tmp_path):
     assert "RuntimeWarning" not in run.stderr
 
 
-def test_two_point_config_never_loads_scipy_integrate(tmp_path):
-    # quadrature laws import scipy.integrate on first use; the two-point law
-    # needs none, so importing the package and parsing leave it unloaded
-    path = write_config(tmp_path, study_dict())
-    code = ("import sys, levyheat\n"
-            "from levyheat import cli\n"
-            f"cli.parse_config({str(path)!r})\n"
-            "print('scipy.integrate' in sys.modules)\n")
+def _every_law_config(tmp_path):
+    # one study per law, each with a clipped g1, whose moments are all
+    # closed forms
+    laws = {
+        "two_point": {"intensity": 1.0, "law": {
+            "kind": "two_point", "p_plus": 0.5, "v_plus": 1.0,
+            "v_minus": -1.0}},
+        "exp_shifted": {"intensity": 1.0, "law": {
+            "kind": "exp_shifted", "rate": 3.0, "offset": 0.25}},
+        "stable": {"law": {"kind": "truncated_stable", "alpha": 0.5,
+                           "eps": 0.05}},
+    }
+    studies = [study_dict(name=name, levels=[0.25], model=dict(
+        law, profile={"c": 1.0, "r": 2.0},
+        g1={"kind": "clipped", "value": 0.3})) for name, law in laws.items()]
+    return write_config(tmp_path, *studies)
+
+
+def _run_python(code):
     src = os.path.dirname(levyheat.__path__[0])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.split() == ["False"]
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+
+
+def test_two_point_config_never_loads_scipy_integrate(tmp_path):
+    # importing the package and parsing plans on all three laws, the
+    # two-point law among them, leave scipy and scipy.integrate unloaded
+    path = _every_law_config(tmp_path)
+    out = _run_python("import sys, levyheat\n"
+                      "from levyheat import cli\n"
+                      f"cli.parse_config({str(path)!r})\n"
+                      "print('scipy.integrate' in sys.modules)\n"
+                      "print('scipy' in sys.modules)\n")
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_two_point_run_never_imports_scipy_yet_names_its_version(tmp_path):
-    # the manifest reads scipy's version without importing scipy; a
-    # truncated stable law with zero g1 needs no quadrature either
-    scipy = pytest.importorskip("scipy")
-    stable = study_dict(name="stable", levels=[0.25], scheme="uniform_B")
-    stable["model"] = {
-        "law": {"kind": "truncated_stable", "alpha": 0.5, "eps": 0.05},
-        "profile": {"c": 1.0, "r": 2.0},
-    }
-    path = write_config(tmp_path, study_dict(levels=[0.25]), stable)
+    # running plans on all three laws leaves scipy unloaded; the manifest
+    # names the versions of the code that ran, the package and numpy, and
+    # no scipy version, since no run executes scipy code
+    path = _every_law_config(tmp_path)
     out = tmp_path / "out"
-    code = ("import sys, levyheat\n"
-            "from levyheat import cli\n"
-            f"cli.execute(cli.parse_config({str(path)!r}), {str(out)!r})\n"
-            "print('scipy' in sys.modules)\n")
-    src = os.path.dirname(levyheat.__path__[0])
-    env = dict(os.environ, PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
+    run = _run_python("import sys, levyheat\n"
+                      "from levyheat import cli\n"
+                      f"cli.execute(cli.parse_config({str(path)!r}), "
+                      f"{str(out)!r})\n"
+                      "print('scipy' in sys.modules)\n")
     assert run.stdout.split() == ["False"]
     recorded = json.loads((out / "manifest.json").read_text())
-    assert recorded["provenance"]["scipy"] == scipy.__version__
+    assert [e["status"] for e in recorded["studies"]] == ["ok"] * 3
+    assert recorded["version"] == levyheat.__version__
+    assert recorded["provenance"]["numpy"] == np.__version__
+    assert "scipy" not in recorded["provenance"]
 
 
 def test_manifest_times_each_phase(tmp_path):
@@ -587,6 +604,10 @@ def test_main_dry_run_creates_nothing(tmp_path, capsys):
     ({"levels": [0.25, 0.125, 0.015625]}, "levels[2]"),
     ({"axis": "spatial", "levels": [2, 4], "n_ref": 4}, "levels[1]"),
     ({"horizon": 0.75, "levels": [0.5, 0.25]}, "levels[0]"),
+    # about 1e57 jumps per sample: no block holds their rows
+    ({"scheme": "uniform_B", "model": {
+        "law": {"kind": "truncated_stable", "alpha": 1.9, "eps": 1e-30},
+        "profile": {"c": 1.0, "r": 2.0}}}, "model.intensity"),
 ])
 def test_dry_run_rejects_unrunnable_plans(tmp_path, capsys, overrides,
                                           field):

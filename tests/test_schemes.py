@@ -67,7 +67,6 @@ def config(scheme, n, dt, model, f=None, x0=None, horizon=1.0):
 def test_uniform_partition_basic():
     part = uniform_partition(1.0, 0.25)
     assert np.array_equal(part.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert part.on_grid.all() and not part.at_jump.any()
     assert part.n_steps == 4 and part.horizon == 1.0
     with pytest.raises(ValueError):
         uniform_partition(1.0, 0.3)
@@ -75,50 +74,35 @@ def test_uniform_partition_basic():
 
 def test_partition_invariants():
     with pytest.raises(ValueError):  # missing multiple / oversize step
-        TimePartition(np.array([0.0, 1.0]), 0.5,
-                      np.array([True, True]), np.array([False, False]))
-    with pytest.raises(ValueError):  # unflagged node
-        TimePartition(np.array([0.0, 0.2, 0.5, 1.0]), 0.5,
-                      np.array([True, False, True, True]),
-                      np.array([False, False, False, False]))
-    part = TimePartition(np.array([0.0, 0.2, 0.5, 0.6, 1.0]), 0.5,
-                         np.array([True, False, True, False, True]),
-                         np.array([False, True, False, True, False]))
+        TimePartition(np.array([0.0, 1.0]), 0.5)
+    part = TimePartition(np.array([0.0, 0.2, 0.5, 0.6, 1.0]), 0.5)
     assert np.max(part.deltas) <= 0.5
 
 
 def test_partition_checks_name_what_is_wrong():
-    flags = np.ones(5, dtype=bool)
     with pytest.raises(ValueError, match="every multiple of dt_nominal"):
         # 0.5 is missing, yet no step is longer than 0.5
-        TimePartition(np.array([0.0, 0.25, 0.45, 0.75, 1.0]), 0.5,
-                      flags, ~flags)
+        TimePartition(np.array([0.0, 0.25, 0.45, 0.75, 1.0]), 0.5)
     with pytest.raises(ValueError, match="maximal step exceeds"):
-        TimePartition(np.array([0.0, 0.25, 0.5, 0.75, 1.0]), 0.125,
-                      flags, ~flags)
+        TimePartition(np.array([0.0, 0.25, 0.5, 0.75, 1.0]), 0.125)
 
 
 def test_adapted_partition_no_jumps():
     sk = JumpSkeleton(1.0, np.empty(0), np.empty(0))
     part = build_adapted_partition(1.0, 0.25, sk)
     assert np.array_equal(part.nodes, uniform_partition(1.0, 0.25).nodes)
-    assert part.on_grid.all() and not part.at_jump.any()
 
 
 def test_adapted_partition_merges_coincident_node():
     sk = JumpSkeleton(1.0, np.array([0.5]), np.array([1.0]))
     part = build_adapted_partition(1.0, 0.25, sk)
     assert np.array_equal(part.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
-    i = 2
-    assert part.on_grid[i] and part.at_jump[i]  # merged, flagged both
 
 
 def test_adapted_partition_interleaves_jump():
     sk = JumpSkeleton(1.0, np.array([0.3]), np.array([-1.0]))
     part = build_adapted_partition(1.0, 0.25, sk)
     assert np.array_equal(part.nodes, [0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
-    assert np.array_equal(part.at_jump,
-                          [False, False, True, False, False, False])
     assert np.max(part.deltas) <= 0.25
 
 

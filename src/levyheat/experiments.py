@@ -19,7 +19,6 @@ import logging
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -404,7 +403,9 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
     reference), zero-padded to n_ref.  A sample whose run turns non-finite
     skips the higher resolutions; `aborted` records its index, the first
     resolution in plan order at which it diverged (its dt or N), and the
-    step and time there.
+    step and time there.  A sample with a jump time on a dt_ref node is
+    stepped at no resolution and recorded at the reference, with the dt_ref
+    step that ends on that node and the jump time.
 
     The paths are drawn one stretch of time at a time (see `_blocking`),
     and each resolution steps through the stretch from where it stood at
@@ -424,13 +425,17 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
                        plan.seed, indices)
     total = paths.base.size - 1
     size = len(indices)
+    # sample -> (resolution, step, time) of its abort; a sample with a jump
+    # on a dt_ref node aborts at the reference before any step, at the
+    # dt_ref step that ends on that node
+    failed = {s: (0, *hit) for s, hit in paths.collisions.items()}
     # per resolution: the samples still stepped there, their states and the
     # steps they have taken; a sample leaves every resolution from the one
     # it diverges at upwards, as only the first one in plan order is kept
-    alive = [np.arange(size) for _ in res]
-    states = [np.tile(project(plan.x0, n).coeffs, (size, 1)) for _, n in res]
+    alive = [np.setdiff1d(np.arange(size), list(failed)) for _ in res]
+    states = [np.tile(project(plan.x0, n).coeffs, (alive[0].size, 1))
+              for _, n in res]
     taken = [np.zeros(size, dtype=np.int64) for _ in res]
-    failed = {}  # sample -> (resolution, step, time)
     spent["draw"] += clock() - t0
     for k0 in range(0, total, stretch):
         k1 = min(k0 + stretch, total)
@@ -549,6 +554,7 @@ def _collect_norms(plan: StudyPlan, workers: int, phases=None) -> tuple:
     if workers <= 1:
         parts = list(logged(map(job, starts)))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # 10 ms to load
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(logged(pool.map(job, starts)))
     for _, _, spent in parts:

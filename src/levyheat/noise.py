@@ -17,9 +17,12 @@ The driving noise has two independent parts:
 
 Randomness comes from counter-based Philox streams keyed by
 (global seed, sample index, purpose), so each sample is reproducible in
-isolation and independent of how work is scheduled across processes.  A
-path can also be drawn and restricted one stretch of time at a time
-(`PathStream`, `restrict_chunk`), with the doubles of the whole path.
+isolation and independent of how work is scheduled across processes.
+Paths are drawn one stretch of time at a time (`PathStream`) and folded to
+coarse partitions by `restrict_chunk`.  A whole path (`sample_path`,
+`restrict_path`) is the one-sample, one-stretch case of the same code: its
+micro nodes, its row scaling and its folds are those of the stream, so
+there is one row scaling (`_scale_rows`) and one restriction.
 """
 
 from __future__ import annotations
@@ -47,9 +50,7 @@ __all__ = [
     "JumpSkeleton",
     "sample_jump_skeleton",
     "sample_jump_skeletons",
-    "MicroGrid",
     "uniform_nodes",
-    "build_micro_grid",
     "conv_variance",
     "compose_convolution",
     "CoupledNoisePath",
@@ -542,48 +543,24 @@ def sample_jump_skeletons(horizon: float, model: MarkModel, global_seed: int,
     return times, xis, counts
 
 
-@dataclass(frozen=True)
-class MicroGrid:
-    """Union of the uniform reference grid and the jump times."""
-
-    horizon: float
-    dt_ref: float
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        n = np.asarray(self.nodes, dtype=np.float64).copy()
-        if n.ndim != 1 or n.size < 2:
-            raise ValueError("grid nodes malformed")
-        if n[0] != 0.0 or n[-1] != self.horizon:
-            raise ValueError("grid must span [0, horizon]")
-        if np.any(np.diff(n) <= 0.0):
-            raise ValueError("grid nodes must be strictly increasing")
-        n.setflags(write=False)
-        object.__setattr__(self, "nodes", n)
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-
-def uniform_nodes(horizon: float, dt: float, name: str = "dt_ref") -> np.ndarray:
-    """The nodes k dt of [0, horizon], the last one set to the horizon
-    itself; `name` names dt in the error for a horizon off the grid."""
+def uniform_nodes(horizon: float, dt: float) -> np.ndarray:
+    """The nodes k dt of [0, horizon], the last one set to the horizon."""
     n_steps = horizon / dt
     if abs(n_steps - round(n_steps)) > 1e-9 or round(n_steps) < 1:
-        raise ValueError(f"horizon must be an integer multiple of {name}")
+        raise ValueError(f"horizon must be an integer multiple of {dt}")
     nodes = np.arange(int(round(n_steps)) + 1, dtype=np.float64) * dt
     nodes[-1] = horizon  # guard the last node against accumulation error
     return nodes
 
 
-def build_micro_grid(horizon: float, dt_ref: float,
-                     skeleton: JumpSkeleton) -> MicroGrid:
-    base = uniform_nodes(horizon, dt_ref)
-    if np.any(np.isin(skeleton.times, base)):
-        raise ArithmeticError("jump time collides with a grid node")
-    return MicroGrid(horizon, dt_ref,
-                     np.sort(np.concatenate([base, skeleton.times])))
+def _collisions(base: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Which jump times fall on a dt_ref node (probability zero)."""
+    return np.isin(times, base)
+
+
+def _micro_nodes(base: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The dt_ref nodes `base` merged with the jump times among them."""
+    return np.sort(np.concatenate([base, times])) if times.size else base
 
 
 # ---------------------------------------------------------------------------
@@ -603,45 +580,68 @@ def compose_convolution(left, right, lam, delta_right):
     return np.exp(-np.asarray(lam, dtype=np.float64) * delta_right) * left + right
 
 
+def _scale_rows(wiener: np.ndarray, deltas: np.ndarray, dt_ref: float) -> None:
+    """Scale every path's standard normal rows, in place, into the exact
+    convolution increments over micro intervals of lengths `deltas`: each
+    row by the dt_ref standard deviation std, then each shorter row beside
+    a jump by sqrt(conv_variance(lam, delta)) / std."""
+    lam = eigenvalues(wiener.shape[1])
+    std = np.sqrt(conv_variance(lam, dt_ref))
+    wiener *= std
+    for row in np.nonzero(deltas != dt_ref)[0]:
+        wiener[row] *= np.sqrt(conv_variance(lam, deltas[row])) / std
+
+
 @dataclass(frozen=True)
 class CoupledNoisePath:
     """One realisation of the driving noise at reference resolution.
 
-    `wiener[j, k]` is the exact convolution increment of mode k+1 over the
-    j-th micro interval.  Restriction to any coarser partition refining into
-    this grid is exact (`restrict_path`), which couples all resolutions of a
-    study to the same underlying noise.
+    `nodes`, the micro nodes, are the dt_ref grid of [0, horizon] merged
+    with the jump times, and `wiener[j, k]` is the exact convolution
+    increment of mode k+1 over the j-th micro interval.  Restriction to any
+    coarser partition of micro nodes is exact (`restrict_path`), which
+    couples all resolutions of a study to the same underlying noise.
     """
 
-    grid: MicroGrid
+    nodes: np.ndarray
+    dt_ref: float
     wiener: np.ndarray
     skeleton: JumpSkeleton
     n_ref: int
 
     def __post_init__(self):
+        n = np.asarray(self.nodes, dtype=np.float64).copy()
+        if n.ndim != 1 or n.size < 2:
+            raise ValueError("grid nodes malformed")
+        if n[0] != 0.0 or n[-1] != self.skeleton.horizon:
+            raise ValueError("grid must span [0, horizon]")
+        if np.any(np.diff(n) <= 0.0):
+            raise ValueError("grid nodes must be strictly increasing")
+        n.setflags(write=False)
+        object.__setattr__(self, "nodes", n)
         w = np.asarray(self.wiener, dtype=np.float64)
-        if w.shape != (self.grid.nodes.size - 1, self.n_ref):
+        if w.shape != (n.size - 1, self.n_ref):
             raise ValueError("wiener increment array has the wrong shape")
 
 
 def sample_path(horizon: float, dt_ref: float, n_ref: int, model: MarkModel,
                 global_seed: int, sample_index: int) -> CoupledNoisePath:
-    """Sample one coupled noise path from its two dedicated streams."""
-    skel = sample_jump_skeleton(
-        horizon, model, stream(global_seed, sample_index, PURPOSE_JUMPS)
-    )
-    grid = build_micro_grid(horizon, dt_ref, skel)
-    lam = eigenvalues(n_ref)
-    deltas = grid.deltas
-    z = stream(global_seed, sample_index, PURPOSE_WIENER).standard_normal(
-        (deltas.size, n_ref)
-    )
-    base_std = np.sqrt(conv_variance(lam, dt_ref))
-    z *= base_std
-    irregular = np.nonzero(deltas != dt_ref)[0]
-    for row in irregular:
-        z[row] *= np.sqrt(conv_variance(lam, deltas[row])) / base_std
-    return CoupledNoisePath(grid=grid, wiener=z, skeleton=skel, n_ref=n_ref)
+    """Sample one coupled noise path from its two dedicated streams.
+
+    The path is the one-sample, one-stretch case of `PathStream`, with its
+    micro nodes and row scaling, so its rows are the stream's bit for bit.
+    A jump time on a dt_ref node raises ArithmeticError.
+    """
+    jumps = stream(global_seed, sample_index, PURPOSE_JUMPS)
+    skel = sample_jump_skeleton(horizon, model, jumps)
+    base = uniform_nodes(horizon, dt_ref)
+    if _collisions(base, skel.times).any():
+        raise ArithmeticError("jump time collides with a grid node")
+    nodes = _micro_nodes(base, skel.times)
+    rng = stream(global_seed, sample_index, PURPOSE_WIENER)
+    wiener = rng.standard_normal((nodes.size - 1, n_ref))
+    _scale_rows(wiener, np.diff(nodes), dt_ref)
+    return CoupledNoisePath(nodes, dt_ref, wiener, skel, n_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -720,45 +720,6 @@ def _fold(inc: np.ndarray, deltas: np.ndarray, dt_ref: float,
     return out
 
 
-def _positions(micro: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """The index of each node among the micro nodes, which must hold it."""
-    pos = np.searchsorted(micro, nodes)
-    if np.any(pos >= micro.size) or np.any(micro[pos] != nodes):
-        raise ValueError("partition is not refined by the micro grid")
-    return pos
-
-
-def restrict_path(path: CoupledNoisePath, partition, n_modes: int) -> StepBundle:
-    """Exactly restrict a noise path to a coarse partition and mode count.
-
-    Every coarse Wiener increment is the left-to-right `compose_convolution`
-    fold of the micro increments it contains, so the restriction is exact in
-    distribution and bit-for-bit reproducible.  The partition must refine
-    into the micro grid (all its nodes must be micro nodes).  On the micro
-    grid itself the bundle's increments are a view of the path's rows, not
-    a copy.
-    """
-    nodes = np.asarray(getattr(partition, "nodes", partition), dtype=np.float64)
-    if nodes.ndim != 1 or nodes.size < 2:
-        raise ValueError("partition must contain at least one step")
-    if not 1 <= n_modes <= path.n_ref:
-        raise ValueError(f"mode count must lie in [1, {path.n_ref}]")
-    micro = path.grid.nodes
-    pos = _positions(micro, nodes)
-    inc = path.wiener[:, :n_modes]
-    if nodes.size == micro.size:
-        # the partition is the micro grid: each fold is one micro row, so
-        # the increments are the path's own rows (a view, not a copy)
-        out = inc
-    else:
-        out = _fold(inc, path.grid.deltas, path.grid.dt_ref, pos)
-
-    times = path.skeleton.times
-    if times.size and (times[0] <= nodes[0] or times[-1] > nodes[-1]):
-        raise ValueError("skeleton extends outside the partition")
-    return StepBundle(nodes=nodes, wiener=out, skeleton=path.skeleton)
-
-
 # ---------------------------------------------------------------------------
 # paths drawn through time, one stretch at a time
 
@@ -786,10 +747,12 @@ class PathChunk:
 class PathStream:
     """The coupled noise paths of the samples `indices`, drawn through time.
 
-    The jump skeletons are drawn up front.  Each sample's Wiener rows come
-    from its own stream stretch after stretch, so a sample's stretches join
-    up to the rows of `sample_path` for it, bit for bit, while only one
-    stretch of each is held at a time.
+    The jump skeletons are drawn up front.  A sample with a jump time on a
+    dt_ref node (probability zero) is never drawn: `collisions` maps its
+    position in `indices` to the dt_ref step that ends on its first such
+    node and that node's time.  Each other sample's Wiener rows come from
+    its own stream stretch after stretch, so a sample's stretches join up
+    to the rows of `sample_path` for it, bit for bit.
     """
 
     def __init__(self, horizon: float, dt_ref: float, n_ref: int,
@@ -798,15 +761,17 @@ class PathStream:
         self.base = uniform_nodes(horizon, dt_ref)
         times, xis, counts = sample_jump_skeletons(horizon, model,
                                                    global_seed, indices)
-        if np.any(np.isin(times, self.base)):
-            raise ArithmeticError("jump time collides with a grid node")
+        hit = _collisions(self.base, times)
+        owner = np.repeat(np.arange(counts.size), counts)[hit]
+        self.collisions = {}
+        for s, t in zip(owner.tolist(), times[hit].tolist()):
+            k = int(np.searchsorted(self.base, t))
+            self.collisions.setdefault(s, (k - 1, t))
         cuts = np.cumsum(counts)[:-1]
         self._times = np.split(times, cuts)
         self._xis = np.split(xis, cuts)
         self._rngs = [stream(global_seed, i, PURPOSE_WIENER) for i in indices]
         self._at = [0] * len(self._rngs)  # the dt_ref node each stream is at
-        self._lam = eigenvalues(n_ref)
-        self._base_std = np.sqrt(conv_variance(self._lam, dt_ref))
         self._rows = np.empty((0, n_ref))  # reused from stretch to stretch
 
     def draw(self, k0: int, k1: int, samples) -> PathChunk:
@@ -817,6 +782,8 @@ class PathStream:
         base = self.base[k0:k1 + 1]
         micro, times, xis = [], [], []
         for s in samples:
+            if s in self.collisions:
+                raise ArithmeticError("jump time collides with a grid node")
             if self._at[s] != k0:
                 raise ValueError("a path's stretches must be drawn in order")
             self._at[s] = k1
@@ -824,46 +791,46 @@ class PathStream:
             lo, hi = np.searchsorted(t, (base[0], base[-1]), side="right")
             times.append(t[lo:hi])
             xis.append(self._xis[s][lo:hi])
-            micro.append(np.sort(np.concatenate([base, t[lo:hi]]))
-                         if hi > lo else base)
+            micro.append(_micro_nodes(base, t[lo:hi]))
         starts = np.zeros(len(micro) + 1, dtype=np.int64)
         np.cumsum([m.size - 1 for m in micro], out=starts[1:])
         if self._rows.shape[0] < starts[-1]:
+            n_ref = self._rows.shape[1]
             self._rows = None  # freed before its successor is allocated
-            self._rows = np.empty((starts[-1], self._lam.size))
+            self._rows = np.empty((starts[-1], n_ref))
         wiener = self._rows[:starts[-1]]
         for s, a, b in zip(samples, starts[:-1], starts[1:]):
             self._rngs[s].standard_normal(out=wiener[a:b])
-        # the scaling of `sample_path`, row for row
-        wiener *= self._base_std
         deltas = np.concatenate([np.diff(m) for m in micro])
-        for row in np.nonzero(deltas != self.dt_ref)[0]:
-            wiener[row] *= (np.sqrt(conv_variance(self._lam, deltas[row]))
-                            / self._base_std)
+        _scale_rows(wiener, deltas, self.dt_ref)
         return PathChunk(self.dt_ref, micro, wiener, deltas, starts, times,
                          xis)
 
 
 def restrict_chunk(chunk: PathChunk, parts, n_modes: int) -> tuple:
     """Exactly restrict a stretch to one partition per sample and a mode
-    count.
+    count; every restriction of a path, whole or streamed, is made here.
 
     parts[s] holds sample s's partition nodes in the stretch: micro nodes,
     the stretch's first and last among them.  Returns (wiener, starts): row
-    starts[s] + i is the increment over parts[s][i] .. parts[s][i + 1], the
-    doubles of `restrict_path`.  The equal-length clean groups of all the
-    samples fold together.  Where every partition is the micro grid, the
-    increments are a view of the chunk's rows.
+    starts[s] + i is the increment over parts[s][i] .. parts[s][i + 1]:
+    the left-to-right `compose_convolution` fold of the micro increments it
+    contains, so the restriction is exact in distribution and bit-for-bit
+    reproducible.  All the samples' steps fold together (`_fold`).  Where
+    every partition is the micro grid, the increments are a view of the
+    chunk's rows.
     """
     if not 1 <= n_modes <= chunk.wiener.shape[1]:
         raise ValueError(
             f"mode count must lie in [1, {chunk.wiener.shape[1]}]")
     inc = chunk.wiener[:, :n_modes]
-    if all(p.size == m.size for p, m in zip(parts, chunk.micro)):
+    if all(map(np.array_equal, parts, chunk.micro)):
         return inc, chunk.starts
     pos = []
     for p, m, a in zip(parts, chunk.micro, chunk.starts):
-        at = _positions(m, p)
+        at = np.searchsorted(m, p)
+        if np.any(at >= m.size) or np.any(m[at] != p):
+            raise ValueError("partition is not refined by the micro grid")
         if at[0] != 0 or at[-1] != m.size - 1:
             raise ValueError("a partition must span the stretch")
         pos.append(at[:-1] + a)
@@ -871,6 +838,26 @@ def restrict_chunk(chunk: PathChunk, parts, n_modes: int) -> tuple:
     starts = np.zeros(len(parts) + 1, dtype=np.int64)
     np.cumsum([p.size - 1 for p in parts], out=starts[1:])
     return _fold(inc, chunk.deltas, chunk.dt_ref, np.concatenate(pos)), starts
+
+
+def restrict_path(path: CoupledNoisePath, partition, n_modes: int) -> StepBundle:
+    """Exactly restrict a noise path to a coarse partition and mode count.
+
+    The path is restricted as a one-sample chunk of a single stretch by
+    `restrict_chunk`, so the partition must be made of micro nodes and span
+    [0, horizon].  On the micro grid itself the bundle's increments are a
+    view of the path's rows, not a copy.
+    """
+    nodes = np.asarray(getattr(partition, "nodes", partition), dtype=np.float64)
+    if nodes.ndim != 1 or nodes.size < 2:
+        raise ValueError("partition must contain at least one step")
+    sk = path.skeleton
+    chunk = PathChunk(path.dt_ref, [path.nodes], path.wiener,
+                      np.diff(path.nodes),
+                      np.array([0, path.wiener.shape[0]]), [sk.times],
+                      [sk.xis])
+    wiener, _ = restrict_chunk(chunk, [nodes], n_modes)
+    return StepBundle(nodes=nodes, wiener=wiener, skeleton=sk)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import numpy as np
 
 from .noise import (
     CoupledNoisePath,
-    JumpSkeleton,
     MarkModel,
     compensator_coeffs,
     restrict_path,
@@ -39,8 +38,6 @@ __all__ = [
     "SCHEME_B",
     "DivergenceError",
     "TimePartition",
-    "uniform_partition",
-    "build_adapted_partition",
     "SchemeConfig",
     "Trajectory",
     "run_scheme_A",
@@ -109,27 +106,6 @@ class TimePartition:
     @property
     def deltas(self) -> np.ndarray:
         return np.diff(self.nodes)
-
-
-def uniform_partition(horizon: float, dt_nominal: float) -> TimePartition:
-    """The plain deterministic grid with step dt_nominal."""
-    return TimePartition(uniform_nodes(horizon, dt_nominal, "dt_nominal"),
-                         dt_nominal)
-
-
-def build_adapted_partition(horizon: float, dt_nominal: float,
-                            skeleton: JumpSkeleton) -> TimePartition:
-    """Merge the uniform grid with the jump times of a skeleton.
-
-    A jump time coinciding with a grid node collapses to a single node;
-    the continuous step is applied first and the jump second, so the order
-    of updates at such a node is unambiguous.
-    """
-    times = skeleton.times
-    if times.size and times[-1] > horizon:
-        raise ValueError("skeleton extends beyond the partition horizon")
-    base = uniform_nodes(horizon, dt_nominal, "dt_nominal")
-    return TimePartition(np.union1d(base, times), dt_nominal)
 
 
 # ---------------------------------------------------------------------------
@@ -235,29 +211,6 @@ def _apply_step(x, fv, wiener, e_vec, p_vec, jump_coeff, jump_shift):
 
 # ---------------------------------------------------------------------------
 # scheme drivers
-
-
-def _check_coupling(cfg: SchemeConfig, path: CoupledNoisePath) -> None:
-    if path.grid.horizon != cfg.horizon:
-        raise ValueError("path horizon does not match the configuration")
-    ratio = cfg.dt_nominal / path.grid.dt_ref
-    r = int(round(ratio))
-    if r < 1 or abs(ratio - r) > 1e-9 * ratio or (r & (r - 1)):
-        raise ValueError(
-            "dt_nominal must be the reference step times a power of two"
-        )
-
-
-def _restrict(cfg: SchemeConfig, path: CoupledNoisePath) -> tuple:
-    """The scheme's partition on one path (jump-adapted or uniform) and the
-    path restricted to it and to the scheme's mode count."""
-    _check_coupling(cfg, path)
-    if cfg.scheme == SCHEME_A:
-        part = build_adapted_partition(cfg.horizon, cfg.dt_nominal,
-                                       path.skeleton)
-    else:
-        part = uniform_partition(cfg.horizon, cfg.dt_nominal)
-    return part, restrict_path(path, part, cfg.n_modes)
 
 
 @dataclass(frozen=True)
@@ -433,9 +386,22 @@ def run_block(cfg: SchemeConfig, block: StepBlock, state=None,
 
 
 def _run_one(cfg: SchemeConfig, path: CoupledNoisePath) -> Trajectory:
-    part, bundle = _restrict(cfg, path)
-    sk = bundle.skeleton
-    block = StepBlock([bundle.nodes], bundle.wiener, np.zeros(1, np.int64),
+    """Run the scheme on one path: `run_block` on one row and a single
+    stretch, over the scheme's partition of [0, T] (see `stretch_nodes`)."""
+    if path.nodes[-1] != cfg.horizon:
+        raise ValueError("path horizon does not match the configuration")
+    ratio = cfg.dt_nominal / path.dt_ref
+    r = int(round(ratio))
+    if r < 1 or abs(ratio - r) > 1e-9 * ratio or (r & (r - 1)):
+        raise ValueError(
+            "dt_nominal must be the reference step times a power of two"
+        )
+    sk = path.skeleton
+    part = TimePartition(stretch_nodes(
+        cfg, uniform_nodes(cfg.horizon, cfg.dt_nominal), sk.times),
+        cfg.dt_nominal)
+    wiener = restrict_path(path, part, cfg.n_modes).wiener
+    block = StepBlock([part.nodes], wiener, np.zeros(1, np.int64),
                       np.zeros(1, np.int64), [sk.times], [sk.xis])
     _, diverged, (states, jump_nodes, pre_rows) = run_block(cfg, block,
                                                             record=True)

@@ -34,6 +34,8 @@ import test_schemes as schemes_suite
 from levyheat.cli import config_digest, execute
 from levyheat.experiments import (
     StudyPlan,
+    _run_block,
+    block_size,
     fit_order,
     run_holder_study,
     run_spatial_study,
@@ -53,15 +55,9 @@ from levyheat.noise import (
     sample_path,
     stream,
     truncate_levy,
+    uniform_nodes,
 )
-from levyheat.schemes import (
-    SCHEME_A,
-    SCHEME_B,
-    SchemeConfig,
-    run_scheme_A,
-    run_scheme_B,
-    uniform_partition,
-)
+from levyheat.schemes import SCHEME_A, SCHEME_B
 from levyheat.spectral import (
     NonlinearitySpec,
     SpectralState,
@@ -271,7 +267,7 @@ def test_criterion_01_unit_property_invariants():
     # the noise suite)
     quiet = MarkModel(0.0, model.law, model.profile, model.g1)
     path = sample_path(1.0, 2.0**-6, 8, quiet, 7, 3)
-    bundle = restrict_path(path, uniform_partition(1.0, 2.0**-5), 8)
+    bundle = restrict_path(path, uniform_nodes(1.0, 2.0**-5), 8)
     lam8 = eigenvalues(8)
     for j in range(bundle.wiener.shape[0]):
         manual = compose_convolution(path.wiener[2 * j], path.wiener[2 * j + 1],
@@ -480,12 +476,16 @@ def test_coupled_orders_match_closed_form_truth(scheme):
         _temporal_plan("acceptance_truth", scheme, G1Spec.zero()),
         nonlinearity=NonlinearitySpec.zero(), samples=100,
     )
-    run = run_scheme_A if scheme == SCHEME_A else run_scheme_B
-
-    def terminal(path, dt):
-        cfg = SchemeConfig(scheme, plan.n_ref, dt, plan.horizon,
-                           plan.nonlinearity, plan.model, plan.x0)
-        return run(cfg, path).final
+    # the scheme's terminal states at the reference (column 0) and every
+    # level, from the block engine in blocks of the study's own size
+    size = block_size(plan)
+    blocks = []
+    for start in range(0, plan.samples, size):
+        block, aborted = _run_block(
+            plan, range(start, min(start + size, plan.samples)))
+        assert aborted == []
+        blocks.append(block)
+    terminals = np.concatenate(blocks)
 
     levels = np.asarray(plan.levels)
     vs_truth = np.empty((plan.samples, levels.size))
@@ -495,10 +495,10 @@ def test_coupled_orders_match_closed_form_truth(scheme):
         path = sample_path(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
                            plan.seed, i)
         truth = _closed_form_terminal(plan, path)
-        ref = terminal(path, plan.dt_ref)
+        ref = SpectralState(terminals[i, 0])
         ref_vs_truth[i] = hnorm(ref - truth)
-        for j, dt in enumerate(levels):
-            coarse = terminal(path, dt)
+        for j in range(levels.size):
+            coarse = SpectralState(terminals[i, j + 1])
             vs_truth[i, j] = hnorm(coarse - truth)
             coupled[i, j] = hnorm(coarse - ref)
 

@@ -33,6 +33,7 @@ from levyheat.experiments import (
 )
 from levyheat.noise import (
     PURPOSE_JUMPS,
+    PURPOSE_WIENER,
     G1Spec,
     MarkModel,
     PathStream,
@@ -54,11 +55,9 @@ from levyheat.schemes import (
     SCHEME_B,
     DivergenceError,
     SchemeConfig,
-    build_adapted_partition,
     run_scheme_A,
     run_scheme_B,
     stretch_nodes,
-    uniform_partition,
 )
 from levyheat.spectral import (
     NonlinearitySpec,
@@ -782,14 +781,16 @@ def _streamed(plan, stretch):
 def _check_streamed(plan, stretch):
     res = _resolutions(plan)
     nodes, incs = _streamed(plan, stretch)
+    run = run_scheme_A if plan.scheme == SCHEME_A else run_scheme_B
     for s in range(plan.samples):
         path = sample_path(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
                            plan.seed, s)
         for j, (dt, n) in enumerate(res):
-            if plan.scheme == SCHEME_A:
-                part = build_adapted_partition(plan.horizon, dt, path.skeleton)
-            else:
-                part = uniform_partition(plan.horizon, dt)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                cfg = SchemeConfig(plan.scheme, n, dt, plan.horizon,
+                                   plan.nonlinearity, plan.model, plan.x0)
+            part = run(cfg, path).partition
             oracle = restrict_path(path, part, n)
             joined = np.concatenate(nodes[s, j] + [part.nodes[-1:]])
             assert joined.tobytes() == part.nodes.tobytes()
@@ -814,6 +815,88 @@ def test_streamed_folds_match_restrict_path(monkeypatch, scheme, axis):
         3: [],
     })
     _check_streamed(plan, stretch)
+
+
+def test_wiener_rows_match_a_literal_scaling_oracle(monkeypatch):
+    # a path's rows are its Wiener stream's standard normals, scaled row by
+    # row: by the dt_ref standard deviation, and a row beside a jump,
+    # shorter than dt_ref, then by sqrt(conv_variance(lam, delta)) over that
+    # standard deviation; a whole path and its stretches get those bytes
+    plan = _block_plan(SCHEME_A, "temporal", samples=4)
+    dt, stretch = plan.dt_ref, 16
+    edge = stretch * dt
+    _force_jumps(monkeypatch, {
+        0: [edge - 0.4 * dt, edge + 0.3 * dt],  # both rows beside a boundary
+        1: [2.1 * dt, 2.1 * dt + 1e-4, 2.7 * dt, edge - 1e-4],
+        2: [],
+    })
+    paths = PathStream(plan.horizon, dt, plan.n_ref, plan.model, plan.seed,
+                       range(4))
+    total = paths.base.size - 1
+    streamed = {s: [] for s in range(4)}
+    for k0 in range(0, total, stretch):
+        chunk = paths.draw(k0, min(k0 + stretch, total), range(4))
+        for s in range(4):
+            streamed[s].append(
+                chunk.wiener[chunk.starts[s]:chunk.starts[s + 1]].copy())
+    lam = eigenvalues(plan.n_ref)
+    std = np.sqrt(conv_variance(lam, dt))
+    for s in range(4):
+        path = sample_path(plan.horizon, dt, plan.n_ref, plan.model,
+                           plan.seed, s)
+        deltas = np.diff(path.nodes)
+        z = stream(plan.seed, s, PURPOSE_WIENER).standard_normal(
+            (deltas.size, plan.n_ref))
+        expected = []
+        for row, delta in zip(z, deltas):
+            row = row * std
+            if delta != dt:
+                row = row * (np.sqrt(conv_variance(lam, delta)) / std)
+            expected.append(row)
+        expected = np.array(expected)
+        assert path.wiener.tobytes() == expected.tobytes()
+        assert np.concatenate(streamed[s]).tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:uniform-grid scheme")
+@pytest.mark.parametrize("axis", ["temporal", "spatial"])
+@pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
+def test_a_jump_on_a_reference_node_aborts_its_sample_alone(monkeypatch,
+                                                            scheme, axis):
+    # a jump time on a dt_ref node (probability zero) aborts its sample at
+    # the reference, at the dt_ref step that ends on its first such node,
+    # and the study goes on with the other samples' doubles
+    plan = _block_plan(scheme, axis)
+    clean, aborted = _collect_norms(plan, workers=1)
+    assert aborted == []
+    dt, victim = plan.dt_ref, 3
+    draw = noise.sample_jump_skeletons
+
+    def stub(horizon, model, global_seed, indices):
+        times, xis, counts = draw(horizon, model, global_seed, indices)
+        cuts = np.cumsum(counts)[:-1]
+        times, xis = np.split(times, cuts), np.split(xis, cuts)
+        for b, i in enumerate(indices):
+            if i == victim:
+                times[b] = np.array([0.3 * dt, 5 * dt, 9 * dt])
+                xis[b] = np.array([1.0, -1.0, 1.0])
+        counts = np.array([t.size for t in times])
+        return np.concatenate(times), np.concatenate(xis), counts
+
+    monkeypatch.setattr(noise, "sample_jump_skeletons", stub)
+    record = {"index": victim,
+              "level": dt if axis == "temporal" else plan.n_ref,
+              "step": 4, "time": 5 * dt}
+    norms, aborted = _collect_norms(plan, workers=1)
+    assert aborted == [record]
+    assert norms.tobytes() == np.delete(clean, victim, axis=0).tobytes()
+    result = run_study(plan)
+    assert result.aborts == 1 and result.extras["aborted"] == [record]
+    paths = PathStream(plan.horizon, dt, plan.n_ref, plan.model, plan.seed,
+                       [victim])
+    assert paths.collisions == {0: (4, 5 * dt)}
+    with pytest.raises(ArithmeticError, match="collides"):
+        paths.draw(0, 1, [0])
 
 
 def test_restrict_chunk_locates_every_samples_nodes(monkeypatch):
@@ -892,7 +975,7 @@ def test_spatial_levels_step_on_the_reference_fold(monkeypatch):
     monkeypatch.setattr(experiments, "run_block", spy)
     _, aborted = _run_block(plan, range(plan.samples))
     assert aborted == []
-    part = uniform_partition(plan.horizon, dt)
+    part = uniform_nodes(plan.horizon, dt)
     for s in range(plan.samples):
         path = sample_path(plan.horizon, dt, plan.n_ref, plan.model,
                            plan.seed, s)

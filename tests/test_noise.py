@@ -21,7 +21,6 @@ from levyheat.noise import (
     JumpSkeleton,
     MarkModel,
     TwoPointLaw,
-    build_micro_grid,
     compensated_jump_convolution,
     compensator_coeffs,
     compose_convolution,
@@ -478,18 +477,37 @@ def test_batched_skeletons_raise_the_first_failing_samples_error(
     sample_jump_skeletons(1.0, model, 4, range(first[0]))
 
 
-def test_micro_grid_construction():
-    sk = JumpSkeleton(1.0, [0.3, 0.77], [1.0, -1.0])
-    grid = build_micro_grid(1.0, 0.25, sk)
-    assert np.array_equal(
-        grid.nodes, [0.0, 0.25, 0.3, 0.5, 0.75, 0.77, 1.0]
-    )
-    assert np.array_equal(build_micro_grid(1.0, 0.25, JumpSkeleton(1.0, [], [])).nodes,
-                          [0.0, 0.25, 0.5, 0.75, 1.0])
+def test_micro_grid_construction(monkeypatch):
+    # a path's micro nodes are the dt_ref grid merged with its jump times
+    model = two_point_model()
+    for times, nodes in (([0.3, 0.77], [0.0, 0.25, 0.3, 0.5, 0.75, 0.77, 1.0]),
+                         ([], [0.0, 0.25, 0.5, 0.75, 1.0])):
+        sk = JumpSkeleton(1.0, times, np.ones(len(times)))
+        monkeypatch.setattr(noise, "sample_jump_skeleton",
+                            lambda *args, sk=sk: sk)
+        path = sample_path(1.0, 0.25, 4, model, 7, 3)
+        assert np.array_equal(path.nodes, nodes) and path.dt_ref == 0.25
+        assert not path.nodes.flags.writeable
     with pytest.raises(ValueError):
-        build_micro_grid(1.0, 0.3, sk)  # horizon not a multiple
+        sample_path(1.0, 0.3, 4, model, 7, 3)  # horizon not a multiple
+    sk = JumpSkeleton(1.0, [0.25], [1.0])
+    monkeypatch.setattr(noise, "sample_jump_skeleton", lambda *args: sk)
     with pytest.raises(ArithmeticError):
-        build_micro_grid(1.0, 0.25, JumpSkeleton(1.0, [0.25], [1.0]))  # node collision
+        sample_path(1.0, 0.25, 4, model, 7, 3)  # node collision
+
+
+def test_coupled_path_checks_its_nodes():
+    sk = JumpSkeleton(1.0, [0.3], [1.0])
+    good = np.array([0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
+    CoupledNoisePath(good, 0.25, np.zeros((5, 2)), sk, 2)
+    for nodes, match in ((good[[0, 2, 1, 3, 4, 5]], "strictly increasing"),
+                         (good[1:], "span"), (good[:-1], "span"),
+                         (np.append(good, 1.5), "span"),
+                         (good[:1], "malformed")):
+        with pytest.raises(ValueError, match=match):
+            CoupledNoisePath(nodes, 0.25, np.zeros((nodes.size - 1, 2)), sk, 2)
+    with pytest.raises(ValueError, match="wrong shape"):
+        CoupledNoisePath(good, 0.25, np.zeros((4, 2)), sk, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +591,7 @@ def test_restriction_is_bitwise_fold():
     model = two_point_model()
     path = sample_path(1.0, 2.0**-8, 8, model, 7, 3)
     lam = eigenvalues(5)
-    micro = path.grid.nodes
+    micro = path.nodes
     for j_level in [1, 2, 4]:
         nodes = np.arange(int(1.0 / (2.0**-8 * 2**j_level)) + 1) * (2.0**-8 * 2**j_level)
         bundle = restrict_path(path, nodes, 5)
@@ -626,7 +644,7 @@ def test_fold_matches_a_sequential_fold_of_each_step(monkeypatch, fold_rows):
 def test_restriction_identity_on_micro_grid():
     model = two_point_model()
     path = sample_path(1.0, 2.0**-6, 8, model, 11, 0)
-    bundle = restrict_path(path, path.grid.nodes, 8)
+    bundle = restrict_path(path, path.nodes, 8)
     assert np.array_equal(bundle.wiener, path.wiener)
 
 
@@ -651,9 +669,9 @@ def test_restriction_jump_bookkeeping():
     # the bundle carries the path's skeleton on uniform and adapted
     # partitions, and refuses a partition that ends before the last jump
     sk = JumpSkeleton(1.0, [0.1, 0.35, 0.40], [1.0, 2.0, -1.0])
-    grid = build_micro_grid(1.0, 2.0**-4, sk)
-    wiener = np.zeros((grid.nodes.size - 1, 4))
-    path = CoupledNoisePath(grid, wiener, sk, 4)
+    micro = np.sort(np.concatenate([np.arange(17) * 2.0**-4, sk.times]))
+    path = CoupledNoisePath(micro, 2.0**-4, np.zeros((micro.size - 1, 4)),
+                            sk, 4)
     nodes = np.arange(5) * 0.25
     anodes = np.sort(np.concatenate([nodes, sk.times]))
     for part in (nodes, anodes):
@@ -661,19 +679,30 @@ def test_restriction_jump_bookkeeping():
         assert bundle.skeleton is sk
         assert np.array_equal(bundle.nodes, part)
         assert bundle.wiener.shape == (part.size - 1, 4)
-    with pytest.raises(ValueError, match="skeleton extends outside"):
+    with pytest.raises(ValueError, match="must span the stretch"):
         restrict_path(path, nodes[:2], 4)
 
 
 def test_restriction_rejects_unrefined_partitions():
     model = two_point_model()
     path = sample_path(1.0, 2.0**-4, 8, model, 7, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not refined by the micro grid"):
         restrict_path(path, np.array([0.0, 0.3, 1.0]), 4)  # 0.3 not a micro node
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not refined by the micro grid"):
         restrict_path(path, np.arange(33) * 2.0**-5, 4)  # finer than dt_ref
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mode count"):
         restrict_path(path, np.arange(5) * 0.25, 9)  # more modes than sampled
+    for short in (np.arange(4) * 0.25, np.arange(1, 5) * 0.25):
+        with pytest.raises(ValueError, match="must span the stretch"):
+            restrict_path(path, short, 4)  # stops short of [0, 1]
+    for few in (np.array([0.0]), np.empty(0), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="at least one step"):
+            restrict_path(path, few, 4)
+    # as many nodes as the micro grid, but not its nodes
+    off = path.nodes.copy()
+    off[1] += 1e-3
+    with pytest.raises(ValueError, match="not refined by the micro grid"):
+        restrict_path(path, off, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ from levyheat.noise import (
     JumpSkeleton,
     MarkModel,
     TwoPointLaw,
-    build_micro_grid,
     power_profile,
     restrict_path,
     sample_path,
+    uniform_nodes,
 )
 from levyheat.schemes import (
     SCHEME_A,
@@ -30,11 +30,10 @@ from levyheat.schemes import (
     StepBlock,
     TimePartition,
     Trajectory,
-    build_adapted_partition,
     run_block,
     run_scheme_A,
     run_scheme_B,
-    uniform_partition,
+    stretch_nodes,
 )
 from levyheat.spectral import NonlinearitySpec, SpectralState, eigenvalues
 
@@ -45,9 +44,9 @@ def zero_model(n=4):
 
 def silent_path(horizon, dt_ref, n, skeleton):
     """A noise path with all Wiener draws fixed to zero."""
-    grid = build_micro_grid(horizon, dt_ref, skeleton)
-    wiener = np.zeros((grid.nodes.size - 1, n))
-    return CoupledNoisePath(grid, wiener, skeleton, n)
+    nodes = np.union1d(uniform_nodes(horizon, dt_ref), skeleton.times)
+    return CoupledNoisePath(nodes, dt_ref, np.zeros((nodes.size - 1, n)),
+                            skeleton, n)
 
 
 def config(scheme, n, dt, model, f=None, x0=None, horizon=1.0):
@@ -65,11 +64,16 @@ def config(scheme, n, dt, model, f=None, x0=None, horizon=1.0):
 
 
 def test_uniform_partition_basic():
-    part = uniform_partition(1.0, 0.25)
+    # the uniform scheme steps on the plain dt grid, jumps or not
+    model = MarkModel(4.0, TwoPointLaw(0.5, 1.0, -1.0),
+                      power_profile(1.0, 2.0, 2))
+    path = sample_path(1.0, 2.0**-4, 2, model, 3, 1)
+    assert path.skeleton.count > 0  # the fixture must have jumps to ignore
+    part = run_scheme_B(config(SCHEME_B, 2, 0.25, model), path).partition
     assert np.array_equal(part.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert part.n_steps == 4 and part.horizon == 1.0
     with pytest.raises(ValueError):
-        uniform_partition(1.0, 0.3)
+        config(SCHEME_B, 2, 0.3, model)  # horizon not a multiple
 
 
 def test_partition_invariants():
@@ -89,19 +93,25 @@ def test_partition_checks_name_what_is_wrong():
 
 def test_adapted_partition_no_jumps():
     sk = JumpSkeleton(1.0, np.empty(0), np.empty(0))
-    part = build_adapted_partition(1.0, 0.25, sk)
-    assert np.array_equal(part.nodes, uniform_partition(1.0, 0.25).nodes)
+    part = run_scheme_A(config(SCHEME_A, 2, 0.25, zero_model(2)),
+                        silent_path(1.0, 2.0**-4, 2, sk)).partition
+    assert np.array_equal(part.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_adapted_partition_merges_coincident_node():
-    sk = JumpSkeleton(1.0, np.array([0.5]), np.array([1.0]))
-    part = build_adapted_partition(1.0, 0.25, sk)
-    assert np.array_equal(part.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
+    # a stretch's level node that is also a jump time is one node
+    cfg = config(SCHEME_A, 2, 0.25, zero_model(2))
+    level = np.arange(5) * 0.25
+    nodes = stretch_nodes(cfg, level, np.array([0.5]))
+    assert np.array_equal(nodes, level)
+    uniform = config(SCHEME_B, 2, 0.25, zero_model(2))
+    assert stretch_nodes(uniform, level, np.array([0.3])) is level
 
 
 def test_adapted_partition_interleaves_jump():
     sk = JumpSkeleton(1.0, np.array([0.3]), np.array([-1.0]))
-    part = build_adapted_partition(1.0, 0.25, sk)
+    part = run_scheme_A(config(SCHEME_A, 2, 0.25, zero_model(2)),
+                        silent_path(1.0, 2.0**-4, 2, sk)).partition
     assert np.array_equal(part.nodes, [0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
     assert np.max(part.deltas) <= 0.25
 
@@ -255,7 +265,7 @@ def test_run_B_single_step_unrolled():
     tr = run_scheme_B(cfg, path)
 
     lam = eigenvalues(4)
-    micro = path.grid.nodes
+    micro = path.nodes
     fold = np.zeros(4)
     for j in range(micro.size - 1):
         fold += np.exp(-lam * (1.0 - micro[j + 1])) * path.wiener[j]
@@ -428,7 +438,7 @@ def test_single_mode_runs_match_scalar_oracle():
 
         args = (lam, x0, horizon, dt, f_kind, f_coef, intensity,
                 law.mean(), g1_const, phi_c,
-                path.grid.nodes.tolist(), path.wiener[:, 0].tolist(),
+                path.nodes.tolist(), path.wiener[:, 0].tolist(),
                 path.skeleton.times.tolist(), path.skeleton.xis.tolist())
         assert abs(got_a - _brute_force_terminal("A", *args)) <= 1e-12
         assert abs(got_b - _brute_force_terminal("B", *args)) <= 1e-12
@@ -467,7 +477,7 @@ def test_divergence_aborts_run():
 
 
 def test_trajectory_rejects_non_finite_states():
-    part = uniform_partition(1.0, 0.5)
+    part = TimePartition(np.array([0.0, 0.5, 1.0]), 0.5)
     states = np.zeros((3, 2))
     states[2, 1] = np.inf
     with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 
 Reads a JSON configuration describing one or more study plans, executes
 them with recorded seeds, and persists machine-readable results: one CSV
-table per study, optional plot-data files, and a JSON run manifest whose
-digest pins down the exact configuration that produced the outputs.
+table per study and a JSON run manifest whose digest pins down the exact
+configuration that produced the outputs.
 
 Config format: a single JSON object with a top-level ``studies`` array.
 Each study entry mirrors the StudyPlan fields verbatim; nested objects
@@ -36,7 +36,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import platform
 import sys
@@ -45,7 +44,6 @@ from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .experiments import (
-    OrderReport,
     StudyPlan,
     StudyResult,
     block_size,
@@ -70,7 +68,6 @@ __all__ = [
     "serialize_config",
     "config_digest",
     "execute",
-    "emit_plot_data",
     "main",
 ]
 
@@ -368,26 +365,6 @@ def _study_csv(result: StudyResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_plot_data(report: OrderReport, path):
-    """Log-log series plus the fitted line, for external plotting tools.
-
-    One `log_level,log_error` row per level, then a `fit` row carrying the
-    fitted order, intercept and standard error exactly as reported.
-    """
-    if report.levels.size == 0:
-        raise ValueError("empty report has nothing to plot")
-    if report.order is None:
-        raise ValueError("report carries no fitted line (fewer than 3 levels)")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("log_level,log_error\n")
-        for lv, err in zip(report.levels, report.errors):
-            fh.write(f"{math.log(lv)!r},{math.log(err)!r}\n")
-        fh.write(
-            f"fit,{_fmt(report.order)},{_fmt(report.intercept)},"
-            f"{_fmt(report.stderr)}\n"
-        )
-
-
 # ---------------------------------------------------------------------------
 # execution
 
@@ -586,7 +563,7 @@ def main(argv=None) -> int:
                        help="override every study seed")
     run_p.add_argument("--threads", type=int, default=None,
                        help=f"worker processes (default ${THREADS_ENV} or 1)"
-                            "; holder-axis studies run in one process")
+                            "; the bootstrap runs in one process")
     run_p.add_argument("--dry-run", action="store_true",
                        help="validate the config and print the plan, no runs")
     args = parser.parse_args(argv)

@@ -5,14 +5,17 @@ at the reference resolution and at every coarse level on restrictions of the
 same path, and turns the per-sample coupled errors into L^p error estimates
 with bootstrap intervals and a fitted order (log-log least squares).  The
 Hölder study skips the schemes entirely and evaluates the compensated jump
-convolution straight from the skeletons, in chunks of fixed index ranges.
+convolution straight from the skeletons.
 
 Samples are keyed by (seed, sample index) counter streams, so the same plan
 always produces the same report no matter how samples are scheduled across
-workers; the reduction runs in fixed sample order.  The temporal and
-spatial studies step their samples in blocks of fixed index ranges through
-one batched loop, drawing a block's paths one stretch of time at a time,
-which gives each sample exactly the doubles of a run on its own.
+workers; the reduction runs in fixed sample order.  Every axis runs its
+samples in blocks of fixed index ranges through `run_study`, serially or on
+a process pool, and bootstraps the gathered norms serially.  A temporal or
+spatial block steps its samples through one batched loop, drawing their
+paths one stretch of time at a time, which gives each sample exactly the
+doubles of a run on its own; a Hölder block draws and evaluates a chunk of
+skeletons.
 """
 
 import logging
@@ -116,19 +119,19 @@ class StudyPlan:
         if self.axis == "temporal":
             levels = tuple(float(v) for v in levels)
             for j, dt in enumerate(levels):
-                ratio = dt / self.dt_ref
-                r = round(ratio)
-                if r < 1 or abs(ratio - r) > 1e-9 * ratio or (r & (r - 1)):
+                # exactly: the level's nodes are micro nodes of the path
+                r = round(dt / self.dt_ref)
+                if r < 1 or (r & (r - 1)) or r * self.dt_ref != dt:
                     raise ValueError(
-                        f"temporal level {dt} is not dt_ref times a power of two"
+                        f"levels[{j}]: temporal level {dt} is not dt_ref "
+                        "times a power of two"
                     )
                 if r == 1:
                     raise ValueError(
                         f"levels[{j}]: temporal level {dt} equals dt_ref, so "
                         "its coupled error is zero"
                     )
-                steps = self.horizon / dt
-                if abs(steps - round(steps)) > 1e-9 * steps:
+                if round(n) % r:
                     raise ValueError(
                         f"levels[{j}]: horizon {self.horizon} is not an "
                         f"integer multiple of temporal level {dt}"
@@ -365,15 +368,25 @@ def _blocking(plan: StudyPlan) -> tuple:
     return max(1, min(MAX_BLOCK, size)), stretch
 
 
-def block_size(plan: StudyPlan):
-    """Samples stepped together in one block of a temporal or spatial
-    study (None for the Hölder axis, which runs no scheme).
+def _holder_chunk(plan: StudyPlan) -> int:
+    """Samples a Hölder block draws and evaluates at once, so that the
+    block's rows of n_ref doubles fit BLOCK_BYTES.  A sample holds two rows
+    (its old-jump profile and its increment), and two more (a decay row and
+    its temporary) for each jump it expects before t, rounded up and at
+    least one: 4,096 samples at n_ref = 64, intensity 2 and horizon 1."""
+    old = max(1, math.ceil(plan.model.intensity * plan.horizon / 2.0))
+    return max(1, BLOCK_BYTES // ((2 + 2 * old) * plan.n_ref * 8))
+
+
+def block_size(plan: StudyPlan) -> int:
+    """Samples in one block: stepped together on a temporal or spatial
+    study, drawn and evaluated together on a Hölder study.
 
     Fixed by the plan alone, so the blocks [kB, (k+1)B) and the results do
     not depend on the worker count.
     """
     if plan.axis == "holder":
-        return None
+        return _holder_chunk(plan)
     return _blocking(plan)[0]
 
 
@@ -387,9 +400,12 @@ def _resolutions(plan: StudyPlan) -> list:
 
 
 def _new_phases(plan: StudyPlan) -> dict:
-    """Seconds per phase of a coupled study: drawing the paths, restricting
-    them, stepping each resolution (reference first), reducing the norms
-    and the bootstrap."""
+    """Seconds per phase of a study: drawing the paths, restricting them,
+    stepping each resolution (reference first), reducing the norms and the
+    bootstrap; on the Hölder axis, drawing the skeletons, evaluating the
+    norms and the bootstrap."""
+    if plan.axis == "holder":
+        return {"skeletons": 0.0, "norms": 0.0, "bootstrap": 0.0}
     return {"draw": 0.0, "restrict": 0.0,
             "step": [0.0] * (len(plan.levels) + 1),
             "norms": 0.0, "bootstrap": 0.0}
@@ -509,123 +525,29 @@ def _coupled_norms(terminals: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _block_norms(plan: StudyPlan, size: int, start: int,
-                 phases=None) -> tuple:
-    """Coupled norms of the surviving samples of the block of `size`
-    samples from `start`, and the block's abort records; the seconds spent
-    are added to `phases` as in `_run_block`."""
-    phases = _new_phases(plan) if phases is None else phases
-    indices = range(start, min(start + size, plan.samples))
-    terminals, aborted = _run_block(plan, indices, phases)
-    t0 = time.perf_counter()
-    dead = {a["index"] for a in aborted}
-    kept = [b for b, i in enumerate(indices) if i not in dead]
-    norms = _coupled_norms(terminals[kept])
-    phases["norms"] += time.perf_counter() - t0
-    return norms, aborted
+def _increment_norms(plan: StudyPlan, indices, phases: dict) -> np.ndarray:
+    """(samples, increments) norms of the jump-convolution increments
+    N(t+h) - N(t) at t = T/2 of the samples `indices`.
 
-
-def _timed_block(plan: StudyPlan, size: int, start: int) -> tuple:
-    """`_block_norms` of one block and its phases, as a worker returns
-    them across the process pool."""
-    phases = _new_phases(plan)
-    return (*_block_norms(plan, size, start, phases), phases)
-
-
-def _collect_norms(plan: StudyPlan, workers: int, phases=None) -> tuple:
-    """The (samples, levels) coupled norms of the surviving samples and
-    the abort records.  The blocks' seconds are added to `phases` as in
-    `_run_block`: with several workers, summed over the workers."""
-    phases = _new_phases(plan) if phases is None else phases
-    size = block_size(plan)
-    job = partial(_timed_block, plan, size)
-    starts = range(0, plan.samples, size)
-    t0 = time.perf_counter()
-
-    def logged(blocks):
-        for start, block in zip(starts, blocks):
-            done = min(start + size, plan.samples)
-            elapsed = time.perf_counter() - t0
-            _log.info("%s: %d/%d samples, %.1f s elapsed, ETA %.1f s",
-                      plan.name, done, plan.samples, elapsed,
-                      elapsed / done * (plan.samples - done))
-            yield block
-
-    if workers <= 1:
-        parts = list(logged(map(job, starts)))
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # 10 ms to load
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(logged(pool.map(job, starts)))
-    for _, _, spent in parts:
-        for key, value in spent.items():
-            if key == "step":
-                phases[key] = [a + b for a, b in zip(phases[key], value)]
-            else:
-                phases[key] += value
-    aborted = [a for _, block, _ in parts for a in block]
-    if len(aborted) == plan.samples:
-        raise StudyAborted(aborted)
-    return np.vstack([norms for norms, _, _ in parts]), aborted
-
-
-def _coupled_study(plan: StudyPlan, workers: int) -> StudyResult:
-    phases = _new_phases(plan)
-    norms, aborted = _collect_norms(plan, workers, phases)
-    t0 = time.perf_counter()
-    reports = _build_reports(plan, norms, plan.axis == "spatial")
-    phases["bootstrap"] = time.perf_counter() - t0
-    return StudyResult(plan, reports, len(aborted),
-                       dict(plan.model_info, aborted=aborted, phases=phases))
-
-
-# ---------------------------------------------------------------------------
-# studies
-
-
-def run_temporal_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
-    """Coupled temporal-refinement study at fixed N = n_ref.
-
-    The reference is the same scheme on the same path at dt_ref; each level
-    reruns the scheme on the exact restriction of that path.
+    Evaluated in closed form from the skeletons: jumps before t contribute
+    through a per-sample mode profile scaled by (e^{-lam h} - 1), jumps
+    inside (t, t+h] enter with their own decay, and the compensator adds a
+    deterministic phi1 difference.  Every operation is per sample, and each
+    sample's jumps are summed in draw order, so a sample's norms do not
+    depend on which samples share the call.  The seconds spent are added to
+    `phases` (its `skeletons` and `norms`).
     """
-    if plan.axis != "temporal":
-        raise ValueError("plan axis must be temporal")
-    return _coupled_study(plan, workers)
-
-
-def run_spatial_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
-    """Coupled mode-truncation study at fixed dt = dt_ref.
-
-    The reported order is the decay exponent in N (negated log-log slope).
-    """
-    if plan.axis != "spatial":
-        raise ValueError("plan axis must be spatial")
-    return _coupled_study(plan, workers)
-
-
-def _holder_chunk(plan: StudyPlan) -> int:
-    """Samples a Hölder study draws and evaluates at once, fixed by the
-    plan alone, so that the chunk's rows of n_ref doubles fit BLOCK_BYTES.
-    A sample holds two rows (its old-jump profile and its increment), and
-    two more (a decay row and its temporary) for each jump it expects
-    before t, rounded up and at least one: 4,096 samples at n_ref = 64,
-    intensity 2 and horizon 1."""
-    old = max(1, math.ceil(plan.model.intensity * plan.horizon / 2.0))
-    return max(1, BLOCK_BYTES // ((2 + 2 * old) * plan.n_ref * 8))
-
-
-def _increment_norms(plan: StudyPlan, lam: np.ndarray, phi: np.ndarray,
-                     mg: np.ndarray, times: np.ndarray, xis: np.ndarray,
-                     counts: np.ndarray) -> np.ndarray:
-    """(samples, increments) norms of the samples whose skeletons are
-    (times, xis, counts), concatenated as `sample_jump_skeletons` returns
-    them.  Every operation is per sample, and each sample's jumps are
-    summed in draw order, so a sample's norms do not depend on which
-    samples share the call."""
+    t0 = time.perf_counter()
     t = plan.horizon / 2.0
+    n = plan.n_ref
+    lam = eigenvalues(n)
+    phi = project(plan.model.profile, n).coeffs
+    mg = compensator_coeffs(plan.model, n)[1].coeffs
+    times, xis, counts = sample_jump_skeletons(plan.horizon, plan.model,
+                                               plan.seed, indices)
+    t1 = time.perf_counter()
+    phases["skeletons"] += t1 - t0
     m_samples = counts.size
-    n = lam.size
     owner = np.repeat(np.arange(m_samples), counts)
 
     # per-sample profile of the pre-t jumps: S[i, k] = sum_j xi_j e^{-lam_k (t - sigma_j)}
@@ -651,46 +573,126 @@ def _increment_norms(plan: StudyPlan, lam: np.ndarray, phi: np.ndarray,
         comp = (np.expm1(-lam * (t + h)) - np.expm1(-lam * t)) / lam * mg
         delta += comp
         norms[:, j] = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    phases["norms"] += time.perf_counter() - t1
     return norms
 
 
-def _holder_norms(plan: StudyPlan) -> tuple:
-    """Norms of jump-convolution increments N(t+h) - N(t) at t = T/2.
-
-    Evaluated in closed form from the skeletons: jumps before t contribute
-    through a per-sample mode profile scaled by (e^{-lam h} - 1), jumps
-    inside (t, t+h] enter with their own decay, and the compensator adds a
-    deterministic phi1 difference.  The samples are drawn and evaluated in
-    chunks of fixed index ranges (`_holder_chunk`), which give the same
-    doubles as one call over all of them, so memory does not grow with the
-    sample count.  Returns the (samples, increments) norms and the seconds
-    spent drawing the skeletons and evaluating them (the phases
-    `skeletons` and `norms`, summed over the chunks).
-    """
+def _block_norms(plan: StudyPlan, size: int, start: int,
+                 phases=None) -> tuple:
+    """Norms of the surviving samples of the block of `size` samples from
+    `start`, and the block's abort records: coupled norms of a temporal or
+    spatial block, increment norms of a Hölder block, which aborts no
+    sample.  The seconds spent are added to `phases` (see `_new_phases`)."""
+    phases = _new_phases(plan) if phases is None else phases
+    indices = range(start, min(start + size, plan.samples))
+    if plan.axis == "holder":
+        return _increment_norms(plan, indices, phases), []
+    terminals, aborted = _run_block(plan, indices, phases)
     t0 = time.perf_counter()
-    n = plan.n_ref
-    lam = eigenvalues(n)
-    phi = project(plan.model.profile, n).coeffs
-    _, mean_g = compensator_coeffs(plan.model, n)
-    spent = {"skeletons": time.perf_counter() - t0, "norms": 0.0}
+    dead = {a["index"] for a in aborted}
+    kept = [b for b, i in enumerate(indices) if i not in dead]
+    norms = _coupled_norms(terminals[kept])
+    phases["norms"] += time.perf_counter() - t0
+    return norms, aborted
 
-    size = _holder_chunk(plan)
+
+def _timed_block(plan: StudyPlan, size: int, start: int) -> tuple:
+    """`_block_norms` of one block and its phases, as a worker returns
+    them across the process pool."""
+    phases = _new_phases(plan)
+    return (*_block_norms(plan, size, start, phases), phases)
+
+
+def _collect_norms(plan: StudyPlan, workers: int, phases=None) -> tuple:
+    """The (samples, levels) norms of the surviving samples, in sample
+    order, and the abort records.  The blocks' seconds are added to
+    `phases` as in `_block_norms`: with several workers, summed over the
+    workers.  Each finished block logs a progress line."""
+    phases = _new_phases(plan) if phases is None else phases
+    size = block_size(plan)
+    starts = range(0, plan.samples, size)
+    job = partial(_timed_block, plan, size)
     norms = np.empty((plan.samples, len(plan.levels)))
-    for c0 in range(0, plan.samples, size):
-        c1 = min(c0 + size, plan.samples)
-        t0 = time.perf_counter()
-        skeletons = sample_jump_skeletons(plan.horizon, plan.model,
-                                          plan.seed, range(c0, c1))
-        t1 = time.perf_counter()
-        norms[c0:c1] = _increment_norms(plan, lam, phi, mean_g.coeffs,
-                                        *skeletons)
-        spent["skeletons"] += t1 - t0
-        spent["norms"] += time.perf_counter() - t1
-    _log.info("%s: skeletons of %d samples, %.1f s", plan.name, plan.samples,
-              spent["skeletons"])
-    _log.info("%s: norms at %d increments, %.1f s", plan.name,
-              len(plan.levels), spent["norms"])
-    return norms, spent
+    filled, aborted = 0, []
+    t0 = time.perf_counter()
+
+    def gather(blocks):
+        nonlocal filled
+        for start in starts:
+            rows, dead, spent = next(blocks)
+            norms[filled:filled + len(rows)] = rows
+            filled += len(rows)
+            aborted.extend(dead)
+            for key, value in spent.items():
+                if key == "step":
+                    phases[key] = [a + b for a, b in zip(phases[key], value)]
+                else:
+                    phases[key] += value
+            # let the block's rows go before the next block runs
+            del rows
+            done = min(start + size, plan.samples)
+            elapsed = time.perf_counter() - t0
+            _log.info("%s: %d/%d samples, %.1f s elapsed, ETA %.1f s",
+                      plan.name, done, plan.samples, elapsed,
+                      elapsed / done * (plan.samples - done))
+
+    if workers <= 1:
+        gather(map(job, starts))
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # 10 ms to load
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            gather(pool.map(job, starts))
+    if len(aborted) == plan.samples:
+        raise StudyAborted(aborted)
+    return norms[:filled], aborted
+
+
+# ---------------------------------------------------------------------------
+# studies
+
+
+def run_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
+    """Run a plan of any axis on `workers` processes.
+
+    The blocks (see `block_size`) run serially or on a process pool; the
+    norms they return are gathered in sample order and bootstrapped
+    serially, so the reports do not depend on the worker count.
+    """
+    phases = _new_phases(plan)
+    norms, aborted = _collect_norms(plan, workers, phases)
+    for j, level in enumerate(plan.levels):
+        if not norms[:, j].any():
+            raise ValueError(
+                f"levels[{j}]: every norm at level {level} vanishes (zero "
+                "jump model?); its error and order are undefined")
+    t0 = time.perf_counter()
+    reports = _build_reports(plan, norms, plan.axis == "spatial")
+    phases["bootstrap"] = time.perf_counter() - t0
+    _log.info("%s: bootstrap of %d intervals, %.1f s", plan.name,
+              len(plan.p_list) * len(plan.levels), phases["bootstrap"])
+    return StudyResult(plan, reports, len(aborted),
+                       dict(plan.model_info, aborted=aborted, phases=phases))
+
+
+def run_temporal_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
+    """Coupled temporal-refinement study at fixed N = n_ref.
+
+    The reference is the same scheme on the same path at dt_ref; each level
+    reruns the scheme on the exact restriction of that path.
+    """
+    if plan.axis != "temporal":
+        raise ValueError("plan axis must be temporal")
+    return run_study(plan, workers)
+
+
+def run_spatial_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
+    """Coupled mode-truncation study at fixed dt = dt_ref.
+
+    The reported order is the decay exponent in N (negated log-log slope).
+    """
+    if plan.axis != "spatial":
+        raise ValueError("plan axis must be spatial")
+    return run_study(plan, workers)
 
 
 def run_holder_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
@@ -702,26 +704,4 @@ def run_holder_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     """
     if plan.axis != "holder":
         raise ValueError("plan axis must be holder")
-    del workers  # one process; most of the time is the bootstrap, serial on every axis
-    norms, phases = _holder_norms(plan)
-    if not norms.any():
-        raise ValueError(
-            "all increments vanish (zero jump model?); exponents undefined"
-        )
-    t0 = time.perf_counter()
-    reports = _build_reports(plan, norms, False)
-    phases["bootstrap"] = time.perf_counter() - t0
-    _log.info("%s: bootstrap of %d intervals, %.1f s", plan.name,
-              len(plan.p_list) * len(plan.levels), phases["bootstrap"])
-    return StudyResult(plan, reports, 0,
-                       dict(plan.model_info, phases=phases))
-
-
-def run_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
-    """Dispatch a plan to the runner for its axis."""
-    runner = {
-        "temporal": run_temporal_study,
-        "spatial": run_spatial_study,
-        "holder": run_holder_study,
-    }[plan.axis]
-    return runner(plan, workers=workers)
+    return run_study(plan, workers)

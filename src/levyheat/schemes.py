@@ -390,9 +390,9 @@ def _run_one(cfg: SchemeConfig, path: CoupledNoisePath) -> Trajectory:
     stretch, over the scheme's partition of [0, T] (see `stretch_nodes`)."""
     if path.nodes[-1] != cfg.horizon:
         raise ValueError("path horizon does not match the configuration")
-    ratio = cfg.dt_nominal / path.dt_ref
-    r = int(round(ratio))
-    if r < 1 or abs(ratio - r) > 1e-9 * ratio or (r & (r - 1)):
+    # exactly: the partition's nodes are micro nodes of the path
+    r = round(cfg.dt_nominal / path.dt_ref)
+    if r < 1 or (r & (r - 1)) or r * path.dt_ref != cfg.dt_nominal:
         raise ValueError(
             "dt_nominal must be the reference step times a power of two"
         )

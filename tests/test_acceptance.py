@@ -2,8 +2,9 @@
 tolerance and emits one PASS/FAIL line into acceptance_report.txt (echoed
 in the terminal summary).
 
-The convergence-order criteria are expensive (about five minutes total on
-one core); they share module-scoped study results.  Interval bounds are
+The convergence-order criteria are expensive (the whole suite, this module
+included, took 177 s on one core of a shared 2-vCPU Xeon); they share
+module-scoped study results.  Interval bounds are
 asserted exactly as stated, with one reading fixed for the temporal orders
 of criteria 3, 4 and 8a: the paper's rate (almost 1/2 for every p) is a
 guaranteed minimum, so their lower ends stay as stated and their upper end

@@ -21,14 +21,13 @@ from levyheat.cli import (
     ConfigError,
     _resolve_threads,
     config_digest,
-    emit_plot_data,
     execute,
     main,
     parse_config,
     serialize_config,
     serialize_plan,
 )
-from levyheat.experiments import OrderReport, fit_order, run_temporal_study
+from levyheat.experiments import run_temporal_study
 from levyheat.noise import TruncatedStableLaw
 
 
@@ -357,7 +356,7 @@ def test_manifest_records_provenance_and_aborted_samples(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# plot data
+# manifest, package and output files
 
 
 def test_manifest_version_is_the_package_version(tmp_path):
@@ -557,34 +556,6 @@ def test_failed_write_leaves_the_previous_run_intact(tmp_path, monkeypatch):
     assert after == before
 
 
-def test_emit_plot_data_rows_and_fit_passthrough(tmp_path):
-    plans = parse_config(write_config(
-        tmp_path, study_dict(levels=[0.25, 0.125, 0.0625, 0.03125])
-    ))
-    rep = run_temporal_study(plans[0]).reports[0]
-    path = tmp_path / "plot.csv"
-    emit_plot_data(rep, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "log_level,log_error"
-    assert len(lines) == 6  # header + 4 data rows + fit row
-    for j, line in enumerate(lines[1:5]):
-        x, y = line.split(",")
-        assert float(x) == math.log(rep.levels[j])
-        assert float(y) == math.log(rep.errors[j])
-    tag, order, intercept, stderr = lines[5].split(",")
-    assert tag == "fit"
-    fitted = fit_order(rep.levels, rep.errors)
-    assert (float(order), float(stderr)) == fitted == (rep.order, rep.stderr)
-    assert float(intercept) == rep.intercept
-
-
-def test_emit_plot_data_rejects_unfitted_report(tmp_path):
-    rep = OrderReport(2.0, np.array([0.25, 0.125]), np.array([1.0, 0.6]),
-                      np.array([0.9, 0.5]), np.array([1.1, 0.7]))
-    with pytest.raises(ValueError, match="fitted line"):
-        emit_plot_data(rep, tmp_path / "plot.csv")
-
-
 # ---------------------------------------------------------------------------
 # command line entry point
 
@@ -608,6 +579,9 @@ def test_main_dry_run_creates_nothing(tmp_path, capsys):
     ({"scheme": "uniform_B", "model": {
         "law": {"kind": "truncated_stable", "alpha": 1.9, "eps": 1e-30},
         "profile": {"c": 1.0, "r": 2.0}}}, "model.intensity"),
+    # near-dyadic: the level's nodes miss the path's micro nodes
+    ({"levels": [0.25, 0.125, 2 * 0.015625 * (1 + 1e-10)]}, "levels[2]"),
+    ({"dt_ref": 0.015625 * (1 + 1e-13)}, "levels[0]"),
 ])
 def test_dry_run_rejects_unrunnable_plans(tmp_path, capsys, overrides,
                                           field):
@@ -648,8 +622,9 @@ def test_main_success_and_seed_override(tmp_path, capsys):
 
 
 def test_run_prints_progress_on_stderr_only(tmp_path):
-    # `levyheat run` logs each finished block and each Hölder phase on
-    # stderr; its stdout and CSVs are those of a run without a handler
+    # `levyheat run` logs each finished block and each study's bootstrap
+    # on stderr, on every axis; its stdout and CSVs are those of a run
+    # without a handler
     holder = study_dict(name="holder", axis="holder", levels=[0.125, 0.0625],
                         nonlinearity={"kind": "zero"})
     cfg = write_config(tmp_path, study_dict(), holder)
@@ -667,8 +642,8 @@ def test_run_prints_progress_on_stderr_only(tmp_path):
     assert [line.split(",")[0] for line in progress] == [
         "unit: 32/100 samples", "unit: 64/100 samples",
         "unit: 96/100 samples", "unit: 100/100 samples",
-        "holder: skeletons of 100 samples", "holder: norms at 2 increments",
-        "holder: bootstrap of 2 intervals"]
+        "unit: bootstrap of 3 intervals",
+        "holder: 100/100 samples", "holder: bootstrap of 2 intervals"]
     assert "ETA" in progress[0]
 
     quiet = tmp_path / "quiet"

@@ -22,7 +22,6 @@ from levyheat.experiments import (
     _blocking,
     _collect_norms,
     _coupled_norms,
-    _holder_norms,
     _run_block,
     block_size,
     fit_order,
@@ -452,7 +451,8 @@ def test_holder_norms_match_per_sample_jump_convolutions():
     plan = make_plan(axis="holder", levels=(2.0**-10, 2.0**-6, 2.0**-2),
                      n_ref=n, model=model, x0=unit_state(n), samples=200,
                      horizon=1.0, dt_ref=2.0**-10)
-    norms, _ = _holder_norms(plan)
+    norms, aborted = _collect_norms(plan, workers=1)
+    assert aborted == []
     t = plan.horizon / 2.0
     expect = np.empty_like(norms)
     for i in range(plan.samples):
@@ -525,8 +525,8 @@ def test_holder_norms_are_the_same_in_any_chunking(monkeypatch, chunk):
     # six rows of n doubles a sample: two, and two for each of the 1.5 jumps
     # it expects before t, rounded up
     monkeypatch.setattr(experiments, "BLOCK_BYTES", chunk * 6 * n * 8)
-    assert experiments._holder_chunk(plan) == chunk
-    norms, _ = _holder_norms(plan)
+    assert block_size(plan) == chunk
+    norms, _ = _collect_norms(plan, workers=1)
     expect = _whole_array_holder_norms(plan)
     assert norms.tobytes() == expect.tobytes()
     # the natural draws hold jumpless and crowded samples as well
@@ -549,14 +549,37 @@ def test_holder_memory_does_not_grow_with_samples(intensity, chunk):
                          samples=samples, horizon=1.0, dt_ref=2.0**-12)
         tracemalloc.start()
         try:
-            _holder_norms(plan)
+            _collect_norms(plan, workers=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     norms_bytes = chunk * len(plan.levels) * 8
     assert peaks[1] - peaks[0] < norms_bytes + 2**20
     assert peaks[1] < 1.25 * experiments.BLOCK_BYTES + 2 * norms_bytes
-    assert experiments._holder_chunk(plan) == chunk
+    assert block_size(plan) == chunk
+
+
+def test_holder_worker_pool_matches_serial(monkeypatch):
+    # chunks of 7 samples, handed out to two processes: the reports are
+    # those of one process, byte for byte
+    n = 8
+    model = MarkModel(3.0, TwoPointLaw(0.5, 2.0, -1.0),
+                      power_profile(1.0, 2.0, n))
+    plan = make_plan(axis="holder", levels=(2.0**-10, 2.0**-6, 2.0**-2),
+                     n_ref=n, model=model, x0=unit_state(n), samples=200,
+                     p_list=(2.0, 8.0), horizon=1.0, dt_ref=2.0**-10)
+    monkeypatch.setattr(experiments, "BLOCK_BYTES", 7 * 6 * n * 8)
+    assert block_size(plan) == 7
+    serial = run_holder_study(plan, workers=1)
+    pooled = run_holder_study(plan, workers=2)
+    for r1, r2 in zip(serial.reports, pooled.reports, strict=True):
+        for column in ("errors", "ci_lo", "ci_hi"):
+            assert getattr(r1, column).tobytes() == \
+                getattr(r2, column).tobytes()
+        assert (r1.order, r1.stderr) == (r2.order, r2.stderr)
+    assert serial.aborts == pooled.aborts == 0
+    assert set(pooled.extras["phases"]) == {"skeletons", "norms",
+                                            "bootstrap"}
 
 
 def test_holder_study_zero_jump_model_rejected():
@@ -681,7 +704,7 @@ def test_block_size_from_the_byte_budget():
                             model=tiny_model(64), x0=unit_state(64))
         assert _blocking(whole) == (size, 4096)
     holder = make_plan(axis="holder", levels=(2.0**-4,))
-    assert block_size(holder) is None
+    assert block_size(holder) == experiments._holder_chunk(holder)
 
 
 def _diverging_plan(scheme, axis):

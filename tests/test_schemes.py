@@ -314,6 +314,8 @@ def test_coupling_constraint_enforced():
     with pytest.raises(ValueError):  # ratio 3 is not a power of two
         run_scheme_A(config(SCHEME_A, 4, 3 * 2.0**-4, model,
                             horizon=0.75), path)
+    with pytest.raises(ValueError, match="power of two"):  # near-dyadic
+        run_scheme_A(config(SCHEME_A, 4, 0.25 * (1 + 1e-13), model), path)
     with pytest.raises(ValueError):  # horizon mismatch
         run_scheme_A(config(SCHEME_A, 4, 0.25, model, horizon=0.5), path)
     with pytest.raises(ValueError):  # more modes than the path carries

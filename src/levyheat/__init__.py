@@ -9,7 +9,7 @@ else is imported from its submodule (`levyheat.noise`, `levyheat.cli`, ...).
 # the one version string: cli's manifests and the package metadata read it
 __version__ = "0.1.0"
 
-from levyheat.experiments import StudyPlan, run_temporal_study
+from levyheat.experiments import StudyPlan, run_study
 from levyheat.noise import (
     G1Spec,
     MarkModel,
@@ -31,6 +31,6 @@ __all__ = [
     "TwoPointLaw",
     "power_profile",
     "run_scheme_A",
-    "run_temporal_study",
+    "run_study",
     "sample_path",
 ]

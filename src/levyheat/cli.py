@@ -26,8 +26,12 @@ Laws: ``two_point`` (p_plus, v_plus, v_minus), ``exp_shifted`` (rate,
 offset) and ``truncated_stable`` (alpha, eps).  For the truncated stable
 measure the intensity 2 Gamma(-alpha, eps) is derived from (alpha, eps) and
 must be omitted; the discarded small-jump variance 2 gamma(2 - alpha, eps)
-lands in the manifest as ``model_info.residual``.  Unknown keys anywhere are rejected.
+lands in the manifest as ``model_info.residual``.  Unknown keys anywhere
+are rejected, and so are non-finite numbers (json reads ``NaN`` and
+``Infinity``), with the field's path in the message.
 
+``levyheat run CONFIG --out DIR [--seed S] [--threads N] [--dry-run]``:
+``--threads`` sets the worker processes (default 1, and at least 1).
 Exit codes: 0 success, 1 configuration error, 2 runtime failure (including
 studies that finished with aborted samples).
 """
@@ -71,9 +75,6 @@ __all__ = [
     "main",
 ]
 
-THREADS_ENV = "LEVYHEAT_THREADS"
-
-
 class ConfigError(ValueError):
     """A configuration problem, with the offending field in the message."""
 
@@ -82,7 +83,7 @@ class ConfigError(ValueError):
 # parsing
 
 
-def _check_keys(obj: dict, required: tuple, optional: tuple, where: str):
+def _check_keys(obj: dict, required, optional: tuple, where: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
     unknown = sorted(set(obj) - set(required) - set(optional))
@@ -93,11 +94,16 @@ def _check_keys(obj: dict, required: tuple, optional: tuple, where: str):
         raise ConfigError(f"{where}: missing key(s) {', '.join(missing)}")
 
 
-def _number(obj: dict, key: str, where: str) -> float:
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number")
+def _finite(v, where: str) -> float:
+    # json reads NaN and Infinity, and integers past the double range
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not abs(v) <= sys.float_info.max):
+        raise ConfigError(f"{where}: expected a finite number")
     return float(v)
+
+
+def _number(obj: dict, key: str, where: str) -> float:
+    return _finite(obj[key], f"{where}.{key}")
 
 
 def _integer(obj: dict, key: str, where: str) -> int:
@@ -118,44 +124,48 @@ def _number_list(obj: dict, key: str, where: str) -> list:
     v = obj[key]
     if not isinstance(v, list) or not v:
         raise ConfigError(f"{where}.{key}: expected a non-empty array")
-    out = []
-    for i, item in enumerate(v):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{where}.{key}[{i}]: expected a number")
-        out.append(item)
-    return out
+    return [_finite(item, f"{where}.{key}[{i}]") for i, item in enumerate(v)]
 
 
-def _parse_nonlinearity(obj, where: str) -> NonlinearitySpec:
-    _check_keys(obj, ("kind",), ("coef",), where)
+# the study's keys in config order: a plain field maps to its reader, a
+# nested one (read by `_parse_study` itself) to None
+_STUDY_KEYS = {
+    "name": _string, "axis": _string, "levels": _number_list,
+    "n_ref": _integer, "dt_ref": _number, "p_list": _number_list,
+    "samples": _integer, "scheme": _string, "horizon": _number,
+    "nonlinearity": None, "model": None, "x0": None, "seed": _integer,
+}
+# law kind: (class, number fields); truncated_stable is built by
+# `truncate_levy`, which derives the model's intensity
+_LAWS = {
+    "two_point": (TwoPointLaw, ("p_plus", "v_plus", "v_minus")),
+    "exp_shifted": (ExpShiftedLaw, ("rate", "offset")),
+    "truncated_stable": (TruncatedStableLaw, ("alpha", "eps")),
+}
+# the {"kind", number} objects: spec class and its optional number field
+_KINDED = {NonlinearitySpec: "coef", G1Spec: "value"}
+
+
+def _parse_kinded(obj, spec, where: str):
+    number = _KINDED[spec]
+    _check_keys(obj, ("kind",), (number,), where)
     kind = _string(obj, "kind", where)
-    coef = _number(obj, "coef", where) if "coef" in obj else 0.0
+    value = _number(obj, number, where) if number in obj else 0.0
     try:
-        return NonlinearitySpec(kind, coef)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_g1(obj, where: str) -> G1Spec:
-    _check_keys(obj, ("kind",), ("value",), where)
-    kind = _string(obj, "kind", where)
-    value = _number(obj, "value", where) if "value" in obj else 0.0
-    try:
-        return G1Spec(kind, value)
+        return spec(kind, value)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_profile(obj, n_ref: int, where: str) -> SpectralState:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    try:
-        if set(obj) == {"coeffs"}:
-            coeffs = _number_list(obj, "coeffs", where)
-            return SpectralState(coeffs)
+    if isinstance(obj, dict) and set(obj) == {"coeffs"}:
+        make, args = SpectralState, (_number_list(obj, "coeffs", where),)
+    else:
         _check_keys(obj, ("c", "r"), (), where)
-        return power_profile(_number(obj, "c", where),
-                             _number(obj, "r", where), n_ref)
+        make, args = power_profile, (_number(obj, "c", where),
+                                     _number(obj, "r", where), n_ref)
+    try:
+        return make(*args)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -167,81 +177,49 @@ def _parse_model(obj, n_ref: int, where: str) -> tuple:
     if not isinstance(law_obj, dict) or "kind" not in law_obj:
         raise ConfigError(f"{where}.law: expected an object with a 'kind'")
     kind = _string(law_obj, "kind", f"{where}.law")
+    if kind not in _LAWS:
+        raise ConfigError(f"{where}.law.kind: unknown law {kind!r}")
+    cls, names = _LAWS[kind]
     profile = _parse_profile(obj["profile"], n_ref, f"{where}.profile")
-    g1 = _parse_g1(obj["g1"], f"{where}.g1") if "g1" in obj else G1Spec.zero()
-
-    if kind == "truncated_stable":
-        if "intensity" in obj:
-            raise ConfigError(
-                f"{where}.intensity: derived from (alpha, eps) for the "
-                "truncated stable measure; omit it"
-            )
-        _check_keys(law_obj, ("kind", "alpha", "eps"), (), f"{where}.law")
-        alpha = _number(law_obj, "alpha", f"{where}.law")
-        eps = _number(law_obj, "eps", f"{where}.law")
+    g1 = (_parse_kinded(obj["g1"], G1Spec, f"{where}.g1") if "g1" in obj
+          else G1Spec.zero())
+    derived = cls is TruncatedStableLaw
+    if derived and "intensity" in obj:
+        raise ConfigError(
+            f"{where}.intensity: derived from (alpha, eps) for the "
+            "truncated stable measure; omit it"
+        )
+    if not derived and "intensity" not in obj:
+        raise ConfigError(f"{where}: missing key(s) intensity")
+    _check_keys(law_obj, ("kind", *names), (), f"{where}.law")
+    args = [_number(law_obj, name, f"{where}.law") for name in names]
+    if derived:
         try:
-            model, residual = truncate_levy(alpha, eps, profile, g1)
+            model, residual = truncate_levy(*args, profile, g1)
         except ValueError as exc:
             raise ConfigError(f"{where}.law: {exc}") from exc
-        info = {"alpha": alpha, "eps": eps,
-                "intensity": model.intensity, "residual": residual}
-        return model, info
-
-    if "intensity" not in obj:
-        raise ConfigError(f"{where}: missing key(s) intensity")
+        return model, dict(zip(names, args), intensity=model.intensity,
+                           residual=residual)
     intensity = _number(obj, "intensity", where)
     try:
-        if kind == "two_point":
-            _check_keys(law_obj, ("kind", "p_plus", "v_plus", "v_minus"),
-                        (), f"{where}.law")
-            law = TwoPointLaw(_number(law_obj, "p_plus", f"{where}.law"),
-                              _number(law_obj, "v_plus", f"{where}.law"),
-                              _number(law_obj, "v_minus", f"{where}.law"))
-        elif kind == "exp_shifted":
-            _check_keys(law_obj, ("kind", "rate", "offset"),
-                        (), f"{where}.law")
-            law = ExpShiftedLaw(_number(law_obj, "rate", f"{where}.law"),
-                                _number(law_obj, "offset", f"{where}.law"))
-        else:
-            raise ConfigError(f"{where}.law.kind: unknown law {kind!r}")
-        return MarkModel(intensity, law, profile, g1), {}
-    except ConfigError:
-        raise
+        return MarkModel(intensity, cls(*args), profile, g1), {}
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-_STUDY_KEYS = ("name", "axis", "levels", "n_ref", "dt_ref", "p_list",
-               "samples", "scheme", "horizon", "nonlinearity", "model",
-               "x0", "seed")
-
-
 def _parse_study(obj, where: str) -> StudyPlan:
     _check_keys(obj, _STUDY_KEYS, (), where)
-    n_ref = _integer(obj, "n_ref", where)
+    plain = {key: read(obj, key, where)
+             for key, read in _STUDY_KEYS.items() if read}
     x0_list = _number_list(obj, "x0", where)
-    if len(x0_list) > n_ref:
+    if len(x0_list) > plain["n_ref"]:
         raise ConfigError(f"{where}.x0: more than n_ref coefficients")
-    nonlinearity = _parse_nonlinearity(obj["nonlinearity"],
-                                       f"{where}.nonlinearity")
-    model, info = _parse_model(obj["model"], n_ref, f"{where}.model")
+    nonlinearity = _parse_kinded(obj["nonlinearity"], NonlinearitySpec,
+                                 f"{where}.nonlinearity")
+    model, info = _parse_model(obj["model"], plain["n_ref"], f"{where}.model")
     try:
-        return StudyPlan(
-            name=_string(obj, "name", where),
-            axis=_string(obj, "axis", where),
-            levels=tuple(_number_list(obj, "levels", where)),
-            n_ref=n_ref,
-            dt_ref=_number(obj, "dt_ref", where),
-            p_list=tuple(_number_list(obj, "p_list", where)),
-            samples=_integer(obj, "samples", where),
-            scheme=_string(obj, "scheme", where),
-            horizon=_number(obj, "horizon", where),
-            nonlinearity=nonlinearity,
-            model=model,
-            x0=SpectralState(x0_list),
-            seed=_integer(obj, "seed", where),
-            model_info=info,
-        )
+        return StudyPlan(**plain, nonlinearity=nonlinearity, model=model,
+                         x0=SpectralState(x0_list), model_info=info)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -285,16 +263,16 @@ def parse_config(path) -> list:
 
 
 def _serialize_law(law) -> dict:
-    if isinstance(law, TwoPointLaw):
-        return {"kind": "two_point", "p_plus": law.p_plus,
-                "v_plus": law.v_plus, "v_minus": law.v_minus}
-    if isinstance(law, ExpShiftedLaw):
-        return {"kind": "exp_shifted", "rate": law.rate,
-                "offset": law.offset}
-    if isinstance(law, TruncatedStableLaw):
-        return {"kind": "truncated_stable", "alpha": law.alpha,
-                "eps": law.eps}
+    for kind, (cls, names) in _LAWS.items():
+        if isinstance(law, cls):
+            return {"kind": kind, **{name: getattr(law, name)
+                                     for name in names}}
     raise TypeError(f"cannot serialize law of type {type(law).__name__}")
+
+
+def _serialize_kinded(spec) -> dict:
+    number = _KINDED[type(spec)]
+    return {"kind": spec.kind, number: getattr(spec, number)}
 
 
 def serialize_plan(plan: StudyPlan) -> dict:
@@ -303,26 +281,18 @@ def serialize_plan(plan: StudyPlan) -> dict:
     model_obj = {
         "law": _serialize_law(model.law),
         "profile": {"coeffs": [float(v) for v in model.profile.coeffs]},
-        "g1": {"kind": model.g1.kind, "value": model.g1.value},
+        "g1": _serialize_kinded(model.g1),
     }
     if not isinstance(model.law, TruncatedStableLaw):
         model_obj["intensity"] = model.intensity
-    return {
-        "name": plan.name,
-        "axis": plan.axis,
-        "levels": [float(v) for v in plan.levels],
-        "n_ref": plan.n_ref,
-        "dt_ref": plan.dt_ref,
-        "p_list": list(plan.p_list),
-        "samples": plan.samples,
-        "scheme": plan.scheme,
-        "horizon": plan.horizon,
-        "nonlinearity": {"kind": plan.nonlinearity.kind,
-                         "coef": plan.nonlinearity.coef},
-        "model": model_obj,
-        "x0": [float(v) for v in plan.x0.coeffs],
-        "seed": plan.seed,
-    }
+    nested = {"nonlinearity": _serialize_kinded(plan.nonlinearity),
+              "model": model_obj,
+              "x0": [float(v) for v in plan.x0.coeffs]}
+    doc = {}
+    for key, read in _STUDY_KEYS.items():
+        value = nested[key] if read is None else getattr(plan, key)
+        doc[key] = [float(v) for v in value] if read is _number_list else value
+    return doc
 
 
 def serialize_config(plans) -> str:
@@ -532,24 +502,6 @@ def execute(plans, out_dir, threads: int = 1,
 # command line
 
 
-def _resolve_threads(flag_value) -> int:
-    if flag_value is not None:
-        threads = flag_value
-    elif THREADS_ENV in os.environ:
-        raw = os.environ[THREADS_ENV]
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{THREADS_ENV} must be a positive integer, got {raw!r}"
-            )
-    else:
-        threads = 1
-    if threads < 1:
-        raise ConfigError("thread count must be a positive integer")
-    return threads
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="levyheat",
@@ -561,9 +513,9 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override every study seed")
-    run_p.add_argument("--threads", type=int, default=None,
-                       help=f"worker processes (default ${THREADS_ENV} or 1)"
-                            "; the bootstrap runs in one process")
+    run_p.add_argument("--threads", type=int, default=1,
+                       help="worker processes (default 1); the bootstrap "
+                            "runs in one process")
     run_p.add_argument("--dry-run", action="store_true",
                        help="validate the config and print the plan, no runs")
     args = parser.parse_args(argv)
@@ -572,7 +524,8 @@ def main(argv=None) -> int:
         plans = parse_config(args.config)
         if args.seed is not None:
             plans = [replace(p, seed=args.seed) for p in plans]
-        threads = _resolve_threads(args.threads)
+        if args.threads < 1:
+            raise ConfigError("thread count must be a positive integer")
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -593,7 +546,7 @@ def main(argv=None) -> int:
     log.addHandler(handler)
     log.setLevel(logging.INFO)
     try:
-        manifest = execute(plans, args.out, threads=threads,
+        manifest = execute(plans, args.out, threads=args.threads,
                            seed_override=args.seed)
     except RuntimeError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)

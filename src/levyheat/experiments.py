@@ -56,9 +56,6 @@ __all__ = [
     "StudyAborted",
     "block_size",
     "fit_order",
-    "run_temporal_study",
-    "run_spatial_study",
-    "run_holder_study",
     "run_study",
 ]
 
@@ -161,8 +158,8 @@ class StudyPlan:
                 raise ValueError("the regularity study needs additive jumps")
         object.__setattr__(self, "levels", levels)
         p_list = tuple(float(p) for p in self.p_list)
-        if not p_list or any(p < 2 for p in p_list):
-            raise ValueError("p values must be reals >= 2")
+        if not p_list or any(not 2 <= p < math.inf for p in p_list):
+            raise ValueError("p values must be finite reals >= 2")
         object.__setattr__(self, "p_list", p_list)
         if self.samples < 1:
             raise ValueError("sample count must be positive")
@@ -654,6 +651,11 @@ def _collect_norms(plan: StudyPlan, workers: int, phases=None) -> tuple:
 def run_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     """Run a plan of any axis on `workers` processes.
 
+    A temporal study reruns the scheme at every level on the exact
+    restriction of the reference path; a spatial study reports the decay
+    exponent in N (the negated log-log slope); a Hölder study fits, per p,
+    the growth exponent over h of the compensated jump convolution's
+    increments, with no scheme run.
     The blocks (see `block_size`) run serially or on a process pool; the
     norms they return are gathered in sample order and bootstrapped
     serially, so the reports do not depend on the worker count.
@@ -673,35 +675,3 @@ def run_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     return StudyResult(plan, reports, len(aborted),
                        dict(plan.model_info, aborted=aborted, phases=phases))
 
-
-def run_temporal_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
-    """Coupled temporal-refinement study at fixed N = n_ref.
-
-    The reference is the same scheme on the same path at dt_ref; each level
-    reruns the scheme on the exact restriction of that path.
-    """
-    if plan.axis != "temporal":
-        raise ValueError("plan axis must be temporal")
-    return run_study(plan, workers)
-
-
-def run_spatial_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
-    """Coupled mode-truncation study at fixed dt = dt_ref.
-
-    The reported order is the decay exponent in N (negated log-log slope).
-    """
-    if plan.axis != "spatial":
-        raise ValueError("plan axis must be spatial")
-    return run_study(plan, workers)
-
-
-def run_holder_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
-    """Temporal-regularity exponents of the compensated jump convolution.
-
-    Fits, per p, the growth exponent of the L^p norm of increments over
-    h; p = 2 sits near 1/2 while large p is capped near 1/p by single-jump
-    dominance.  No scheme runs are involved.
-    """
-    if plan.axis != "holder":
-        raise ValueError("plan axis must be holder")
-    return run_study(plan, workers)

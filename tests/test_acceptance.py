@@ -38,9 +38,7 @@ from levyheat.experiments import (
     _run_block,
     block_size,
     fit_order,
-    run_holder_study,
-    run_spatial_study,
-    run_temporal_study,
+    run_study,
 )
 from levyheat.noise import (
     PURPOSE_JUMPS,
@@ -121,7 +119,7 @@ def _temporal_plan(name, scheme, g1) -> StudyPlan:
 
 @pytest.fixture(scope="module")
 def temporal_a():
-    return run_temporal_study(
+    return run_study(
         _temporal_plan("acceptance_temporal_a", SCHEME_A,
                        G1Spec.constant(0.3))
     )
@@ -129,7 +127,7 @@ def temporal_a():
 
 @pytest.fixture(scope="module")
 def temporal_b():
-    return run_temporal_study(
+    return run_study(
         _temporal_plan("acceptance_temporal_b", SCHEME_B, G1Spec.zero())
     )
 
@@ -151,7 +149,7 @@ def spatial_result():
         x0=SpectralState([1.0]),
         seed=STUDY_SEED,
     )
-    return run_spatial_study(plan)
+    return run_study(plan)
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +169,7 @@ def holder_result():
         x0=SpectralState([1.0]),
         seed=STUDY_SEED,
     )
-    return run_holder_study(plan)
+    return run_study(plan)
 
 
 @pytest.fixture(scope="module")

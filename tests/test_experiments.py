@@ -6,6 +6,7 @@ are checked for determinism, correct sample accounting, and agreement with
 closed-form second moments where those exist.
 """
 
+import math
 import tracemalloc
 import warnings
 
@@ -20,15 +21,13 @@ from levyheat.experiments import (
     StudyResult,
     _block_norms,
     _blocking,
+    _build_reports,
     _collect_norms,
     _coupled_norms,
     _run_block,
     block_size,
     fit_order,
-    run_holder_study,
-    run_spatial_study,
     run_study,
-    run_temporal_study,
 )
 from levyheat.noise import (
     PURPOSE_JUMPS,
@@ -280,8 +279,9 @@ def test_plan_rejects_misc_bad_fields():
         make_plan(name="a/b")
     with pytest.raises(ValueError):
         make_plan(horizon=0.3)  # not a multiple of dt_ref
-    with pytest.raises(ValueError):
-        make_plan(p_list=(1.0,))
+    for p in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="p values"):
+            make_plan(p_list=(2.0, p))
     with pytest.raises(ValueError):
         make_plan(samples=0)
 
@@ -322,8 +322,8 @@ def test_order_report_invariants():
 
 def test_temporal_study_determinism_and_accounting():
     plan = make_plan()
-    res1 = run_temporal_study(plan)
-    res2 = run_temporal_study(plan)
+    res1 = run_study(plan)
+    res2 = run_study(plan)
     assert res1.aborts == 0
     assert res1.effective_samples == plan.samples
     for r1, r2 in zip(res1.reports, res2.reports):
@@ -334,7 +334,7 @@ def test_temporal_study_determinism_and_accounting():
 
 
 def test_temporal_errors_decrease_with_dt():
-    res = run_temporal_study(make_plan())
+    res = run_study(make_plan())
     for rep in res.reports:
         # levels are stored coarse-to-fine as given: (1/4, 1/8, 1/16)
         assert rep.errors[0] > rep.errors[1] > rep.errors[2]
@@ -342,14 +342,14 @@ def test_temporal_errors_decrease_with_dt():
 
 def test_duplicate_levels_give_identical_errors():
     plan = make_plan(levels=(2.0**-2, 2.0**-3, 2.0**-3))
-    res = run_temporal_study(plan)
+    res = run_study(plan)
     for rep in res.reports:
         assert rep.errors[1] == rep.errors[2]
 
 
 def test_p_monotonicity_on_shared_samples():
     plan = make_plan(p_list=(2.0, 4.0, 8.0))
-    res = run_temporal_study(plan)
+    res = run_study(plan)
     e2 = res.report_for(2.0).errors
     e4 = res.report_for(4.0).errors
     e8 = res.report_for(8.0).errors
@@ -359,25 +359,31 @@ def test_p_monotonicity_on_shared_samples():
 
 def test_single_level_plan_has_no_fit():
     plan = make_plan(levels=(2.0**-3,))
-    res = run_temporal_study(plan)
+    res = run_study(plan)
     rep = res.reports[0]
     assert rep.order is None and rep.stderr is None
     assert rep.errors.shape == (1,)
 
 
 def test_run_study_dispatch_matches_direct_call():
-    plan = make_plan()
-    direct = run_temporal_study(plan)
-    routed = run_study(plan)
-    assert np.array_equal(direct.reports[0].errors, routed.reports[0].errors)
-    with pytest.raises(ValueError, match="axis"):
-        run_spatial_study(plan)
+    # run_study reports the gathered norms, negating the order only on the
+    # spatial axis
+    spatial = make_plan(axis="spatial", levels=(1, 2, 3), n_ref=4)
+    for plan in (make_plan(), spatial):
+        routed = run_study(plan)
+        norms, aborted = _collect_norms(plan, 1)
+        direct = _build_reports(plan, norms, plan.axis == "spatial")
+        assert aborted == [] and routed.aborts == 0
+        for r1, r2 in zip(direct, routed.reports, strict=True):
+            for column in ("errors", "ci_lo", "ci_hi"):
+                assert np.array_equal(getattr(r1, column), getattr(r2, column))
+            assert (r1.order, r1.stderr) == (r2.order, r2.stderr)
 
 
 def test_worker_pool_matches_serial():
     plan = make_plan(levels=(2.0**-3,), samples=100)
-    serial = run_temporal_study(plan, workers=1)
-    pooled = run_temporal_study(plan, workers=2)
+    serial = run_study(plan, workers=1)
+    pooled = run_study(plan, workers=2)
     assert np.array_equal(serial.reports[0].errors, pooled.reports[0].errors)
     assert serial.aborts == pooled.aborts == 0
 
@@ -390,7 +396,7 @@ def test_all_samples_aborting_raises():
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="aborted"):
-            run_temporal_study(plan)
+            run_study(plan)
 
 
 def test_spatial_study_errors_decay_in_n():
@@ -403,7 +409,7 @@ def test_spatial_study_errors_decay_in_n():
         x0=unit_state(8),
         samples=100,
     )
-    res = run_spatial_study(plan)
+    res = run_study(plan)
     rep = res.reports[0]
     assert rep.errors[0] > rep.errors[1] > 0
     assert rep.order is None  # two levels only
@@ -427,7 +433,7 @@ def test_holder_study_matches_closed_form_isometry():
         horizon=1.0,
         dt_ref=2.0**-4,
     )
-    res = run_holder_study(plan)
+    res = run_study(plan)
     rep = res.reports[0]
     lam = eigenvalues(n)
     phi = model.profile.coeffs
@@ -570,8 +576,8 @@ def test_holder_worker_pool_matches_serial(monkeypatch):
                      p_list=(2.0, 8.0), horizon=1.0, dt_ref=2.0**-10)
     monkeypatch.setattr(experiments, "BLOCK_BYTES", 7 * 6 * n * 8)
     assert block_size(plan) == 7
-    serial = run_holder_study(plan, workers=1)
-    pooled = run_holder_study(plan, workers=2)
+    serial = run_study(plan, workers=1)
+    pooled = run_study(plan, workers=2)
     for r1, r2 in zip(serial.reports, pooled.reports, strict=True):
         for column in ("errors", "ci_lo", "ci_hi"):
             assert getattr(r1, column).tobytes() == \
@@ -589,12 +595,12 @@ def test_holder_study_zero_jump_model_rejected():
         model=tiny_model(4, intensity=0.0),
     )
     with pytest.raises(ValueError, match="vanish"):
-        run_holder_study(plan)
+        run_study(plan)
 
 
 def test_study_result_report_lookup():
     plan = make_plan(p_list=(2.0, 4.0), levels=(2.0**-3,))
-    res = run_temporal_study(plan)
+    res = run_study(plan)
     assert res.report_for(4.0).p == 4.0
     with pytest.raises(KeyError):
         res.report_for(6.0)

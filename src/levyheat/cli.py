@@ -455,6 +455,8 @@ def execute(plans, out_dir, threads: int = 1,
     last: a run that fails to write leaves the previous run's files as
     they were, and no part of a file.
     """
+    if threads < 1:
+        raise ValueError("thread count must be a positive integer")
     out = _prepare_out_dir(out_dir)
     digest = config_digest(plans)
     provenance = _provenance(threads)

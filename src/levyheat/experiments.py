@@ -14,7 +14,8 @@ samples in blocks of fixed index ranges through `run_study`, serially or on
 a process pool, and bootstraps the gathered norms serially.  A temporal or
 spatial block steps its samples through one batched loop, drawing their
 paths one stretch of time at a time, which gives each sample exactly the
-doubles of a run on its own; a Hölder block draws and evaluates a chunk of
+doubles of a run on its own.  Its rows are fixed: a sample that aborts
+stays in the block as NaN; a Hölder block draws and evaluates a chunk of
 skeletons.
 """
 
@@ -32,6 +33,7 @@ from .noise import (  # sample_path: bench/test_bench.py looks it up here
     MarkModel,
     PathStream,
     compensator_coeffs,
+    dyadic_ratio,
     restrict_chunk,
     sample_jump_skeletons,
     sample_path,
@@ -117,8 +119,8 @@ class StudyPlan:
             levels = tuple(float(v) for v in levels)
             for j, dt in enumerate(levels):
                 # exactly: the level's nodes are micro nodes of the path
-                r = round(dt / self.dt_ref)
-                if r < 1 or (r & (r - 1)) or r * self.dt_ref != dt:
+                r = dyadic_ratio(dt, self.dt_ref)
+                if not r:
                     raise ValueError(
                         f"levels[{j}]: temporal level {dt} is not dt_ref "
                         "times a power of two"
@@ -413,12 +415,13 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
 
     Returns (terminals, aborted).  terminals[b, j] is the terminal state of
     sample indices[b] at resolution j of `_resolutions` (0 is the
-    reference), zero-padded to n_ref.  A sample whose run turns non-finite
-    skips the higher resolutions; `aborted` records its index, the first
-    resolution in plan order at which it diverged (its dt or N), and the
-    step and time there.  A sample with a jump time on a dt_ref node is
-    stepped at no resolution and recorded at the reference, with the dt_ref
-    step that ends on that node and the jump time.
+    reference), zero-padded to n_ref.  Every sample is stepped at every
+    resolution.  A sample whose run turns non-finite is NaN there and at
+    every higher resolution, which it sits out; `aborted` records its
+    index, the first resolution in plan order at which it diverged (its dt
+    or N), and the step and time there.  A sample with a jump time on a
+    dt_ref node is stepped at no resolution and recorded at the reference,
+    with the dt_ref step that ends on that node and the jump time.
 
     The paths are drawn one stretch of time at a time (see `_blocking`),
     and each resolution steps through the stretch from where it stood at
@@ -432,7 +435,7 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
     cfgs = [SchemeConfig(plan.scheme, n, dt, plan.horizon, plan.nonlinearity,
                          plan.model, plan.x0) for dt, n in res]
     grids = [uniform_nodes(plan.horizon, dt) for dt, _ in res]
-    ratios = [round(dt / plan.dt_ref) for dt, _ in res]
+    ratios = [dyadic_ratio(dt, plan.dt_ref) for dt, _ in res]
     _, stretch = _blocking(plan)
     paths = PathStream(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
                        plan.seed, indices)
@@ -442,22 +445,19 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
     # on a dt_ref node aborts at the reference before any step, at the
     # dt_ref step that ends on that node
     failed = {s: (0, *hit) for s, hit in paths.collisions.items()}
-    # per resolution: the samples still stepped there, their states and the
-    # steps they have taken; a sample leaves every resolution from the one
-    # it diverges at upwards, as only the first one in plan order is kept
-    alive = [np.setdiff1d(np.arange(size), list(failed)) for _ in res]
-    states = [np.tile(project(plan.x0, n).coeffs, (alive[0].size, 1))
+    # the samples stepped, one row each at every resolution: their states
+    # and the steps they have taken
+    rows = np.setdiff1d(np.arange(size), list(failed))
+    states = [np.tile(project(plan.x0, n).coeffs, (rows.size, 1))
               for _, n in res]
-    taken = [np.zeros(size, dtype=np.int64) for _ in res]
+    taken = [np.zeros(rows.size, dtype=np.int64) for _ in res]
     spent["draw"] += clock() - t0
     for k0 in range(0, total, stretch):
         k1 = min(k0 + stretch, total)
-        if not alive[0].size:
+        if np.isnan(states[0]).all():  # every sample aborted at the reference
             break
         t0 = clock()
-        chunk = paths.draw(k0, k1, alive[0])
-        at = np.full(size, -1)
-        at[alive[0]] = np.arange(alive[0].size)
+        chunk = paths.draw(k0, k1, rows)
         t1 = clock()
         spent["draw"] += t1 - t0
         # each time grid's partitions and folds at n_ref, by dt: the fold is
@@ -465,9 +465,6 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
         # grid (every spatial level) steps on the leading columns
         folded = {}
         for j, cfg in enumerate(cfgs):
-            rows = alive[j]
-            if not rows.size:
-                continue
             t0 = clock()
             dt, r = res[j][0], ratios[j]
             if dt not in folded:
@@ -480,30 +477,25 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
                 folded[dt] = (parts,
                               *restrict_chunk(chunk, parts, plan.n_ref))
             parts, wiener, starts = folded[dt]
-            sel = at[rows]
-            block = StepBlock([parts[s] for s in sel],
-                              wiener[:, :cfg.n_modes], starts[sel],
-                              taken[j][rows], [chunk.times[s] for s in sel],
-                              [chunk.xis[s] for s in sel])
+            block = StepBlock(parts, wiener[:, :cfg.n_modes], starts,
+                              taken[j], chunk.times, chunk.xis)
             t1 = clock()
             finals, diverged, _ = run_block(cfg, block, states[j])
             spent["restrict"] += t1 - t0
             spent["step"][j] += clock() - t1
-            taken[j][rows] += [parts[s].size - 1 for s in sel]
+            taken[j] += [p.size - 1 for p in parts]
             states[j] = finals
-            if not diverged:
-                continue
-            dead = rows[list(diverged)]
-            for k, b in zip(diverged, dead):
-                failed[b] = (j, *diverged[k])
-            for h in range(j, len(res)):
-                keep = ~np.isin(alive[h], dead)
-                alive[h], states[h] = alive[h][keep], states[h][keep]
+            # the sample sits out the higher resolutions, so a later
+            # stretch reports it at a lower one: the first in plan order
+            for k, hit in diverged.items():
+                failed[rows[k]] = (j, *hit)
+                for later in states[j + 1:]:
+                    later[k] = np.nan
         # one stretch at a time: drop it before the next one is drawn
         del chunk, folded, parts, wiener, block
     terminals = np.zeros((size, len(res), plan.n_ref))
     for j, (_, n) in enumerate(res):
-        terminals[alive[j], j, :n] = states[j]
+        terminals[rows, j, :n] = states[j]
     aborted = [{"index": indices[b],
                 "level": res[j][0] if plan.axis == "temporal" else res[j][1],
                 "step": step, "time": t}
@@ -574,41 +566,33 @@ def _increment_norms(plan: StudyPlan, indices, phases: dict) -> np.ndarray:
     return norms
 
 
-def _block_norms(plan: StudyPlan, size: int, start: int,
-                 phases=None) -> tuple:
+def _block_norms(plan: StudyPlan, size: int, start: int) -> tuple:
     """Norms of the surviving samples of the block of `size` samples from
-    `start`, and the block's abort records: coupled norms of a temporal or
-    spatial block, increment norms of a Hölder block, which aborts no
-    sample.  The seconds spent are added to `phases` (see `_new_phases`)."""
-    phases = _new_phases(plan) if phases is None else phases
+    `start`, the block's abort records and the seconds its phases took
+    (see `_new_phases`): coupled norms of a temporal or spatial block,
+    increment norms of a Hölder block, which aborts no sample."""
+    phases = _new_phases(plan)
     indices = range(start, min(start + size, plan.samples))
     if plan.axis == "holder":
-        return _increment_norms(plan, indices, phases), []
+        return _increment_norms(plan, indices, phases), [], phases
     terminals, aborted = _run_block(plan, indices, phases)
     t0 = time.perf_counter()
     dead = {a["index"] for a in aborted}
     kept = [b for b, i in enumerate(indices) if i not in dead]
     norms = _coupled_norms(terminals[kept])
     phases["norms"] += time.perf_counter() - t0
-    return norms, aborted
-
-
-def _timed_block(plan: StudyPlan, size: int, start: int) -> tuple:
-    """`_block_norms` of one block and its phases, as a worker returns
-    them across the process pool."""
-    phases = _new_phases(plan)
-    return (*_block_norms(plan, size, start, phases), phases)
+    return norms, aborted, phases
 
 
 def _collect_norms(plan: StudyPlan, workers: int, phases=None) -> tuple:
     """The (samples, levels) norms of the surviving samples, in sample
-    order, and the abort records.  The blocks' seconds are added to
-    `phases` as in `_block_norms`: with several workers, summed over the
-    workers.  Each finished block logs a progress line."""
+    order, and the abort records.  The seconds of the blocks' phases (see
+    `_block_norms`) are added to `phases`: with several workers, summed
+    over the workers.  Each finished block logs a progress line."""
     phases = _new_phases(plan) if phases is None else phases
     size = block_size(plan)
     starts = range(0, plan.samples, size)
-    job = partial(_timed_block, plan, size)
+    job = partial(_block_norms, plan, size)
     norms = np.empty((plan.samples, len(plan.levels)))
     filled, aborted = 0, []
     t0 = time.perf_counter()
@@ -660,6 +644,8 @@ def run_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     norms they return are gathered in sample order and bootstrapped
     serially, so the reports do not depend on the worker count.
     """
+    if workers < 1:
+        raise ValueError("worker count must be a positive integer")
     phases = _new_phases(plan)
     norms, aborted = _collect_norms(plan, workers, phases)
     for j, level in enumerate(plan.levels):

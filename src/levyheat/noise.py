@@ -51,6 +51,7 @@ __all__ = [
     "sample_jump_skeleton",
     "sample_jump_skeletons",
     "uniform_nodes",
+    "dyadic_ratio",
     "conv_variance",
     "compose_convolution",
     "CoupledNoisePath",
@@ -551,6 +552,15 @@ def uniform_nodes(horizon: float, dt: float) -> np.ndarray:
     nodes = np.arange(int(round(n_steps)) + 1, dtype=np.float64) * dt
     nodes[-1] = horizon  # guard the last node against accumulation error
     return nodes
+
+
+def dyadic_ratio(dt: float, dt_ref: float) -> int:
+    """The power of two r with dt = r dt_ref exactly, so that every node of
+    a dt grid is a node of the dt_ref grid; 0 if there is none."""
+    r = round(dt / dt_ref)
+    if r < 1 or r & (r - 1) or r * dt_ref != dt:
+        return 0
+    return r
 
 
 def _collisions(base: np.ndarray, times: np.ndarray) -> np.ndarray:

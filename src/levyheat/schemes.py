@@ -22,6 +22,7 @@ from .noise import (
     CoupledNoisePath,
     MarkModel,
     compensator_coeffs,
+    dyadic_ratio,
     restrict_path,
     uniform_nodes,
 )
@@ -219,11 +220,12 @@ class StepBlock:
     one row per run.
 
     Row r steps between the times nodes[r]; its Wiener increments are the
-    rows starts[r], starts[r] + 1, ... of `wiener`, its first step here is
-    step first[r] of its whole run, and its jumps in the stretch are at
-    times[r] with magnitudes xis[r].  A jump at sigma is in the step
-    t_i < sigma <= t_(i+1): on the adapted partition it is applied at that
-    step's end node, on the uniform grid its step aggregates it.
+    rows starts[r], starts[r] + 1, ... of `wiener` (`starts` may end with
+    one more entry), its first step here is step first[r] of its whole
+    run, and its jumps in the stretch are at times[r] with magnitudes
+    xis[r].  A jump at sigma is in the step t_i < sigma <= t_(i+1): on the
+    adapted partition it is applied at that step's end node, on the uniform
+    grid its step aggregates it.
     """
 
     nodes: list
@@ -251,15 +253,18 @@ def run_block(cfg: SchemeConfig, block: StepBlock, state=None,
     The state has shape (rows, n) and starts from `state`, or from x0 at
     the first stretch; every row has its own step sizes, increments and
     jumps, so a row gets exactly the doubles it would get alone, and a run
-    cut into stretches the doubles of one run.  A row that turns non-finite
-    leaves the block at once; a row whose stretch ends leaves it after its
-    last step.
+    cut into stretches the doubles of one run.  The rows stay in the block
+    to the end of the stretch: a row past its last step repeats that step's
+    size and increment.  A row that turns non-finite is gone: it is set to
+    NaN, which the later steps carry without a warning, and a row that
+    enters non-finite is gone already.  The loop stops early once every row
+    is gone or past its last step.
 
-    Returns (finals, diverged, history): the state of each row at the end
-    of the stretch (NaN where the row diverged), a dict mapping each
-    diverged row to the step of its whole run and the time at which it
-    diverged, and with `record` (one row) the per-node states, the jump
-    nodes and their pre-jump states, else None.
+    Returns (finals, diverged, history): the state of each row at its own
+    last step (NaN where the row is gone), a dict mapping each row that
+    turned non-finite within its steps here to the step of its whole run
+    and the time at which it did, and with `record` (one row) the per-node
+    states, the jump nodes and their pre-jump states, else None.
     """
     n = cfg.n_modes
     lam = eigenvalues(n)
@@ -280,31 +285,31 @@ def run_block(cfg: SchemeConfig, block: StepBlock, state=None,
         mean_g_vec = mg.coeffs
 
     # per row and step: an index into a table of the distinct step sizes,
-    # and (uniform scheme) the g1 and magnitude sums of the step's jumps;
-    # the padding after a row's last step is never read
+    # the increment row, and the g1 and magnitude sums of the step's jumps
+    # (on the adapted partition at most one, at its end node); a row past
+    # its last step repeats its last size and increment, with no jumps
     steps = np.array([p.size - 1 for p in block.nodes])
     width = int(steps.max())
     dts = np.empty((rows, width))
     for r, p in enumerate(block.nodes):
         dts[r, :steps[r]] = np.diff(p)
         dts[r, steps[r]:] = dts[r, steps[r] - 1]
+    starts = block.starts[:rows]
+    src = np.minimum(starts + np.arange(width)[:, None], starts + steps - 1)
     sum_g1 = np.zeros((rows, width))
     sum_xi = np.zeros((rows, width))
-    events = {}  # adapted scheme: step -> [(row, 1 + g1, xi)] at its end node
     for r, (p, times, xis) in enumerate(zip(block.nodes, block.times,
                                             block.xis)):
-        if not times.size:
-            continue
-        in_step = np.searchsorted(p, times) - 1
-        g1s = model.g1_values(xis)
-        if adapted:
-            for i, g1, xi in zip(in_step.tolist(), g1s, xis):
-                events.setdefault(i, []).append((r, 1.0 + g1, xi))
-        else:
-            sum_g1[r, :steps[r]] = np.bincount(in_step, weights=g1s,
-                                               minlength=steps[r])
+        if times.size:
+            in_step = np.searchsorted(p, times) - 1
+            sum_g1[r, :steps[r]] = np.bincount(
+                in_step, weights=model.g1_values(xis), minlength=steps[r])
             sum_xi[r, :steps[r]] = np.bincount(in_step, weights=xis,
                                                minlength=steps[r])
+    jumped = (sum_xi != 0.0).any(axis=0).tolist()  # marks are never zero
+    ends = {}  # step -> the rows whose last step it is
+    for r, s in enumerate(steps.tolist()):
+        ends.setdefault(s - 1, []).append(r)
     sizes, which = np.unique(dts.ravel(), return_inverse=True)
     which = which.reshape(rows, width)
     e_tab = np.array([np.exp(-lam * dt) for dt in sizes])
@@ -312,76 +317,63 @@ def run_block(cfg: SchemeConfig, block: StepBlock, state=None,
     s_tab = np.array([-dt * mean_g_vec for dt in sizes])
     c_tab = -sizes * mean_g1
     tables = list(zip(e_tab, p_tab, s_tab, c_tab))  # per size, for shared steps
+    shared = (which == which[:1]).all(axis=0).tolist()
+    first = which[0].tolist()
 
     if state is None:
         x = np.tile(project(cfg.x0, n).coeffs, (rows, 1))
     else:
         x = np.asarray(state, dtype=np.float64)
+    gone = ~np.isfinite(x).all(axis=1)
+    if gone.any():
+        x = np.where(gone[:, None], np.nan, x)
     finals = np.full((rows, n), np.nan)
     diverged = {}
     history = None
     if record:
         history = (np.empty((width + 1, n)), [], [])
         history[0][0] = x[0]
-    active = np.arange(rows)  # the block row of each row of x
-    src = block.starts.copy()  # the increment row of each row of x
-    leaving = set((steps - 1).tolist())
-    at = {r: r for r in range(rows)}
-    shared = (which == which[:1]).all(axis=0).tolist()
-    first = which[0].tolist()
-    for i in range(width):
+    for i in range(0 if gone.all() else width):
         if shared[i]:
             e_vec, p_vec, shift, coeff = tables[first[i]]
         else:
             col = which[:, i]
             e_vec, p_vec, shift = e_tab[col], p_tab[col], s_tab[col]
             coeff = c_tab[col, None]
-        w = block.wiener[src]
-        src += 1
         fv = kernel(x) if kernel is not None else None
+        if jumped[i]:
+            hit = sum_xi[:, i] != 0.0
         if not live:
             coeff = shift = None
         elif not adapted:
             coeff = coeff + sum_g1[:, i, None]
-            hit = sum_xi[:, i] != 0.0
-            if hit.any():
+            if jumped[i]:
                 shift = np.broadcast_to(shift, x.shape).copy()
                 shift[hit] = sum_xi[hit, i, None] * phi_vec + shift[hit]
-        y = _apply_step(x, fv, w, e_vec, p_vec, coeff, shift)
-        for r, factor, xi in events.get(i, ()):
-            j = at.get(r)
-            if j is None:
-                continue
+        y = _apply_step(x, fv, block.wiener[src[i]], e_vec, p_vec, coeff,
+                        shift)
+        if adapted and jumped[i]:
             if record:
                 history[1].append(i + 1)
-                history[2].append(y[j].copy())
-            y[j] *= factor
-            y[j] += xi * phi_vec
+                history[2].append(y[0].copy())
+            y[hit] *= 1.0 + sum_g1[hit, i, None]
+            y[hit] += sum_xi[hit, i, None] * phi_vec
         if record:
             history[0][i + 1] = y[0]
-        if i not in leaving and np.isfinite(y).all():
-            x = y
+        x = y
+        done = ends.get(i)
+        if np.isfinite(y).all() and done is None:
             continue
-        # rows leave the block: the finished keep their state, the diverged
-        # their step and time
-        finite = np.isfinite(y).all(axis=1)
-        for j in np.nonzero(~finite)[0]:
-            r = active[j]
+        fresh = ~np.isfinite(y).all(axis=1) & ~gone
+        y[fresh] = np.nan
+        gone |= fresh
+        for r in np.nonzero(fresh & (steps > i))[0].tolist():
             diverged[r] = (int(block.first[r]) + i,
                            float(block.nodes[r][i + 1]))
-        done = finite & (steps[active] == i + 1)
-        finals[active[done]] = y[done]
-        keep = finite & (steps[active] > i + 1)
-        if not keep.any():
+        if done is not None:
+            finals[done] = y[done]
+        if (gone | (steps <= i + 1)).all():
             break
-        x = y[keep]
-        active = active[keep]
-        src = src[keep]
-        which = which[keep]
-        sum_g1, sum_xi = sum_g1[keep], sum_xi[keep]
-        at = {r: j for j, r in enumerate(active.tolist())}
-        shared = (which == which[:1]).all(axis=0).tolist()
-        first = which[0].tolist()
     return finals, diverged, history
 
 
@@ -391,8 +383,7 @@ def _run_one(cfg: SchemeConfig, path: CoupledNoisePath) -> Trajectory:
     if path.nodes[-1] != cfg.horizon:
         raise ValueError("path horizon does not match the configuration")
     # exactly: the partition's nodes are micro nodes of the path
-    r = round(cfg.dt_nominal / path.dt_ref)
-    if r < 1 or (r & (r - 1)) or r * path.dt_ref != cfg.dt_nominal:
+    if not dyadic_ratio(cfg.dt_nominal, path.dt_ref):
         raise ValueError(
             "dt_nominal must be the reference step times a power of two"
         )

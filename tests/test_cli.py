@@ -312,6 +312,14 @@ def test_execute_unwritable_out_dir_fails_before_running(tmp_path):
         execute(plans, blocker)
 
 
+def test_execute_rejects_a_worker_count_below_one(tmp_path):
+    plans = parse_config(write_config(tmp_path, study_dict()))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="thread count must be a positive"):
+        execute(plans, out, threads=0)
+    assert not out.exists()
+
+
 def test_execute_records_failed_study_and_keeps_going(tmp_path):
     bad = study_dict(name="divergent",
                      nonlinearity={"kind": "linear", "coef": 1e25},

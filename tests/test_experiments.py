@@ -388,6 +388,11 @@ def test_worker_pool_matches_serial():
     assert serial.aborts == pooled.aborts == 0
 
 
+def test_run_study_rejects_a_worker_count_below_one():
+    with pytest.raises(ValueError, match="worker count must be a positive"):
+        run_study(make_plan(), workers=0)
+
+
 def test_all_samples_aborting_raises():
     plan = make_plan(
         nonlinearity=NonlinearitySpec.linear(1e25),
@@ -682,7 +687,7 @@ def test_sample_is_bitwise_the_same_in_any_block(scheme, axis, overrides):
     four, _ = _run_block(plan, range(4, 8))
     seven, _ = _run_block(plan, [11, 5, 0, 3, 12, 13, 2])
     # samples 5..8: the partial last block of a nine-sample plan
-    partial, _ = _block_norms(plan, 7, 5)
+    partial, _, _ = _block_norms(plan, 7, 5)
     assert four[1].tobytes() == alone_terms[0].tobytes()
     assert seven[1].tobytes() == alone_terms[0].tobytes()
     assert partial.shape == (4, len(plan.levels))

@@ -352,6 +352,37 @@ def test_one_step_composition_matches_runners():
         assert jumps == path.skeleton.count
 
 
+def test_a_row_entering_non_finite_is_gone_without_a_report():
+    # row 1 enters NaN: it is carried silently and never reported, and
+    # row 0, which ends three steps earlier, keeps the doubles of a run alone
+    model = MarkModel(3.0, TwoPointLaw(0.5, 2.0, -1.0),
+                      power_profile(1.0, 2.0, 6), G1Spec.constant(0.3))
+    cfg = config(SCHEME_A, 6, 2.0**-4, model, f=NonlinearitySpec.sine(1.0))
+    paths = [sample_path(1.0, 2.0**-7, 6, model, 5, i) for i in (2, 4)]
+    level = uniform_nodes(1.0, 2.0**-4)
+    parts = [stretch_nodes(cfg, level, p.skeleton.times) for p in paths]
+    assert parts[0].size + 3 == parts[1].size
+    wiener = [restrict_path(p, q, 6).wiener for p, q in zip(paths, parts)]
+
+    def block(rows):
+        starts = np.cumsum([0] + [wiener[r].shape[0] for r in rows[:-1]])
+        return StepBlock([parts[r] for r in rows],
+                         np.concatenate([wiener[r] for r in rows]), starts,
+                         np.zeros(len(rows), np.int64),
+                         [paths[r].skeleton.times for r in rows],
+                         [paths[r].skeleton.xis for r in rows])
+
+    state = np.full((2, 6), 0.5)
+    state[1, 2] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        finals, diverged, _ = run_block(cfg, block([0, 1]), state)
+        alone, _, _ = run_block(cfg, block([0]), state[:1])
+    assert 1 not in diverged
+    assert np.isnan(finals[1]).all()
+    assert finals[0].tobytes() == alone[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the scalar brute-force oracle (single mode, both schemes)
 

@@ -44,7 +44,6 @@ from .schemes import (
     SCHEME_A,
     SCHEME_B,
     SchemeConfig,
-    StepBlock,
     run_block,
     stretch_nodes,
 )
@@ -139,10 +138,12 @@ class StudyPlan:
             coerced = []
             for j, v in enumerate(levels):
                 if float(v) != int(v):
-                    raise ValueError(f"spatial level {v} is not an integer")
+                    raise ValueError(
+                        f"levels[{j}]: spatial level {v} is not an integer")
                 coerced.append(int(v))
                 if not 1 <= int(v) <= self.n_ref:
-                    raise ValueError(f"spatial level {v} outside [1, n_ref]")
+                    raise ValueError(
+                        f"levels[{j}]: spatial level {v} outside [1, n_ref]")
                 if int(v) == self.n_ref:
                     raise ValueError(
                         f"levels[{j}]: spatial level {v} equals n_ref, so "
@@ -151,13 +152,22 @@ class StudyPlan:
             levels = tuple(coerced)
         else:
             levels = tuple(float(v) for v in levels)
-            for h in levels:
+            for j, h in enumerate(levels):
                 if not 0.0 < h <= self.horizon / 2.0:
                     raise ValueError(
-                        f"increment {h} must lie in (0, horizon/2]"
+                        f"levels[{j}]: increment {h} must lie in "
+                        "(0, horizon/2]"
                     )
             if self.model.g1.bound > 0:
-                raise ValueError("the regularity study needs additive jumps")
+                raise ValueError(
+                    "model.g1: the regularity study needs additive jumps")
+        # three or more levels are fitted (`_ols`), which needs log-levels
+        # that are not all one number
+        logs = np.log(np.asarray(levels, dtype=np.float64))
+        if len(levels) >= 3 and np.all(logs == logs.mean()):
+            raise ValueError(
+                f"levels: all {len(levels)} levels are {levels[0]}, so no "
+                "order can be fitted")
         object.__setattr__(self, "levels", levels)
         p_list = tuple(float(p) for p in self.p_list)
         if not p_list or any(not 2 <= p < math.inf for p in p_list):
@@ -169,7 +179,7 @@ class StudyPlan:
             warnings.warn(
                 "fewer than 100 samples: bootstrap uncertainty will dominate",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         # the expected jump rows of one sample must fit one block's budget,
         # which also keeps the Poisson draws of the jump counts in range
@@ -468,31 +478,23 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
             t0 = clock()
             dt, r = res[j][0], ratios[j]
             if dt not in folded:
-                if cfg.scheme == SCHEME_A and r == 1:
-                    parts = chunk.micro
-                else:
-                    level = grids[j][k0 // r:k1 // r + 1]
-                    parts = [stretch_nodes(cfg, level, t)
-                             for t in chunk.times]
-                folded[dt] = (parts,
-                              *restrict_chunk(chunk, parts, plan.n_ref))
-            parts, wiener, starts = folded[dt]
-            block = StepBlock(parts, wiener[:, :cfg.n_modes], starts,
-                              taken[j], chunk.times, chunk.xis)
+                level = grids[j][k0 // r:k1 // r + 1]
+                parts = [stretch_nodes(cfg, level, t) for t in chunk.times]
+                folded[dt] = restrict_chunk(chunk, parts, plan.n_ref)
             t1 = clock()
-            finals, diverged, _ = run_block(cfg, block, states[j])
+            finals, diverged, _ = run_block(cfg, folded[dt], states[j])
             spent["restrict"] += t1 - t0
             spent["step"][j] += clock() - t1
-            taken[j] += [p.size - 1 for p in parts]
             states[j] = finals
             # the sample sits out the higher resolutions, so a later
             # stretch reports it at a lower one: the first in plan order
-            for k, hit in diverged.items():
-                failed[rows[k]] = (j, *hit)
+            for k, (step, t) in diverged.items():
+                failed[rows[k]] = (j, int(taken[j][k]) + step, t)
                 for later in states[j + 1:]:
                     later[k] = np.nan
+            taken[j] += [p.size - 1 for p in folded[dt].nodes]
         # one stretch at a time: drop it before the next one is drawn
-        del chunk, folded, parts, wiener, block
+        del chunk, folded
     terminals = np.zeros((size, len(res), plan.n_ref))
     for j, (_, n) in enumerate(res):
         terminals[rows, j, :n] = states[j]

@@ -18,17 +18,20 @@ The driving noise has two independent parts:
 Randomness comes from counter-based Philox streams keyed by
 (global seed, sample index, purpose), so each sample is reproducible in
 isolation and independent of how work is scheduled across processes.
-Paths are drawn one stretch of time at a time (`PathStream`) and folded to
-coarse partitions by `restrict_chunk`.  A whole path (`sample_path`,
-`restrict_path`) is the one-sample, one-stretch case of the same code: its
-micro nodes, its row scaling and its folds are those of the stream, so
-there is one row scaling (`_scale_rows`) and one restriction.
+Paths are drawn one stretch of time at a time, and one record holds a
+stretch from draw to step: a `PathChunk` of per-sample nodes, increment
+rows and jumps.  `PathStream.draw` returns it on the micro nodes,
+`restrict_chunk` folds it to coarse partitions, and the schemes'
+`run_block` steps it.  A whole path (`sample_path`, `restrict_path`) is
+the one-sample, one-stretch case of the same code: its micro nodes, its
+row scaling and its folds are those of the stream, so there is one row
+scaling (`_scale_rows`) and one restriction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -56,7 +59,6 @@ __all__ = [
     "compose_convolution",
     "CoupledNoisePath",
     "sample_path",
-    "StepBundle",
     "restrict_path",
     "PathChunk",
     "PathStream",
@@ -658,16 +660,6 @@ def sample_path(horizon: float, dt_ref: float, n_ref: int, model: MarkModel,
 # restriction to a coarse partition
 
 
-@dataclass(frozen=True)
-class StepBundle:
-    """Per-step noise of one scheme run on a coarse partition: wiener[i] is
-    the exact convolution increment over nodes[i] .. nodes[i + 1]."""
-
-    nodes: np.ndarray
-    wiener: np.ndarray
-    skeleton: JumpSkeleton
-
-
 _FOLD_ROWS = 1024
 
 
@@ -736,19 +728,21 @@ def _fold(inc: np.ndarray, deltas: np.ndarray, dt_ref: float,
 
 @dataclass(frozen=True)
 class PathChunk:
-    """One stretch of time of the coupled noise paths of several samples.
+    """One stretch of time of the coupled noise paths of several samples,
+    one row per sample: drawn on the micro nodes (`PathStream.draw`),
+    restricted to coarse partitions (`restrict_chunk`) and stepped
+    (`schemes.run_block`).
 
-    Sample s's micro nodes in the stretch are micro[s], from one node of the
+    Sample s's nodes in the stretch are nodes[s], from one node of the
     dt_ref grid to another.  Its exact convolution increments over them are
-    the rows starts[s] .. starts[s + 1] - 1 of `wiener` (n_ref modes), whose
-    micro intervals are as long as the same entries of `deltas`, and its
-    jumps inside the stretch are at times[s] with magnitudes xis[s].
+    the rows starts[s] .. starts[s + 1] - 1 of `wiener` (`starts` has one
+    more entry than `nodes`), and its jumps inside the stretch are at
+    times[s] with magnitudes xis[s].
     """
 
     dt_ref: float
-    micro: list
+    nodes: list
     wiener: np.ndarray
-    deltas: np.ndarray
     starts: np.ndarray
     times: list
     xis: list
@@ -790,7 +784,7 @@ class PathStream:
         drawn in time order, each from where its last one ended.  The rows
         of a stretch live in a buffer that the next draw overwrites."""
         base = self.base[k0:k1 + 1]
-        micro, times, xis = [], [], []
+        nodes, times, xis = [], [], []
         for s in samples:
             if s in self.collisions:
                 raise ArithmeticError("jump time collides with a grid node")
@@ -801,9 +795,8 @@ class PathStream:
             lo, hi = np.searchsorted(t, (base[0], base[-1]), side="right")
             times.append(t[lo:hi])
             xis.append(self._xis[s][lo:hi])
-            micro.append(_micro_nodes(base, t[lo:hi]))
-        starts = np.zeros(len(micro) + 1, dtype=np.int64)
-        np.cumsum([m.size - 1 for m in micro], out=starts[1:])
+            nodes.append(_micro_nodes(base, t[lo:hi]))
+        starts = _starts(nodes)
         if self._rows.shape[0] < starts[-1]:
             n_ref = self._rows.shape[1]
             self._rows = None  # freed before its successor is allocated
@@ -811,33 +804,39 @@ class PathStream:
         wiener = self._rows[:starts[-1]]
         for s, a, b in zip(samples, starts[:-1], starts[1:]):
             self._rngs[s].standard_normal(out=wiener[a:b])
-        deltas = np.concatenate([np.diff(m) for m in micro])
-        _scale_rows(wiener, deltas, self.dt_ref)
-        return PathChunk(self.dt_ref, micro, wiener, deltas, starts, times,
-                         xis)
+        _scale_rows(wiener, np.concatenate([np.diff(m) for m in nodes]),
+                    self.dt_ref)
+        return PathChunk(self.dt_ref, nodes, wiener, starts, times, xis)
 
 
-def restrict_chunk(chunk: PathChunk, parts, n_modes: int) -> tuple:
+def _starts(nodes) -> np.ndarray:
+    """The first row of each sample's increments, then the row count."""
+    starts = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum([p.size - 1 for p in nodes], out=starts[1:])
+    return starts
+
+
+def restrict_chunk(chunk: PathChunk, parts, n_modes: int) -> PathChunk:
     """Exactly restrict a stretch to one partition per sample and a mode
     count; every restriction of a path, whole or streamed, is made here.
 
-    parts[s] holds sample s's partition nodes in the stretch: micro nodes,
-    the stretch's first and last among them.  Returns (wiener, starts): row
-    starts[s] + i is the increment over parts[s][i] .. parts[s][i + 1]:
-    the left-to-right `compose_convolution` fold of the micro increments it
-    contains, so the restriction is exact in distribution and bit-for-bit
-    reproducible.  All the samples' steps fold together (`_fold`).  Where
-    every partition is the micro grid, the increments are a view of the
-    chunk's rows.
+    parts[s] holds sample s's partition nodes in the stretch: nodes of the
+    chunk, the stretch's first and last among them.  Returns the chunk on
+    `parts`, with the same jumps: its row starts[s] + i is the increment
+    over parts[s][i] .. parts[s][i + 1], the left-to-right
+    `compose_convolution` fold of the chunk's increments it contains, so
+    the restriction is exact in distribution and bit-for-bit reproducible.
+    All the samples' steps fold together (`_fold`).  Where every partition
+    is the chunk's own, the result's increments are a view of its rows.
     """
     if not 1 <= n_modes <= chunk.wiener.shape[1]:
         raise ValueError(
             f"mode count must lie in [1, {chunk.wiener.shape[1]}]")
     inc = chunk.wiener[:, :n_modes]
-    if all(map(np.array_equal, parts, chunk.micro)):
-        return inc, chunk.starts
+    if all(map(np.array_equal, parts, chunk.nodes)):
+        return replace(chunk, wiener=inc)
     pos = []
-    for p, m, a in zip(parts, chunk.micro, chunk.starts):
+    for p, m, a in zip(parts, chunk.nodes, chunk.starts):
         at = np.searchsorted(m, p)
         if np.any(at >= m.size) or np.any(m[at] != p):
             raise ValueError("partition is not refined by the micro grid")
@@ -845,29 +844,29 @@ def restrict_chunk(chunk: PathChunk, parts, n_modes: int) -> tuple:
             raise ValueError("a partition must span the stretch")
         pos.append(at[:-1] + a)
     pos.append(chunk.starts[-1:])
-    starts = np.zeros(len(parts) + 1, dtype=np.int64)
-    np.cumsum([p.size - 1 for p in parts], out=starts[1:])
-    return _fold(inc, chunk.deltas, chunk.dt_ref, np.concatenate(pos)), starts
+    deltas = np.concatenate([np.diff(m) for m in chunk.nodes])
+    wiener = _fold(inc, deltas, chunk.dt_ref, np.concatenate(pos))
+    return PathChunk(chunk.dt_ref, list(parts), wiener, _starts(parts),
+                     chunk.times, chunk.xis)
 
 
-def restrict_path(path: CoupledNoisePath, partition, n_modes: int) -> StepBundle:
+def restrict_path(path: CoupledNoisePath, partition, n_modes: int) -> PathChunk:
     """Exactly restrict a noise path to a coarse partition and mode count.
 
     The path is restricted as a one-sample chunk of a single stretch by
     `restrict_chunk`, so the partition must be made of micro nodes and span
-    [0, horizon].  On the micro grid itself the bundle's increments are a
-    view of the path's rows, not a copy.
+    [0, horizon], and the result is that one-sample chunk on the partition.
+    On the micro grid itself its increments are a view of the path's rows,
+    not a copy.
     """
     nodes = np.asarray(getattr(partition, "nodes", partition), dtype=np.float64)
     if nodes.ndim != 1 or nodes.size < 2:
         raise ValueError("partition must contain at least one step")
     sk = path.skeleton
     chunk = PathChunk(path.dt_ref, [path.nodes], path.wiener,
-                      np.diff(path.nodes),
                       np.array([0, path.wiener.shape[0]]), [sk.times],
                       [sk.xis])
-    wiener, _ = restrict_chunk(chunk, [nodes], n_modes)
-    return StepBundle(nodes=nodes, wiener=wiener, skeleton=sk)
+    return restrict_chunk(chunk, [nodes], n_modes)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 from .noise import (
     CoupledNoisePath,
     MarkModel,
+    PathChunk,
     compensator_coeffs,
     dyadic_ratio,
     restrict_path,
@@ -43,7 +44,6 @@ __all__ = [
     "Trajectory",
     "run_scheme_A",
     "run_scheme_B",
-    "StepBlock",
     "stretch_nodes",
     "run_block",
 ]
@@ -146,7 +146,7 @@ class SchemeConfig:
                 "uniform-grid scheme with a multiplicative jump coefficient: "
                 "the strong-order guarantee covers additive jumps only",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -214,28 +214,6 @@ def _apply_step(x, fv, wiener, e_vec, p_vec, jump_coeff, jump_shift):
 # scheme drivers
 
 
-@dataclass(frozen=True)
-class StepBlock:
-    """The noise of several runs of one scheme over a stretch of time,
-    one row per run.
-
-    Row r steps between the times nodes[r]; its Wiener increments are the
-    rows starts[r], starts[r] + 1, ... of `wiener` (`starts` may end with
-    one more entry), its first step here is step first[r] of its whole
-    run, and its jumps in the stretch are at times[r] with magnitudes
-    xis[r].  A jump at sigma is in the step t_i < sigma <= t_(i+1): on the
-    adapted partition it is applied at that step's end node, on the uniform
-    grid its step aggregates it.
-    """
-
-    nodes: list
-    wiener: np.ndarray
-    starts: np.ndarray
-    first: np.ndarray
-    times: list
-    xis: list
-
-
 def stretch_nodes(cfg: SchemeConfig, level: np.ndarray,
                   times: np.ndarray) -> np.ndarray:
     """The scheme's partition over a stretch: its uniform nodes `level`,
@@ -245,26 +223,31 @@ def stretch_nodes(cfg: SchemeConfig, level: np.ndarray,
     return level
 
 
-def run_block(cfg: SchemeConfig, block: StepBlock, state=None,
+def run_block(cfg: SchemeConfig, chunk: PathChunk, state=None,
               record: bool = False) -> tuple:
-    """Run the configured scheme over a stretch for each row of `block`,
+    """Run the configured scheme over a stretch for each row of `chunk`,
     all rows through one loop of the one-step map.
 
-    The state has shape (rows, n) and starts from `state`, or from x0 at
-    the first stretch; every row has its own step sizes, increments and
-    jumps, so a row gets exactly the doubles it would get alone, and a run
-    cut into stretches the doubles of one run.  The rows stay in the block
-    to the end of the stretch: a row past its last step repeats that step's
-    size and increment.  A row that turns non-finite is gone: it is set to
-    NaN, which the later steps carry without a warning, and a row that
-    enters non-finite is gone already.  The loop stops early once every row
-    is gone or past its last step.
+    Row r steps between the times chunk.nodes[r] on the leading n_modes
+    columns of its increment rows.  A jump at sigma is in the step
+    t_i < sigma <= t_(i+1): on the adapted partition it is applied at that
+    step's end node, on the uniform grid its step aggregates it.  The state
+    has shape (rows, n) and starts from `state`, or from x0 at the first
+    stretch; every row has its own step sizes, increments and jumps, so a
+    row gets exactly the doubles it would get alone, and a run cut into
+    stretches the doubles of one run.  The rows stay in the block to the
+    end of the stretch: a row past its last step repeats that step's size
+    and increment.  A row that turns non-finite is gone: it is set to NaN,
+    which the later steps carry without a warning, and a row that enters
+    non-finite is gone already.  The loop stops early once every row is
+    gone or past its last step.
 
     Returns (finals, diverged, history): the state of each row at its own
     last step (NaN where the row is gone), a dict mapping each row that
-    turned non-finite within its steps here to the step of its whole run
-    and the time at which it did, and with `record` (one row) the per-node
-    states, the jump nodes and their pre-jump states, else None.
+    turned non-finite within its steps here to the step at which it did,
+    counted within the stretch from 0, and that step's end time, and with
+    `record` (one row) the per-node states, the jump nodes and their
+    pre-jump states, else None.
     """
     n = cfg.n_modes
     lam = eigenvalues(n)
@@ -274,11 +257,12 @@ def run_block(cfg: SchemeConfig, block: StepBlock, state=None,
     if cfg.nonlinearity.kind != "zero":
         kernel = NemytskiiKernel(cfg.nonlinearity, n, n)
     phi_vec = project(model.profile, n).coeffs
-    rows = len(block.nodes)
+    rows = len(chunk.nodes)
+    wiener = chunk.wiener[:, :n]
     # the frozen jump term runs whenever the compensator is non-trivial or
     # (uniform scheme) realized jumps need aggregating
     live = model.intensity > 0 or (
-        not adapted and any(x.size for x in block.xis))
+        not adapted and any(x.size for x in chunk.xis))
     mean_g1, mean_g_vec = 0.0, np.zeros(n)
     if model.intensity > 0:
         mean_g1, mg = compensator_coeffs(model, n)
@@ -288,18 +272,18 @@ def run_block(cfg: SchemeConfig, block: StepBlock, state=None,
     # the increment row, and the g1 and magnitude sums of the step's jumps
     # (on the adapted partition at most one, at its end node); a row past
     # its last step repeats its last size and increment, with no jumps
-    steps = np.array([p.size - 1 for p in block.nodes])
+    steps = np.array([p.size - 1 for p in chunk.nodes])
     width = int(steps.max())
     dts = np.empty((rows, width))
-    for r, p in enumerate(block.nodes):
+    for r, p in enumerate(chunk.nodes):
         dts[r, :steps[r]] = np.diff(p)
         dts[r, steps[r]:] = dts[r, steps[r] - 1]
-    starts = block.starts[:rows]
+    starts = chunk.starts[:-1]
     src = np.minimum(starts + np.arange(width)[:, None], starts + steps - 1)
     sum_g1 = np.zeros((rows, width))
     sum_xi = np.zeros((rows, width))
-    for r, (p, times, xis) in enumerate(zip(block.nodes, block.times,
-                                            block.xis)):
+    for r, (p, times, xis) in enumerate(zip(chunk.nodes, chunk.times,
+                                            chunk.xis)):
         if times.size:
             in_step = np.searchsorted(p, times) - 1
             sum_g1[r, :steps[r]] = np.bincount(
@@ -350,8 +334,7 @@ def run_block(cfg: SchemeConfig, block: StepBlock, state=None,
             if jumped[i]:
                 shift = np.broadcast_to(shift, x.shape).copy()
                 shift[hit] = sum_xi[hit, i, None] * phi_vec + shift[hit]
-        y = _apply_step(x, fv, block.wiener[src[i]], e_vec, p_vec, coeff,
-                        shift)
+        y = _apply_step(x, fv, wiener[src[i]], e_vec, p_vec, coeff, shift)
         if adapted and jumped[i]:
             if record:
                 history[1].append(i + 1)
@@ -368,8 +351,7 @@ def run_block(cfg: SchemeConfig, block: StepBlock, state=None,
         y[fresh] = np.nan
         gone |= fresh
         for r in np.nonzero(fresh & (steps > i))[0].tolist():
-            diverged[r] = (int(block.first[r]) + i,
-                           float(block.nodes[r][i + 1]))
+            diverged[r] = (i, float(chunk.nodes[r][i + 1]))
         if done is not None:
             finals[done] = y[done]
         if (gone | (steps <= i + 1)).all():
@@ -378,8 +360,9 @@ def run_block(cfg: SchemeConfig, block: StepBlock, state=None,
 
 
 def _run_one(cfg: SchemeConfig, path: CoupledNoisePath) -> Trajectory:
-    """Run the scheme on one path: `run_block` on one row and a single
-    stretch, over the scheme's partition of [0, T] (see `stretch_nodes`)."""
+    """Run the scheme on one path: `run_block` on the one-row chunk of a
+    single stretch that `restrict_path` makes on the scheme's partition of
+    [0, T] (see `stretch_nodes`)."""
     if path.nodes[-1] != cfg.horizon:
         raise ValueError("path horizon does not match the configuration")
     # exactly: the partition's nodes are micro nodes of the path
@@ -387,14 +370,11 @@ def _run_one(cfg: SchemeConfig, path: CoupledNoisePath) -> Trajectory:
         raise ValueError(
             "dt_nominal must be the reference step times a power of two"
         )
-    sk = path.skeleton
     part = TimePartition(stretch_nodes(
-        cfg, uniform_nodes(cfg.horizon, cfg.dt_nominal), sk.times),
+        cfg, uniform_nodes(cfg.horizon, cfg.dt_nominal), path.skeleton.times),
         cfg.dt_nominal)
-    wiener = restrict_path(path, part, cfg.n_modes).wiener
-    block = StepBlock([part.nodes], wiener, np.zeros(1, np.int64),
-                      np.zeros(1, np.int64), [sk.times], [sk.xis])
-    _, diverged, (states, jump_nodes, pre_rows) = run_block(cfg, block,
+    chunk = restrict_path(path, part, cfg.n_modes)
+    _, diverged, (states, jump_nodes, pre_rows) = run_block(cfg, chunk,
                                                             record=True)
     if diverged:
         raise DivergenceError(*diverged[0])

@@ -253,13 +253,6 @@ class NonlinearitySpec:
         """Global Lipschitz constant of the pointwise map."""
         return 0.0 if self.kind == "zero" else abs(self.coef)
 
-    def pointwise(self, values: np.ndarray) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros_like(values)
-        if self.kind == "linear":
-            return self.coef * values
-        return self.coef * np.sin(values)
-
 
 class NemytskiiKernel:
     """Precomputed pseudo-spectral evaluation of P_N f(u) on raw arrays.

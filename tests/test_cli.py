@@ -439,15 +439,23 @@ def test_no_module_imports_a_name_it_never_reads():
         read = {n.id for n in ast.walk(tree)
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         exported = set()
+        defined = set(imported)
         for node in tree.body:
-            if (isinstance(node, ast.Assign)
-                    and [getattr(t, "id", None) for t in node.targets]
-                    == ["__all__"]):
-                exported = set(ast.literal_eval(node.value))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined.update(getattr(t, "id", None) for t in targets)
+                if [getattr(t, "id", None) for t in targets] == ["__all__"]:
+                    exported = set(ast.literal_eval(node.value))
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items()
                    if name not in read | exported
                    and (path.stem, name) not in kept]
+        # a deleted name must not stay exported
+        unused += [f"{path.name}: __all__ names undefined {name}"
+                   for name in sorted(exported - defined)]
     assert unused == []
 
 
@@ -630,6 +638,19 @@ def test_main_dry_run_creates_nothing(tmp_path, capsys):
     ({"p_list": [2.0, math.inf]}, "p_list[1]"),
     ({"levels": [math.nan]}, "levels[0]"),
     ({"horizon": math.nan}, "horizon"),
+    # three or more levels are fitted, and equal ones have no slope
+    ({"levels": [0.25, 0.25, 0.25]}, "levels"),
+    ({"axis": "spatial", "levels": [2, 2, 2], "n_ref": 4}, "levels"),
+    ({"axis": "holder", "levels": [0.125] * 3}, "levels"),
+    ({"axis": "spatial", "levels": [2, 2.5], "n_ref": 4}, "levels[1]"),
+    ({"axis": "spatial", "levels": [2, 8], "n_ref": 4}, "levels[1]"),
+    ({"axis": "holder", "levels": [0.125, 0.7]}, "levels[1]"),
+    ({"axis": "holder", "levels": [0.125, 0.0625], "model": {
+        "intensity": 1.0,
+        "law": {"kind": "two_point", "p_plus": 0.5, "v_plus": 1.0,
+                "v_minus": -1.0},
+        "profile": {"c": 1.0, "r": 2.0},
+        "g1": {"kind": "constant", "value": 0.3}}}, "model.g1"),
 ])
 def test_dry_run_rejects_unrunnable_plans(tmp_path, capsys, overrides,
                                           field):

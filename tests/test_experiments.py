@@ -270,6 +270,20 @@ def test_plan_small_sample_warning():
         make_plan(samples=100)
 
 
+def test_warnings_name_the_line_that_builds_the_plan_or_config():
+    # not the dataclass-generated __init__ that runs __post_init__
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        make_plan(samples=50)
+        SchemeConfig(SCHEME_B, 4, 0.25, 0.5, NonlinearitySpec.zero(),
+                     tiny_model(4, g1=G1Spec("constant", 0.3)),
+                     unit_state(4))
+    assert len(seen) == 2
+    assert str(seen[0].message).startswith("fewer than 100 samples")
+    assert str(seen[1].message).startswith("uniform-grid scheme")
+    assert [w.filename for w in seen] == [__file__, __file__]
+
+
 def test_plan_rejects_misc_bad_fields():
     with pytest.raises(ValueError):
         make_plan(axis="modal")
@@ -805,10 +819,11 @@ def _streamed(plan, stretch):
             r = round(dt / plan.dt_ref)
             level = uniform_nodes(plan.horizon, dt)[k0 // r:k1 // r + 1]
             parts = [stretch_nodes(cfg, level, t) for t in chunk.times]
-            wiener, starts = restrict_chunk(chunk, parts, n)
+            folded = restrict_chunk(chunk, parts, n)
             for s in range(plan.samples):
-                nodes[s, j].append(parts[s][:-1])
-                incs[s, j].append(wiener[starts[s]:starts[s + 1]].copy())
+                nodes[s, j].append(folded.nodes[s][:-1])
+                incs[s, j].append(folded.wiener[
+                    folded.starts[s]:folded.starts[s + 1]].copy())
     return nodes, incs
 
 
@@ -951,7 +966,7 @@ def test_restrict_chunk_locates_every_samples_nodes(monkeypatch):
     parts = [stretch_nodes(cfg, level, t) for t in chunk.times]
     expected = np.concatenate(
         [np.searchsorted(m, p)[:-1] + a
-         for p, m, a in zip(parts, chunk.micro, chunk.starts)]
+         for p, m, a in zip(parts, chunk.nodes, chunk.starts)]
         + [chunk.starts[-1:]])
     seen = []
     fold = noise._fold
@@ -1000,11 +1015,11 @@ def test_spatial_levels_step_on_the_reference_fold(monkeypatch):
     stepped = {}  # (n, sample) -> increments stepped on, stretch by stretch
     real = experiments.run_block
 
-    def spy(cfg, block, state=None, record=False):
-        for s, (nodes, a) in enumerate(zip(block.nodes, block.starts)):
+    def spy(cfg, chunk, state=None, record=False):
+        for s, (nodes, a) in enumerate(zip(chunk.nodes, chunk.starts)):
             stepped.setdefault((cfg.n_modes, s), []).append(
-                block.wiener[a:a + nodes.size - 1].copy())
-        return real(cfg, block, state, record)
+                chunk.wiener[a:a + nodes.size - 1, :cfg.n_modes].copy())
+        return real(cfg, chunk, state, record)
 
     monkeypatch.setattr(experiments, "run_block", spy)
     _, aborted = _run_block(plan, range(plan.samples))

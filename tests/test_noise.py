@@ -666,8 +666,8 @@ def test_restriction_variance_statistics():
 
 
 def test_restriction_jump_bookkeeping():
-    # the bundle carries the path's skeleton on uniform and adapted
-    # partitions, and refuses a partition that ends before the last jump
+    # the restricted chunk carries the path's jumps on uniform and adapted
+    # partitions, and a partition that ends before the last jump is refused
     sk = JumpSkeleton(1.0, [0.1, 0.35, 0.40], [1.0, 2.0, -1.0])
     micro = np.sort(np.concatenate([np.arange(17) * 2.0**-4, sk.times]))
     path = CoupledNoisePath(micro, 2.0**-4, np.zeros((micro.size - 1, 4)),
@@ -675,10 +675,10 @@ def test_restriction_jump_bookkeeping():
     nodes = np.arange(5) * 0.25
     anodes = np.sort(np.concatenate([nodes, sk.times]))
     for part in (nodes, anodes):
-        bundle = restrict_path(path, part, 4)
-        assert bundle.skeleton is sk
-        assert np.array_equal(bundle.nodes, part)
-        assert bundle.wiener.shape == (part.size - 1, 4)
+        chunk = restrict_path(path, part, 4)
+        assert chunk.times[0] is sk.times and chunk.xis[0] is sk.xis
+        assert np.array_equal(chunk.nodes[0], part)
+        assert chunk.wiener.shape == (part.size - 1, 4)
     with pytest.raises(ValueError, match="must span the stretch"):
         restrict_path(path, nodes[:2], 4)
 

@@ -16,6 +16,7 @@ from levyheat.noise import (
     G1Spec,
     JumpSkeleton,
     MarkModel,
+    PathChunk,
     TwoPointLaw,
     power_profile,
     restrict_path,
@@ -27,7 +28,6 @@ from levyheat.schemes import (
     SCHEME_B,
     DivergenceError,
     SchemeConfig,
-    StepBlock,
     TimePartition,
     Trajectory,
     run_block,
@@ -344,8 +344,9 @@ def test_one_step_composition_matches_runners():
         for i in range(nodes.size - 1):
             mine = (nodes[i] < times) & (times <= nodes[i + 1])
             jumps += int(mine.sum())
-            block = StepBlock([nodes[i:i + 2]], wiener, np.array([i]),
-                              np.array([i]), [times[mine]], [xis[mine]])
+            block = PathChunk(path.dt_ref, [nodes[i:i + 2]], wiener,
+                              np.array([i, i + 1]), [times[mine]],
+                              [xis[mine]])
             finals, diverged, _ = run_block(cfg, block, tr.states[i:i + 1])
             assert diverged == {}
             assert finals[0].tobytes() == tr.states[i + 1].tobytes()
@@ -365,10 +366,9 @@ def test_a_row_entering_non_finite_is_gone_without_a_report():
     wiener = [restrict_path(p, q, 6).wiener for p, q in zip(paths, parts)]
 
     def block(rows):
-        starts = np.cumsum([0] + [wiener[r].shape[0] for r in rows[:-1]])
-        return StepBlock([parts[r] for r in rows],
+        starts = np.cumsum([0] + [wiener[r].shape[0] for r in rows])
+        return PathChunk(2.0**-7, [parts[r] for r in rows],
                          np.concatenate([wiener[r] for r in rows]), starts,
-                         np.zeros(len(rows), np.int64),
                          [paths[r].skeleton.times for r in rows],
                          [paths[r].skeleton.xis for r in rows])
 

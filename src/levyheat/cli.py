@@ -25,10 +25,11 @@ describe the nonlinearity, jump model and initial state:
 Laws: ``two_point`` (p_plus, v_plus, v_minus), ``exp_shifted`` (rate,
 offset) and ``truncated_stable`` (alpha, eps).  For the truncated stable
 measure the intensity 2 Gamma(-alpha, eps) is derived from (alpha, eps) and
-must be omitted; the discarded small-jump variance 2 gamma(2 - alpha, eps)
-lands in the manifest as ``model_info.residual``.  Unknown keys anywhere
-are rejected, and so are non-finite numbers (json reads ``NaN`` and
-``Infinity``), with the field's path in the message.
+must be omitted.  A study's manifest entry reads ``model_info`` off the
+plan's law: the truncated stable law's alpha, eps, intensity and discarded
+small-jump variance 2 gamma(2 - alpha, eps) (``residual``), ``{}`` for the
+others.  Unknown keys anywhere are rejected, and so are non-finite numbers
+(json reads ``NaN`` and ``Infinity``), with the field's path in the message.
 
 ``levyheat run CONFIG --out DIR [--seed S] [--threads N] [--dry-run]``:
 ``--threads`` sets the worker processes (default 1, and at least 1).
@@ -135,8 +136,8 @@ _STUDY_KEYS = {
     "samples": _integer, "scheme": _string, "horizon": _number,
     "nonlinearity": None, "model": None, "x0": None, "seed": _integer,
 }
-# law kind: (class, number fields); truncated_stable is built by
-# `truncate_levy`, which derives the model's intensity
+# law kind: (class, number fields); the truncated stable law derives the
+# model's intensity, and `truncate_levy` builds its model
 _LAWS = {
     "two_point": (TwoPointLaw, ("p_plus", "v_plus", "v_minus")),
     "exp_shifted": (ExpShiftedLaw, ("rate", "offset")),
@@ -170,8 +171,7 @@ def _parse_profile(obj, n_ref: int, where: str) -> SpectralState:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_model(obj, n_ref: int, where: str) -> tuple:
-    """Returns (MarkModel, model_info dict)."""
+def _parse_model(obj, n_ref: int, where: str) -> MarkModel:
     _check_keys(obj, ("law", "profile"), ("intensity", "g1"), where)
     law_obj = obj["law"]
     if not isinstance(law_obj, dict) or "kind" not in law_obj:
@@ -195,14 +195,12 @@ def _parse_model(obj, n_ref: int, where: str) -> tuple:
     args = [_number(law_obj, name, f"{where}.law") for name in names]
     if derived:
         try:
-            model, residual = truncate_levy(*args, profile, g1)
+            return truncate_levy(*args, profile, g1)[0]
         except ValueError as exc:
             raise ConfigError(f"{where}.law: {exc}") from exc
-        return model, dict(zip(names, args), intensity=model.intensity,
-                           residual=residual)
     intensity = _number(obj, "intensity", where)
     try:
-        return MarkModel(intensity, cls(*args), profile, g1), {}
+        return MarkModel(intensity, cls(*args), profile, g1)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -216,10 +214,10 @@ def _parse_study(obj, where: str) -> StudyPlan:
         raise ConfigError(f"{where}.x0: more than n_ref coefficients")
     nonlinearity = _parse_kinded(obj["nonlinearity"], NonlinearitySpec,
                                  f"{where}.nonlinearity")
-    model, info = _parse_model(obj["model"], plain["n_ref"], f"{where}.model")
+    model = _parse_model(obj["model"], plain["n_ref"], f"{where}.model")
     try:
         return StudyPlan(**plain, nonlinearity=nonlinearity, model=model,
-                         x0=SpectralState(x0_list), model_info=info)
+                         x0=SpectralState(x0_list))
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -400,6 +398,14 @@ def _provenance(threads: int) -> dict:
     }
 
 
+def _model_info(law) -> dict:
+    """The manifest's record of a plan's law: the truncated stable law's
+    parameters, intensity and residual, and nothing of the others."""
+    names = ("alpha", "eps", "intensity", "residual")
+    return ({name: getattr(law, name) for name in names}
+            if isinstance(law, TruncatedStableLaw) else {})
+
+
 def _study_entry(plan: StudyPlan, result, csv_name, elapsed, error) -> dict:
     entry = {
         "name": plan.name,
@@ -409,7 +415,7 @@ def _study_entry(plan: StudyPlan, result, csv_name, elapsed, error) -> dict:
         "samples": plan.samples,
         "block_size": block_size(plan),
         "elapsed_seconds": round(elapsed, 6),
-        "model_info": dict(plan.model_info),
+        "model_info": _model_info(plan.model.law),
     }
     if error is not None:
         # only a study that gave up on its samples has counted aborts
@@ -423,11 +429,11 @@ def _study_entry(plan: StudyPlan, result, csv_name, elapsed, error) -> dict:
         for rep in result.reports
     ]
     entry.update(status="ok", csv=csv_name, aborts=result.aborts,
-                 aborted=list(result.extras.get("aborted", [])),
+                 aborted=list(result.aborted),
                  effective_samples=result.effective_samples,
                  samples_per_s=round(result.effective_samples
                                      / entry["elapsed_seconds"], 3),
-                 fits=fits, phases=result.extras["phases"])
+                 fits=fits, phases=result.phases)
     return entry
 
 

@@ -23,7 +23,7 @@ import logging
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -95,7 +95,6 @@ class StudyPlan:
     model: MarkModel
     x0: SpectralState
     seed: int
-    model_info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -190,8 +189,6 @@ class StudyPlan:
                 f"doubles beyond the {BLOCK_BYTES}-byte block budget")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if not isinstance(self.model_info, dict):
-            raise TypeError("model_info must be a dict")
 
 
 @dataclass(frozen=True)
@@ -200,8 +197,9 @@ class OrderReport:
 
     `order` is the log-log slope against the level values, except for the
     spatial axis where the sign is flipped so that positive orders mean
-    decay in N.  `order`, `stderr` and `intercept` are None when the plan
-    has fewer than three levels (no fit).
+    decay in N.  `order` and `stderr` are None when the plan has fewer
+    than three levels (no fit).  Every error and bound is finite, and every
+    error positive.
     """
 
     p: float
@@ -211,7 +209,6 @@ class OrderReport:
     ci_hi: np.ndarray
     order: float = None
     stderr: float = None
-    intercept: float = None
 
     def __post_init__(self):
         levels = np.asarray(self.levels, dtype=np.float64)
@@ -220,6 +217,11 @@ class OrderReport:
         hi = np.asarray(self.ci_hi, dtype=np.float64)
         if not (levels.shape == errors.shape == lo.shape == hi.shape):
             raise ValueError("per-level columns must align")
+        for j in range(levels.size):
+            if not np.isfinite([errors[j], lo[j], hi[j]]).all():
+                raise ValueError(
+                    f"p = {self.p:g}, levels[{j}] = {levels[j]:g}: L^p error "
+                    f"{errors[j]} with interval [{lo[j]}, {hi[j]}] is not finite")
         if np.any(errors <= 0):
             raise ValueError("errors must be strictly positive")
         if np.any(hi < lo):
@@ -238,12 +240,18 @@ class OrderReport:
 
 @dataclass(frozen=True)
 class StudyResult:
-    """One executed plan: a report per p plus sample accounting."""
+    """One executed plan: a report per p, the abort records of the samples
+    that diverged (see `_run_block`) and the seconds per phase (see
+    `_new_phases`)."""
 
     plan: StudyPlan
     reports: tuple
-    aborts: int
-    extras: dict = field(default_factory=dict)
+    aborted: list
+    phases: dict
+
+    @property
+    def aborts(self) -> int:
+        return len(self.aborted)
 
     @property
     def effective_samples(self) -> int:
@@ -298,7 +306,7 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple:
     resid = y - (intercept + slope * x)
     dof = x.size - 2
     stderr = math.sqrt(float(resid @ resid) / dof / sxx) if dof > 0 else 0.0
-    return slope, intercept, stderr
+    return slope, stderr
 
 
 def fit_order(levels, errors) -> tuple:
@@ -313,8 +321,7 @@ def fit_order(levels, errors) -> tuple:
         raise ValueError("order fitting needs at least three levels")
     if np.any(errors <= 0) or np.any(levels <= 0):
         raise ValueError("levels and errors must be strictly positive")
-    slope, _, stderr = _ols(np.log(levels), np.log(errors))
-    return slope, stderr
+    return _ols(np.log(levels), np.log(errors))
 
 
 def _build_reports(plan: StudyPlan, norms: np.ndarray,
@@ -330,14 +337,12 @@ def _build_reports(plan: StudyPlan, norms: np.ndarray,
         for j in range(levels.size):
             errors[j] = _lp_point(norms[:, j], p)
             lo[j], hi[j] = _bootstrap_interval(norms[:, j], p, rng)
-        order = stderr = intercept = None
-        if levels.size >= 3:
-            slope, intercept, stderr = _ols(np.log(levels), np.log(errors))
+        order = stderr = None
+        # a non-finite error is not fitted: OrderReport refuses it
+        if levels.size >= 3 and np.isfinite(errors).all():
+            slope, stderr = _ols(np.log(levels), np.log(errors))
             order = -slope if negate_order else slope
-            intercept = float(intercept)
-            stderr = float(stderr)
-        reports.append(OrderReport(p, levels, errors, lo, hi,
-                                   order, stderr, intercept))
+        reports.append(OrderReport(p, levels, errors, lo, hi, order, stderr))
     return tuple(reports)
 
 
@@ -544,11 +549,8 @@ def _increment_norms(plan: StudyPlan, indices, phases: dict) -> np.ndarray:
     # per-sample profile of the pre-t jumps: S[i, k] = sum_j xi_j e^{-lam_k (t - sigma_j)}
     old = times <= t
     s_old = np.zeros((m_samples, n))
-    if np.any(old):
-        decay = xis[old, None] * np.exp(-lam[None, :] * (t - times[old, None]))
-        for k in range(n):
-            s_old[:, k] = np.bincount(owner[old], weights=decay[:, k],
-                                      minlength=m_samples)
+    decay = xis[old, None] * np.exp(-lam[None, :] * (t - times[old, None]))
+    np.add.at(s_old, owner[old], decay)
     s_old *= phi
 
     norms = np.empty((m_samples, len(plan.levels)))
@@ -660,6 +662,5 @@ def run_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     phases["bootstrap"] = time.perf_counter() - t0
     _log.info("%s: bootstrap of %d intervals, %.1f s", plan.name,
               len(plan.p_list) * len(plan.levels), phases["bootstrap"])
-    return StudyResult(plan, reports, len(aborted),
-                       dict(plan.model_info, aborted=aborted, phases=phases))
+    return StudyResult(plan, reports, aborted, phases)
 

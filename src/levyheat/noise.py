@@ -191,30 +191,80 @@ class ExpShiftedLaw:
 class TruncatedStableLaw:
     """Normalized magnitude law of a small-jump-truncated tempered stable measure.
 
-    Represents the probability law with density |xi|^(-1-alpha) e^(-|xi|) /
-    intensity on {|xi| > eps}, symmetric in sign.  Sampling inverts a
-    tabulated one-sided CDF (linear interpolation on a log-spaced grid, CDF
-    accuracy around 1e-8, well inside the 1e-6 budget).  Built via
-    `truncate_levy`.
+    The measure is nu(d xi) = |xi|^(-1-alpha) e^(-|xi|) d xi, and the law
+    has density |xi|^(-1-alpha) e^(-|xi|) / intensity on {|xi| > eps},
+    symmetric in sign.  `TruncatedStableLaw(alpha, eps)` derives the rest:
+    `half_mass` = Gamma(-alpha, eps), nu's mass on (eps, inf), integrated by
+    `_gamma_integral` out to eps + 60; `intensity` = 2 half_mass; the
+    discarded small-jump variance `residual` = int_{|xi| <= eps} xi^2
+    nu(d xi) = 2 gamma(2 - alpha, eps), summed from its series of positive
+    terms (both within about 1e-13 relative of the closed forms); and the
+    one-sided CDF table (`grid`, `cdf`) that sampling inverts (linear
+    interpolation on a log-spaced grid, CDF accuracy around 1e-8, well
+    inside the 1e-6 budget).  Equality and hashing read (alpha, eps).
+    Raises ValueError when the intensity, the residual or the table is not
+    finite, or the intensity underflows to zero.
     """
 
     alpha: float
     eps: float
-    grid: np.ndarray  # one-sided magnitude grid, increasing from eps
-    cdf: np.ndarray  # one-sided CDF values on the grid, 0 -> 1
-    half_mass: float  # integral of the unnormalised density over (eps, inf)
+    half_mass: float = field(init=False, repr=False, compare=False)
+    intensity: float = field(init=False, repr=False, compare=False)
+    residual: float = field(init=False, repr=False, compare=False)
+    grid: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=np.float64)
-        c = np.asarray(self.cdf, dtype=np.float64)
-        if g.shape != c.shape or g.ndim != 1:
-            raise ValueError("grid and cdf must be matching vectors")
-        g = g.copy()
-        c = c.copy()
-        g.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "cdf", c)
+        alpha, eps = self.alpha, self.eps
+        if not 0.0 < alpha < 2.0:
+            raise ValueError(f"stability index must lie in (0, 2), got {alpha}")
+        if eps <= 0.0:
+            raise ValueError(f"truncation level must be positive, got {eps}")
+
+        # the tail beyond eps + 60 holds less than e^-58 of the mass
+        half_mass = _gamma_integral(-alpha, math.log(eps), math.log(eps + 60.0))
+        intensity = 2.0 * half_mass
+        if not 0.0 < intensity < math.inf:
+            raise ValueError(f"jump intensity 2 Gamma(-alpha, eps) = {intensity} "
+                             "is not a positive finite number")
+
+        # gamma(s, eps) = eps^s e^-eps sum_k eps^k / (s (s+1) ... (s+k)); the
+        # terms grow while s + k < eps, then fall faster than geometrically
+        s = 2.0 - alpha
+        term = total = 1.0 / s
+        k = 0
+        while s + k < eps or term > 1e-17 * total:
+            k += 1
+            term *= eps / (s + k)
+            total += term
+        residual = 2.0 * eps**s * math.exp(-eps) * total
+        if not math.isfinite(residual):
+            raise ValueError(f"small-jump residual {residual} is not finite")
+
+        def density(x):
+            return x ** (-1.0 - alpha) * np.exp(-x)
+
+        # one-sided CDF table: log-spaced grid out to negligible tail mass
+        upper = max(40.0, eps * 4.0)
+        grid = np.exp(np.linspace(math.log(eps), math.log(upper), 8192))
+        grid[0] = eps
+        seg = np.empty(grid.size)
+        seg[0] = 0.0
+        # composite Simpson on each log cell; integrand smooth away from 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            mid = np.sqrt(grid[:-1] * grid[1:])
+            h = grid[1:] - grid[:-1]
+            seg[1:] = h / 6.0 * (density(grid[:-1]) + 4.0 * density(mid) + density(grid[1:]))
+            cdf = np.cumsum(seg) / half_mass
+            cdf /= cdf[-1]  # absorb the discarded tail beyond the table
+        if not np.isfinite(cdf).all():
+            raise ValueError(f"magnitude CDF table is not finite at eps = {eps}")
+
+        grid.setflags(write=False)
+        cdf.setflags(write=False)
+        for name, value in (("half_mass", half_mass), ("intensity", intensity),
+                            ("residual", residual), ("grid", grid), ("cdf", cdf)):
+            object.__setattr__(self, name, value)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         mag = np.interp(rng.random(size), self.cdf, self.grid)
@@ -240,20 +290,6 @@ class TruncatedStableLaw:
         above = _gamma_integral(-self.alpha, mid, math.log(a + 60.0))
         return (scale * below + above) / self.half_mass
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedStableLaw):
-            return NotImplemented
-        return (
-            self.alpha == other.alpha
-            and self.eps == other.eps
-            and self.half_mass == other.half_mass
-            and np.array_equal(self.grid, other.grid)
-            and np.array_equal(self.cdf, other.cdf)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.eps, self.half_mass))
-
 
 # ---------------------------------------------------------------------------
 # mark model
@@ -277,6 +313,8 @@ class G1Spec:
             raise ValueError(f"unknown g1 kind {self.kind!r}")
         if not np.isfinite(self.value):
             raise ValueError("g1 coefficient must be finite")
+        if self.kind == "zero" and self.value != 0.0:
+            raise ValueError(f"g1 kind 'zero' takes value 0, got {self.value}")
 
     @classmethod
     def zero(cls) -> "G1Spec":
@@ -357,67 +395,14 @@ def truncate_levy(alpha: float, eps: float, profile: SpectralState,
     """Finite-activity model from the small-jump-truncated measure
     nu(d xi) = |xi|^(-1-alpha) e^(-|xi|) d xi on {|xi| > eps}.
 
-    Returns (model, residual) where residual = int_{|xi| <= eps} xi^2 nu(d xi)
-    quantifies the discarded small-jump variance.  The total intensity is
-    2 Gamma(-alpha, eps), integrated by `_gamma_integral` out to eps + 60;
-    the residual is 2 gamma(2 - alpha, eps), summed from its series of
-    positive terms.  Both agree with the closed forms to about 1e-13 relative.
-    Magnitudes are sampled through a tabulated inverse CDF.  Raises
-    ValueError when the intensity, the residual or that table is not
-    finite, or the intensity underflows to zero.
+    Returns (model, residual): the model runs `TruncatedStableLaw(alpha,
+    eps)` at the law's derived intensity, and residual is the law's
+    discarded small-jump variance.  Raises the law's ValueError.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"stability index must lie in (0, 2), got {alpha}")
-    if eps <= 0.0:
-        raise ValueError(f"truncation level must be positive, got {eps}")
-
-    # the tail beyond eps + 60 holds less than e^-58 of the mass
-    half_mass = _gamma_integral(-alpha, math.log(eps), math.log(eps + 60.0))
-    intensity = 2.0 * half_mass
-    if not 0.0 < intensity < math.inf:
-        raise ValueError(f"jump intensity 2 Gamma(-alpha, eps) = {intensity} "
-                         "is not a positive finite number")
-
-    # gamma(s, eps) = eps^s e^-eps sum_k eps^k / (s (s+1) ... (s+k)); the
-    # terms grow while s + k < eps, then fall faster than geometrically
-    s = 2.0 - alpha
-    term = total = 1.0 / s
-    k = 0
-    while s + k < eps or term > 1e-17 * total:
-        k += 1
-        term *= eps / (s + k)
-        total += term
-    residual = 2.0 * eps**s * math.exp(-eps) * total
-    if not math.isfinite(residual):
-        raise ValueError(f"small-jump residual {residual} is not finite")
-
-    def density(x):
-        return x ** (-1.0 - alpha) * np.exp(-x)
-
-    # one-sided CDF table: log-spaced grid out to negligible tail mass
-    upper = max(40.0, eps * 4.0)
-    grid = np.exp(np.linspace(math.log(eps), math.log(upper), 8192))
-    grid[0] = eps
-    seg = np.empty(grid.size)
-    seg[0] = 0.0
-    # composite Simpson on each log cell; integrand smooth away from 0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mid = np.sqrt(grid[:-1] * grid[1:])
-        h = grid[1:] - grid[:-1]
-        seg[1:] = h / 6.0 * (density(grid[:-1]) + 4.0 * density(mid) + density(grid[1:]))
-        cdf = np.cumsum(seg) / half_mass
-        cdf /= cdf[-1]  # absorb the discarded tail beyond the table
-    if not np.isfinite(cdf).all():
-        raise ValueError(f"magnitude CDF table is not finite at eps = {eps}")
-
-    law = TruncatedStableLaw(alpha=alpha, eps=eps, grid=grid, cdf=cdf, half_mass=half_mass)
-    model = MarkModel(
-        intensity=intensity,
-        law=law,
-        profile=profile,
-        g1=g1 if g1 is not None else G1Spec.zero(),
-    )
-    return model, residual
+    law = TruncatedStableLaw(alpha, eps)
+    model = MarkModel(law.intensity, law, profile,
+                      g1 if g1 is not None else G1Spec.zero())
+    return model, law.residual
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +604,6 @@ class CoupledNoisePath:
     dt_ref: float
     wiener: np.ndarray
     skeleton: JumpSkeleton
-    n_ref: int
 
     def __post_init__(self):
         n = np.asarray(self.nodes, dtype=np.float64).copy()
@@ -632,8 +616,12 @@ class CoupledNoisePath:
         n.setflags(write=False)
         object.__setattr__(self, "nodes", n)
         w = np.asarray(self.wiener, dtype=np.float64)
-        if w.shape != (n.size - 1, self.n_ref):
+        if w.ndim != 2 or w.shape[0] != n.size - 1:
             raise ValueError("wiener increment array has the wrong shape")
+
+    @property
+    def n_ref(self) -> int:
+        return self.wiener.shape[1]
 
 
 def sample_path(horizon: float, dt_ref: float, n_ref: int, model: MarkModel,
@@ -653,7 +641,7 @@ def sample_path(horizon: float, dt_ref: float, n_ref: int, model: MarkModel,
     rng = stream(global_seed, sample_index, PURPOSE_WIENER)
     wiener = rng.standard_normal((nodes.size - 1, n_ref))
     _scale_rows(wiener, np.diff(nodes), dt_ref)
-    return CoupledNoisePath(nodes, dt_ref, wiener, skel, n_ref)
+    return CoupledNoisePath(nodes, dt_ref, wiener, skel)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,9 @@ class NonlinearitySpec:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if not np.isfinite(self.coef):
             raise ValueError("nonlinearity coefficient must be finite")
+        if self.kind == "zero" and self.coef != 0.0:
+            raise ValueError(
+                f"nonlinearity kind 'zero' takes coef 0, got {self.coef}")
 
     @classmethod
     def zero(cls) -> "NonlinearitySpec":

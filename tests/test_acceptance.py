@@ -177,7 +177,7 @@ def stable_plans():
     plans = []
     for eps in (0.1, 0.05):
         profile = power_profile(1.0, 2.0, 64)
-        model, residual = truncate_levy(0.5, eps, profile)
+        model, _ = truncate_levy(0.5, eps, profile)
         plans.append(StudyPlan(
             name=f"acceptance_stable_eps{eps}",
             axis="temporal",
@@ -192,8 +192,6 @@ def stable_plans():
             model=model,
             x0=SpectralState([1.0]),
             seed=STUDY_SEED,
-            model_info={"alpha": 0.5, "eps": eps,
-                        "intensity": model.intensity, "residual": residual},
         ))
     return plans
 

@@ -27,8 +27,9 @@ from levyheat.cli import (
     serialize_config,
     serialize_plan,
 )
-from levyheat.experiments import run_study
-from levyheat.noise import TruncatedStableLaw
+from levyheat.experiments import StudyPlan, run_study
+from levyheat.noise import TruncatedStableLaw, power_profile, truncate_levy
+from levyheat.spectral import NonlinearitySpec, SpectralState
 
 
 def study_dict(**overrides):
@@ -77,7 +78,7 @@ def test_minimal_config_parses_to_one_plan(tmp_path):
     assert plan.model.law.v_minus == -1.0
     assert plan.nonlinearity.kind == "sine"
     assert plan.x0.coeffs.tolist() == [1.0]
-    assert plan.model_info == {}
+    assert cli._model_info(plan.model.law) == {}
 
 
 def test_unknown_keys_rejected_with_field_names(tmp_path):
@@ -152,9 +153,9 @@ def test_truncated_stable_model_parsing(tmp_path):
     }
     plan = parse_config(write_config(tmp_path, study))[0]
     assert isinstance(plan.model.law, TruncatedStableLaw)
-    assert plan.model_info["alpha"] == 0.5
-    assert plan.model_info["intensity"] == plan.model.intensity > 0
-    assert plan.model_info["residual"] > 0
+    assert plan.model.law.alpha == 0.5
+    assert plan.model.law.intensity == plan.model.intensity > 0
+    assert plan.model.law.residual > 0
     # 2 Gamma(-1/2, eps) = 4 (e^-eps / sqrt(eps) - sqrt(pi) erfc(sqrt(eps)))
     study["model"]["law"]["eps"] = 1e-6
     plan = parse_config(write_config(tmp_path, study, name="c2.json"))[0]
@@ -204,7 +205,24 @@ def test_round_trip_truncated_stable(tmp_path):
     path.write_text(serialize_config([plan]), encoding="utf-8")
     again = parse_config(path)[0]
     assert again == plan
-    assert again.model_info == plan.model_info
+    assert (cli._model_info(again.model.law)
+            == cli._model_info(plan.model.law))
+
+
+def test_manifest_reads_model_info_off_a_plan_built_in_python(tmp_path):
+    # no parser in between: the plan's law carries its own numbers
+    model, residual = truncate_levy(0.5, 0.5, power_profile(1.0, 2.0, 4))
+    plan = StudyPlan(
+        name="stable", axis="temporal", levels=(0.25, 0.125), n_ref=4,
+        dt_ref=2.0**-6, p_list=(2.0,), samples=100, scheme="uniform_B",
+        horizon=0.5, nonlinearity=NonlinearitySpec.sine(1.0), model=model,
+        x0=SpectralState([1.0]), seed=11)
+    execute([plan], tmp_path)
+    entry = json.loads((tmp_path / "manifest.json").read_text())["studies"][0]
+    assert entry["status"] == "ok"
+    assert list(entry["model_info"].items()) == [
+        ("alpha", 0.5), ("eps", 0.5), ("intensity", model.intensity),
+        ("residual", residual)]
 
 
 def test_digest_semantic_sensitivity(tmp_path):
@@ -353,12 +371,12 @@ def test_execute_records_failed_study_and_keeps_going(tmp_path):
 
 
 def test_manifest_records_provenance_and_aborted_samples(tmp_path):
-    # one mode and symmetric jumps of 1.2e308: only samples with two close
-    # same-signed jumps overflow
+    # one mode and marks of +-2.4e308, which overflow: exactly the samples
+    # with a jump abort, and the others give finite errors
     risky = study_dict(name="risky", n_ref=1, samples=24)
     risky["model"] = dict(risky["model"], intensity=4.0, law={
         "kind": "two_point", "p_plus": 0.5, "v_plus": 1.2e308,
-        "v_minus": -1.2e308})
+        "v_minus": -1.2e308}, profile={"c": 2.0, "r": 2.0})
     with pytest.warns(UserWarning, match="fewer than 100"):
         plans = parse_config(write_config(tmp_path, risky))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -372,7 +390,7 @@ def test_manifest_records_provenance_and_aborted_samples(tmp_path):
     entry = recorded["studies"][0]
     assert entry["block_size"] == 32
     assert 0 < entry["aborts"] < 24
-    assert entry["aborted"] == result.extras["aborted"]
+    assert entry["aborted"] == result.aborted
     assert [a["index"] for a in entry["aborted"]] == sorted(
         a["index"] for a in entry["aborted"])
     assert set(entry["aborted"][0]) == {"index", "level", "step", "time"}
@@ -457,6 +475,28 @@ def test_no_module_imports_a_name_it_never_reads():
         unused += [f"{path.name}: __all__ names undefined {name}"
                    for name in sorted(exported - defined)]
     assert unused == []
+
+
+def test_every_dataclass_field_is_read():
+    # a public field that no code reads is a constructor argument with no
+    # use; the config tables read fields through getattr by name, so a
+    # string constant counts as a read
+    fields, read = [], set()
+    for path in sorted(pathlib.Path(levyheat.__path__[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields += [f"{path.name}: {node.name}.{stmt.target.id}"
+                           for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and not stmt.target.id.startswith("_")]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                                ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                read.add(node.value)
+    assert [f for f in fields if f.rsplit(".", 1)[1] not in read] == []
 
 
 def test_bench_tracer_names_still_exist():
@@ -651,6 +691,12 @@ def test_main_dry_run_creates_nothing(tmp_path, capsys):
                 "v_minus": -1.0},
         "profile": {"c": 1.0, "r": 2.0},
         "g1": {"kind": "constant", "value": 0.3}}}, "model.g1"),
+    # a zero kind takes no number: 7.5 would run as 0 and change the digest
+    ({"model": {"intensity": 1.0, "law": {"kind": "two_point", "p_plus": 0.5,
+                                          "v_plus": 1.0, "v_minus": -1.0},
+                "profile": {"c": 1.0, "r": 2.0},
+                "g1": {"kind": "zero", "value": 7.5}}}, "model.g1"),
+    ({"nonlinearity": {"kind": "zero", "coef": -2.0}}, "nonlinearity"),
 ])
 def test_dry_run_rejects_unrunnable_plans(tmp_path, capsys, overrides,
                                           field):
@@ -678,6 +724,35 @@ def test_main_runtime_failure_exit_code(tmp_path, capsys):
         code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "FAILED" in capsys.readouterr().err
+
+
+def test_overflowing_estimate_fails_the_study(tmp_path, capsys):
+    # a strong linear drift drives the terminal states to about 1e298
+    # without an abort, and the squared norms and the L^p errors overflow
+    study = study_dict(
+        name="temporal_a", levels=[2.0**-k for k in range(4, 9)], n_ref=64,
+        dt_ref=2.0**-12, p_list=[2.0, 4.0, 8.0], samples=8, horizon=1.0,
+        nonlinearity={"kind": "linear", "coef": 760.0}, seed=20260815)
+    study["model"] = dict(study["model"], intensity=2.0, law={
+        "kind": "two_point", "p_plus": 0.5, "v_plus": 2.0, "v_minus": -1.0},
+        g1={"kind": "constant", "value": 0.3})
+    cfg = write_config(tmp_path, study)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="fewer than 100"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "temporal_a: FAILED p = 2, levels[0] = 0.0625: " in \
+        capsys.readouterr().err
+    assert not (out / "temporal_a.csv").exists()
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    recorded = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=refuse)
+    entry = recorded["studies"][0]
+    assert entry["status"] == "failed" and entry["csv"] is None
+    assert entry["error"].startswith("p = 2, levels[0] = 0.0625: ")
 
 
 def test_main_success_and_seed_override(tmp_path, capsys):

@@ -5,6 +5,7 @@ quadrature results are cross-checked by independent hand-rolled integrators.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from levyheat.noise import (
     G1Spec,
     JumpSkeleton,
     MarkModel,
+    TruncatedStableLaw,
     TwoPointLaw,
     compensated_jump_convolution,
     compensator_coeffs,
@@ -340,6 +342,24 @@ def test_truncate_levy_validation():
         truncate_levy(1.9, 1e-107, profile)
 
 
+def test_truncated_stable_law_derives_its_numbers_from_alpha_and_eps():
+    # the law built directly is the one truncate_levy runs, and what it
+    # derives pickles to worker processes as it is
+    model, residual = truncate_levy(0.5, 0.1, power_profile(1.0, 2.0, 4))
+    law = TruncatedStableLaw(0.5, 0.1)
+    assert law == model.law and hash(law) == hash(model.law)
+    assert law != TruncatedStableLaw(0.5, 0.05)
+    assert (law.intensity, law.residual) == (model.intensity, residual)
+    assert not law.grid.flags.writeable and not law.cdf.flags.writeable
+    again = pickle.loads(pickle.dumps(law))
+    for name in ("half_mass", "intensity", "residual", "grid", "cdf"):
+        derived = np.asarray(getattr(law, name)).tobytes()
+        assert np.asarray(getattr(model.law, name)).tobytes() == derived
+        assert np.asarray(getattr(again, name)).tobytes() == derived
+    with pytest.raises(TypeError):
+        TruncatedStableLaw(0.5, 0.1, grid=law.grid)
+
+
 # ---------------------------------------------------------------------------
 # skeleton and micro grid
 
@@ -499,15 +519,15 @@ def test_micro_grid_construction(monkeypatch):
 def test_coupled_path_checks_its_nodes():
     sk = JumpSkeleton(1.0, [0.3], [1.0])
     good = np.array([0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
-    CoupledNoisePath(good, 0.25, np.zeros((5, 2)), sk, 2)
+    CoupledNoisePath(good, 0.25, np.zeros((5, 2)), sk)
     for nodes, match in ((good[[0, 2, 1, 3, 4, 5]], "strictly increasing"),
                          (good[1:], "span"), (good[:-1], "span"),
                          (np.append(good, 1.5), "span"),
                          (good[:1], "malformed")):
         with pytest.raises(ValueError, match=match):
-            CoupledNoisePath(nodes, 0.25, np.zeros((nodes.size - 1, 2)), sk, 2)
+            CoupledNoisePath(nodes, 0.25, np.zeros((nodes.size - 1, 2)), sk)
     with pytest.raises(ValueError, match="wrong shape"):
-        CoupledNoisePath(good, 0.25, np.zeros((4, 2)), sk, 2)
+        CoupledNoisePath(good, 0.25, np.zeros((4, 2)), sk)
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +690,7 @@ def test_restriction_jump_bookkeeping():
     # partitions, and a partition that ends before the last jump is refused
     sk = JumpSkeleton(1.0, [0.1, 0.35, 0.40], [1.0, 2.0, -1.0])
     micro = np.sort(np.concatenate([np.arange(17) * 2.0**-4, sk.times]))
-    path = CoupledNoisePath(micro, 2.0**-4, np.zeros((micro.size - 1, 4)),
-                            sk, 4)
+    path = CoupledNoisePath(micro, 2.0**-4, np.zeros((micro.size - 1, 4)), sk)
     nodes = np.arange(5) * 0.25
     anodes = np.sort(np.concatenate([nodes, sk.times]))
     for part in (nodes, anodes):

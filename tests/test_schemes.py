@@ -46,7 +46,7 @@ def silent_path(horizon, dt_ref, n, skeleton):
     """A noise path with all Wiener draws fixed to zero."""
     nodes = np.union1d(uniform_nodes(horizon, dt_ref), skeleton.times)
     return CoupledNoisePath(nodes, dt_ref, np.zeros((nodes.size - 1, n)),
-                            skeleton, n)
+                            skeleton)
 
 
 def config(scheme, n, dt, model, f=None, x0=None, horizon=1.0):

@@ -418,7 +418,7 @@ def _study_entry(plan: StudyPlan, result, csv_name, elapsed, error) -> dict:
         "model_info": _model_info(plan.model.law),
     }
     if error is not None:
-        # only a study that gave up on its samples has counted aborts
+        # a study that failed after its samples ran lists their aborts
         aborted = list(getattr(error, "aborted", []))
         entry.update(status="failed", error=str(error), csv=None,
                      aborts=len(aborted), aborted=aborted,

@@ -646,19 +646,25 @@ def run_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     increments, with no scheme run.
     The blocks (see `block_size`) run serially or on a process pool; the
     norms they return are gathered in sample order and bootstrapped
-    serially, so the reports do not depend on the worker count.
+    serially, so the reports do not depend on the worker count.  A
+    ValueError raised once the blocks have run carries their abort records
+    as `aborted`, as `StudyAborted` does.
     """
     if workers < 1:
         raise ValueError("worker count must be a positive integer")
     phases = _new_phases(plan)
     norms, aborted = _collect_norms(plan, workers, phases)
-    for j, level in enumerate(plan.levels):
-        if not norms[:, j].any():
-            raise ValueError(
-                f"levels[{j}]: every norm at level {level} vanishes (zero "
-                "jump model?); its error and order are undefined")
-    t0 = time.perf_counter()
-    reports = _build_reports(plan, norms, plan.axis == "spatial")
+    try:
+        for j, level in enumerate(plan.levels):
+            if not norms[:, j].any():
+                raise ValueError(
+                    f"levels[{j}]: every norm at level {level} vanishes "
+                    "(zero jump model?); its error and order are undefined")
+        t0 = time.perf_counter()
+        reports = _build_reports(plan, norms, plan.axis == "spatial")
+    except ValueError as exc:
+        exc.aborted = aborted  # the samples lost before the study failed
+        raise
     phases["bootstrap"] = time.perf_counter() - t0
     _log.info("%s: bootstrap of %d intervals, %.1f s", plan.name,
               len(plan.p_list) * len(plan.levels), phases["bootstrap"])

@@ -22,10 +22,11 @@ Paths are drawn one stretch of time at a time, and one record holds a
 stretch from draw to step: a `PathChunk` of per-sample nodes, increment
 rows and jumps.  `PathStream.draw` returns it on the micro nodes,
 `restrict_chunk` folds it to coarse partitions, and the schemes'
-`run_block` steps it.  A whole path (`sample_path`, `restrict_path`) is
-the one-sample, one-stretch case of the same code: its micro nodes, its
-row scaling and its folds are those of the stream, so there is one row
-scaling (`_scale_rows`) and one restriction.
+`run_block` steps it.  A whole path is the one-row `PathChunk` of the
+single stretch [0, horizon]: `sample_path` draws it with the stream's
+micro nodes and row scaling, and `restrict_path` is `restrict_chunk` on
+its one row, so there is one record, one row scaling (`_scale_rows`) and
+one restriction.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
     "dyadic_ratio",
     "conv_variance",
     "compose_convolution",
-    "CoupledNoisePath",
     "sample_path",
     "restrict_path",
     "PathChunk",
@@ -589,61 +589,6 @@ def _scale_rows(wiener: np.ndarray, deltas: np.ndarray, dt_ref: float) -> None:
         wiener[row] *= np.sqrt(conv_variance(lam, deltas[row])) / std
 
 
-@dataclass(frozen=True)
-class CoupledNoisePath:
-    """One realisation of the driving noise at reference resolution.
-
-    `nodes`, the micro nodes, are the dt_ref grid of [0, horizon] merged
-    with the jump times, and `wiener[j, k]` is the exact convolution
-    increment of mode k+1 over the j-th micro interval.  Restriction to any
-    coarser partition of micro nodes is exact (`restrict_path`), which
-    couples all resolutions of a study to the same underlying noise.
-    """
-
-    nodes: np.ndarray
-    dt_ref: float
-    wiener: np.ndarray
-    skeleton: JumpSkeleton
-
-    def __post_init__(self):
-        n = np.asarray(self.nodes, dtype=np.float64).copy()
-        if n.ndim != 1 or n.size < 2:
-            raise ValueError("grid nodes malformed")
-        if n[0] != 0.0 or n[-1] != self.skeleton.horizon:
-            raise ValueError("grid must span [0, horizon]")
-        if np.any(np.diff(n) <= 0.0):
-            raise ValueError("grid nodes must be strictly increasing")
-        n.setflags(write=False)
-        object.__setattr__(self, "nodes", n)
-        w = np.asarray(self.wiener, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != n.size - 1:
-            raise ValueError("wiener increment array has the wrong shape")
-
-    @property
-    def n_ref(self) -> int:
-        return self.wiener.shape[1]
-
-
-def sample_path(horizon: float, dt_ref: float, n_ref: int, model: MarkModel,
-                global_seed: int, sample_index: int) -> CoupledNoisePath:
-    """Sample one coupled noise path from its two dedicated streams.
-
-    The path is the one-sample, one-stretch case of `PathStream`, with its
-    micro nodes and row scaling, so its rows are the stream's bit for bit.
-    A jump time on a dt_ref node raises ArithmeticError.
-    """
-    jumps = stream(global_seed, sample_index, PURPOSE_JUMPS)
-    skel = sample_jump_skeleton(horizon, model, jumps)
-    base = uniform_nodes(horizon, dt_ref)
-    if _collisions(base, skel.times).any():
-        raise ArithmeticError("jump time collides with a grid node")
-    nodes = _micro_nodes(base, skel.times)
-    rng = stream(global_seed, sample_index, PURPOSE_WIENER)
-    wiener = rng.standard_normal((nodes.size - 1, n_ref))
-    _scale_rows(wiener, np.diff(nodes), dt_ref)
-    return CoupledNoisePath(nodes, dt_ref, wiener, skel)
-
-
 # ---------------------------------------------------------------------------
 # restriction to a coarse partition
 
@@ -717,9 +662,9 @@ def _fold(inc: np.ndarray, deltas: np.ndarray, dt_ref: float,
 @dataclass(frozen=True)
 class PathChunk:
     """One stretch of time of the coupled noise paths of several samples,
-    one row per sample: drawn on the micro nodes (`PathStream.draw`),
-    restricted to coarse partitions (`restrict_chunk`) and stepped
-    (`schemes.run_block`).
+    one row per sample: drawn on the micro nodes (`PathStream.draw`, or
+    `sample_path` for the one row of a whole path), restricted to coarse
+    partitions (`restrict_chunk`) and stepped (`schemes.run_block`).
 
     Sample s's nodes in the stretch are nodes[s], from one node of the
     dt_ref grid to another.  Its exact convolution increments over them are
@@ -734,6 +679,10 @@ class PathChunk:
     starts: np.ndarray
     times: list
     xis: list
+
+    @property
+    def n_ref(self) -> int:
+        return self.wiener.shape[1]
 
 
 class PathStream:
@@ -808,18 +757,21 @@ def restrict_chunk(chunk: PathChunk, parts, n_modes: int) -> PathChunk:
     """Exactly restrict a stretch to one partition per sample and a mode
     count; every restriction of a path, whole or streamed, is made here.
 
-    parts[s] holds sample s's partition nodes in the stretch: nodes of the
-    chunk, the stretch's first and last among them.  Returns the chunk on
-    `parts`, with the same jumps: its row starts[s] + i is the increment
-    over parts[s][i] .. parts[s][i + 1], the left-to-right
-    `compose_convolution` fold of the chunk's increments it contains, so
-    the restriction is exact in distribution and bit-for-bit reproducible.
-    All the samples' steps fold together (`_fold`).  Where every partition
-    is the chunk's own, the result's increments are a view of its rows.
+    `parts` holds one partition per row: parts[s] is sample s's partition
+    nodes in the stretch, nodes of the chunk, the stretch's first and last
+    among them.  Returns the chunk on `parts`, with the same jumps: its
+    row starts[s] + i is the increment over parts[s][i] .. parts[s][i + 1],
+    the left-to-right `compose_convolution` fold of the chunk's increments
+    it contains, so the restriction is exact in distribution and
+    bit-for-bit reproducible.  All the samples' steps fold together
+    (`_fold`).  Where every partition is the chunk's own, the result's
+    increments are a view of its rows.
     """
-    if not 1 <= n_modes <= chunk.wiener.shape[1]:
-        raise ValueError(
-            f"mode count must lie in [1, {chunk.wiener.shape[1]}]")
+    if len(parts) != len(chunk.nodes):
+        raise ValueError(f"{len(parts)} partitions for a chunk of "
+                         f"{len(chunk.nodes)} rows")
+    if not 1 <= n_modes <= chunk.n_ref:
+        raise ValueError(f"mode count must lie in [1, {chunk.n_ref}]")
     inc = chunk.wiener[:, :n_modes]
     if all(map(np.array_equal, parts, chunk.nodes)):
         return replace(chunk, wiener=inc)
@@ -838,23 +790,57 @@ def restrict_chunk(chunk: PathChunk, parts, n_modes: int) -> PathChunk:
                      chunk.times, chunk.xis)
 
 
-def restrict_path(path: CoupledNoisePath, partition, n_modes: int) -> PathChunk:
-    """Exactly restrict a noise path to a coarse partition and mode count.
+# ---------------------------------------------------------------------------
+# whole paths: the one-row chunk of [0, horizon]
 
-    The path is restricted as a one-sample chunk of a single stretch by
-    `restrict_chunk`, so the partition must be made of micro nodes and span
-    [0, horizon], and the result is that one-sample chunk on the partition.
-    On the micro grid itself its increments are a view of the path's rows,
-    not a copy.
+
+def sample_path(horizon: float, dt_ref: float, n_ref: int, model: MarkModel,
+                global_seed: int, sample_index: int) -> PathChunk:
+    """Sample one coupled noise path from its two dedicated streams.
+
+    The path is the one-row `PathChunk` of the single stretch [0, horizon]:
+    its nodes, read-only, are the dt_ref grid merged with its jump times,
+    and its micro nodes and row scaling are those of `PathStream`, so its
+    rows are the stream's bit for bit.  A jump time on a dt_ref node
+    raises ArithmeticError.
     """
-    nodes = np.asarray(getattr(partition, "nodes", partition), dtype=np.float64)
+    jumps = stream(global_seed, sample_index, PURPOSE_JUMPS)
+    skel = sample_jump_skeleton(horizon, model, jumps)
+    base = uniform_nodes(horizon, dt_ref)
+    if _collisions(base, skel.times).any():
+        raise ArithmeticError("jump time collides with a grid node")
+    nodes = _micro_nodes(base, skel.times)
+    nodes.setflags(write=False)
+    rng = stream(global_seed, sample_index, PURPOSE_WIENER)
+    wiener = rng.standard_normal((nodes.size - 1, n_ref))
+    _scale_rows(wiener, np.diff(nodes), dt_ref)
+    return PathChunk(dt_ref, [nodes], wiener, _starts([nodes]), [skel.times],
+                     [skel.xis])
+
+
+def restrict_path(path: PathChunk, nodes, n_modes: int) -> PathChunk:
+    """Exactly restrict a whole path to a coarse partition and mode count.
+
+    `path` is the one-row chunk of `sample_path`, whose nodes must be a
+    strictly increasing 1-d array of at least two values with one
+    increment row per step; `nodes` is a 1-d array of at least two of
+    them, its first and last among them.  Returns `restrict_chunk` of the
+    path on `[nodes]`; on the path's own nodes its increments are a view
+    of the path's rows, not a copy.
+    """
+    if len(path.nodes) != 1:
+        raise ValueError(f"a whole path is one row, got {len(path.nodes)}")
+    micro = path.nodes[0]
+    if micro.ndim != 1 or micro.size < 2:
+        raise ValueError("grid nodes malformed")
+    if np.any(np.diff(micro) <= 0.0):
+        raise ValueError("grid nodes must be strictly increasing")
+    if path.wiener.ndim != 2 or path.wiener.shape[0] != micro.size - 1:
+        raise ValueError("wiener increment array has the wrong shape")
+    nodes = np.asarray(nodes, dtype=np.float64)
     if nodes.ndim != 1 or nodes.size < 2:
         raise ValueError("partition must contain at least one step")
-    sk = path.skeleton
-    chunk = PathChunk(path.dt_ref, [path.nodes], path.wiener,
-                      np.array([0, path.wiener.shape[0]]), [sk.times],
-                      [sk.xis])
-    return restrict_chunk(chunk, [nodes], n_modes)
+    return restrict_chunk(path, [nodes], n_modes)
 
 
 # ---------------------------------------------------------------------------

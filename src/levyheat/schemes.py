@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import (
-    CoupledNoisePath,
     MarkModel,
     PathChunk,
     compensator_coeffs,
@@ -223,7 +222,7 @@ def stretch_nodes(cfg: SchemeConfig, level: np.ndarray,
     return level
 
 
-def run_block(cfg: SchemeConfig, chunk: PathChunk, state=None,
+def run_block(cfg: SchemeConfig, chunk: PathChunk, state,
               record: bool = False) -> tuple:
     """Run the configured scheme over a stretch for each row of `chunk`,
     all rows through one loop of the one-step map.
@@ -232,8 +231,9 @@ def run_block(cfg: SchemeConfig, chunk: PathChunk, state=None,
     columns of its increment rows.  A jump at sigma is in the step
     t_i < sigma <= t_(i+1): on the adapted partition it is applied at that
     step's end node, on the uniform grid its step aggregates it.  The state
-    has shape (rows, n) and starts from `state`, or from x0 at the first
-    stretch; every row has its own step sizes, increments and jumps, so a
+    has shape (rows, n) and starts from `state`, the rows' states at the
+    stretch's first nodes (x0 at the first stretch), which is not written
+    to; every row has its own step sizes, increments and jumps, so a
     row gets exactly the doubles it would get alone, and a run cut into
     stretches the doubles of one run.  The rows stay in the block to the
     end of the stretch: a row past its last step repeats that step's size
@@ -304,10 +304,7 @@ def run_block(cfg: SchemeConfig, chunk: PathChunk, state=None,
     shared = (which == which[:1]).all(axis=0).tolist()
     first = which[0].tolist()
 
-    if state is None:
-        x = np.tile(project(cfg.x0, n).coeffs, (rows, 1))
-    else:
-        x = np.asarray(state, dtype=np.float64)
+    x = np.asarray(state, dtype=np.float64)
     gone = ~np.isfinite(x).all(axis=1)
     if gone.any():
         x = np.where(gone[:, None], np.nan, x)
@@ -359,11 +356,11 @@ def run_block(cfg: SchemeConfig, chunk: PathChunk, state=None,
     return finals, diverged, history
 
 
-def _run_one(cfg: SchemeConfig, path: CoupledNoisePath) -> Trajectory:
-    """Run the scheme on one path: `run_block` on the one-row chunk of a
-    single stretch that `restrict_path` makes on the scheme's partition of
-    [0, T] (see `stretch_nodes`)."""
-    if path.nodes[-1] != cfg.horizon:
+def _run_one(cfg: SchemeConfig, path: PathChunk) -> Trajectory:
+    """Run the scheme on one whole path (`sample_path`'s one-row chunk):
+    `run_block` from x0 on the chunk that `restrict_path` makes on the
+    scheme's partition of [0, T] (see `stretch_nodes`)."""
+    if path.nodes[0][-1] != cfg.horizon:
         raise ValueError("path horizon does not match the configuration")
     # exactly: the partition's nodes are micro nodes of the path
     if not dyadic_ratio(cfg.dt_nominal, path.dt_ref):
@@ -371,10 +368,11 @@ def _run_one(cfg: SchemeConfig, path: CoupledNoisePath) -> Trajectory:
             "dt_nominal must be the reference step times a power of two"
         )
     part = TimePartition(stretch_nodes(
-        cfg, uniform_nodes(cfg.horizon, cfg.dt_nominal), path.skeleton.times),
+        cfg, uniform_nodes(cfg.horizon, cfg.dt_nominal), path.times[0]),
         cfg.dt_nominal)
-    chunk = restrict_path(path, part, cfg.n_modes)
-    _, diverged, (states, jump_nodes, pre_rows) = run_block(cfg, chunk,
+    chunk = restrict_path(path, part.nodes, cfg.n_modes)
+    x0 = project(cfg.x0, cfg.n_modes).coeffs[None]
+    _, diverged, (states, jump_nodes, pre_rows) = run_block(cfg, chunk, x0,
                                                             record=True)
     if diverged:
         raise DivergenceError(*diverged[0])
@@ -382,14 +380,14 @@ def _run_one(cfg: SchemeConfig, path: CoupledNoisePath) -> Trajectory:
     return Trajectory(part, states, np.array(jump_nodes, dtype=np.int64), pre)
 
 
-def run_scheme_A(cfg: SchemeConfig, path: CoupledNoisePath) -> Trajectory:
+def run_scheme_A(cfg: SchemeConfig, path: PathChunk) -> Trajectory:
     """Run the jump-adapted scheme on one noise path."""
     if cfg.scheme != SCHEME_A:
         raise ValueError("configuration does not select the adapted scheme")
     return _run_one(cfg, path)
 
 
-def run_scheme_B(cfg: SchemeConfig, path: CoupledNoisePath) -> Trajectory:
+def run_scheme_B(cfg: SchemeConfig, path: PathChunk) -> Trajectory:
     """Run the uniform-grid scheme on one noise path."""
     if cfg.scheme != SCHEME_B:
         raise ValueError("configuration does not select the uniform scheme")

@@ -27,7 +27,7 @@ from levyheat.cli import (
     serialize_config,
     serialize_plan,
 )
-from levyheat.experiments import StudyPlan, run_study
+from levyheat.experiments import StudyPlan, _collect_norms, run_study
 from levyheat.noise import TruncatedStableLaw, power_profile, truncate_levy
 from levyheat.spectral import NonlinearitySpec, SpectralState
 
@@ -347,11 +347,20 @@ def test_execute_records_failed_study_and_keeps_going(tmp_path):
     empty = study_dict(name="jumpless", axis="holder", levels=[0.125],
                        nonlinearity={"kind": "zero"})
     empty["model"] = dict(empty["model"], intensity=0.0)
+    # marks of +-1.2e308 on a one-mode profile: the samples with a jump
+    # abort, the others have infinite norms, so the report fails after the
+    # aborts, and the failed entry still lists them
+    late = study_dict(name="late", n_ref=1, samples=24)
+    late["model"] = dict(late["model"], intensity=4.0, law={
+        "kind": "two_point", "p_plus": 0.5, "v_plus": 1.2e308,
+        "v_minus": -1.2e308})
     good = study_dict(name="sound")
-    plans = parse_config(write_config(tmp_path, bad, empty, good))
+    with pytest.warns(UserWarning, match="fewer than 100"):
+        plans = parse_config(write_config(tmp_path, bad, empty, late, good))
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
         manifest = execute(plans, out)
+        _, lost = _collect_norms(plans[2], workers=1)
     assert not manifest.clean
     entries = {s["name"]: s for s in manifest.studies}
     assert entries["divergent"]["status"] == "failed"
@@ -363,6 +372,10 @@ def test_execute_records_failed_study_and_keeps_going(tmp_path):
     assert "vanish" in entries["jumpless"]["error"]
     assert entries["jumpless"]["aborts"] == 0
     assert entries["jumpless"]["aborted"] == []
+    assert entries["late"]["status"] == "failed"
+    assert "not finite" in entries["late"]["error"]
+    assert entries["late"]["aborts"] == 11
+    assert entries["late"]["aborted"] == lost
     assert entries["sound"]["status"] == "ok"
     assert (out / "sound.csv").exists()
     assert not (out / "divergent.csv").exists()

@@ -851,7 +851,7 @@ def _check_streamed(plan, stretch):
                 cfg = SchemeConfig(plan.scheme, n, dt, plan.horizon,
                                    plan.nonlinearity, plan.model, plan.x0)
             part = run(cfg, path).partition
-            oracle = restrict_path(path, part, n)
+            oracle = restrict_path(path, part.nodes, n)
             joined = np.concatenate(nodes[s, j] + [part.nodes[-1:]])
             assert joined.tobytes() == part.nodes.tobytes()
             streamed = np.concatenate(incs[s, j])
@@ -881,7 +881,8 @@ def test_wiener_rows_match_a_literal_scaling_oracle(monkeypatch):
     # a path's rows are its Wiener stream's standard normals, scaled row by
     # row: by the dt_ref standard deviation, and a row beside a jump,
     # shorter than dt_ref, then by sqrt(conv_variance(lam, delta)) over that
-    # standard deviation; a whole path and its stretches get those bytes
+    # standard deviation; a whole path and its stretches get those bytes,
+    # and a whole path is its stream's one-row chunk of the whole horizon
     plan = _block_plan(SCHEME_A, "temporal", samples=4)
     dt, stretch = plan.dt_ref, 16
     edge = stretch * dt
@@ -904,7 +905,16 @@ def test_wiener_rows_match_a_literal_scaling_oracle(monkeypatch):
     for s in range(4):
         path = sample_path(plan.horizon, dt, plan.n_ref, plan.model,
                            plan.seed, s)
-        deltas = np.diff(path.nodes)
+        whole = PathStream(plan.horizon, dt, plan.n_ref, plan.model,
+                           plan.seed, [s]).draw(0, total, [0])
+        assert path.dt_ref == whole.dt_ref
+        assert path.starts.tobytes() == whole.starts.tobytes()
+        for field in ("nodes", "times", "xis"):
+            mine, theirs = getattr(path, field), getattr(whole, field)
+            assert len(mine) == len(theirs) == 1
+            assert mine[0].tobytes() == theirs[0].tobytes()
+        assert path.wiener.tobytes() == whole.wiener.tobytes()
+        deltas = np.diff(path.nodes[0])
         z = stream(plan.seed, s, PURPOSE_WIENER).standard_normal(
             (deltas.size, plan.n_ref))
         expected = []
@@ -1026,7 +1036,7 @@ def test_spatial_levels_step_on_the_reference_fold(monkeypatch):
     stepped = {}  # (n, sample) -> increments stepped on, stretch by stretch
     real = experiments.run_block
 
-    def spy(cfg, chunk, state=None, record=False):
+    def spy(cfg, chunk, state, record=False):
         for s, (nodes, a) in enumerate(zip(chunk.nodes, chunk.starts)):
             stepped.setdefault((cfg.n_modes, s), []).append(
                 chunk.wiener[a:a + nodes.size - 1, :cfg.n_modes].copy())

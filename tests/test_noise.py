@@ -16,11 +16,12 @@ from levyheat.noise import (
     PURPOSE_BOOTSTRAP,
     PURPOSE_JUMPS,
     PURPOSE_WIENER,
-    CoupledNoisePath,
     ExpShiftedLaw,
     G1Spec,
     JumpSkeleton,
     MarkModel,
+    PathChunk,
+    PathStream,
     TruncatedStableLaw,
     TwoPointLaw,
     compensated_jump_convolution,
@@ -28,6 +29,7 @@ from levyheat.noise import (
     compose_convolution,
     conv_variance,
     power_profile,
+    restrict_chunk,
     restrict_path,
     sample_jump_skeleton,
     sample_jump_skeletons,
@@ -45,6 +47,12 @@ def two_point_model(n=8, intensity=2.0, g1=None):
         profile=power_profile(1.0, 2.0, n),
         g1=g1 if g1 is not None else G1Spec.zero(),
     )
+
+
+def whole_path(nodes, dt_ref, wiener, skeleton):
+    """A whole path built by hand: the one-row chunk of a single stretch."""
+    return PathChunk(dt_ref, [nodes], wiener, np.array([0, wiener.shape[0]]),
+                     [skeleton.times], [skeleton.xis])
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +514,9 @@ def test_micro_grid_construction(monkeypatch):
         monkeypatch.setattr(noise, "sample_jump_skeleton",
                             lambda *args, sk=sk: sk)
         path = sample_path(1.0, 0.25, 4, model, 7, 3)
-        assert np.array_equal(path.nodes, nodes) and path.dt_ref == 0.25
-        assert not path.nodes.flags.writeable
+        assert np.array_equal(path.nodes[0], nodes) and path.dt_ref == 0.25
+        assert not path.nodes[0].flags.writeable
+        assert path.times[0] is sk.times and path.xis[0] is sk.xis
     with pytest.raises(ValueError):
         sample_path(1.0, 0.3, 4, model, 7, 3)  # horizon not a multiple
     sk = JumpSkeleton(1.0, [0.25], [1.0])
@@ -517,17 +526,21 @@ def test_micro_grid_construction(monkeypatch):
 
 
 def test_coupled_path_checks_its_nodes():
+    # restrict_path checks a whole path's one row before it folds it; a
+    # path that does not span [0, 1] has no partition of [0, 1] to fold to
     sk = JumpSkeleton(1.0, [0.3], [1.0])
     good = np.array([0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
-    CoupledNoisePath(good, 0.25, np.zeros((5, 2)), sk)
+    part = np.arange(5) * 0.25
+    restrict_path(whole_path(good, 0.25, np.zeros((5, 2)), sk), part, 2)
     for nodes, match in ((good[[0, 2, 1, 3, 4, 5]], "strictly increasing"),
-                         (good[1:], "span"), (good[:-1], "span"),
+                         (good[1:], "not refined"), (good[:-1], "not refined"),
                          (np.append(good, 1.5), "span"),
                          (good[:1], "malformed")):
+        path = whole_path(nodes, 0.25, np.zeros((nodes.size - 1, 2)), sk)
         with pytest.raises(ValueError, match=match):
-            CoupledNoisePath(nodes, 0.25, np.zeros((nodes.size - 1, 2)), sk)
+            restrict_path(path, part, 2)
     with pytest.raises(ValueError, match="wrong shape"):
-        CoupledNoisePath(good, 0.25, np.zeros((4, 2)), sk)
+        restrict_path(whole_path(good, 0.25, np.zeros((4, 2)), sk), part, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +599,8 @@ def test_path_determinism_bytes():
     a = sample_path(1.0, 2.0**-8, 8, model, 7, 3)
     b = sample_path(1.0, 2.0**-8, 8, model, 7, 3)
     assert a.wiener.tobytes() == b.wiener.tobytes()
-    assert a.skeleton.times.tobytes() == b.skeleton.times.tobytes()
-    assert a.skeleton.xis.tobytes() == b.skeleton.xis.tobytes()
+    assert a.times[0].tobytes() == b.times[0].tobytes()
+    assert a.xis[0].tobytes() == b.xis[0].tobytes()
     c = sample_path(1.0, 2.0**-8, 8, model, 7, 4)
     assert a.wiener.tobytes() != c.wiener.tobytes()
 
@@ -602,16 +615,16 @@ def test_wiener_and_jump_streams_are_disjoint():
     )
     pa = sample_path(1.0, 2.0**-8, 8, base, 7, 3)
     pb = sample_path(1.0, 2.0**-8, 8, other, 7, 3)
-    assert np.array_equal(pa.skeleton.times, pb.skeleton.times)
+    assert np.array_equal(pa.times[0], pb.times[0])
     assert np.array_equal(pa.wiener, pb.wiener)
-    assert not np.array_equal(pa.skeleton.xis, pb.skeleton.xis)
+    assert not np.array_equal(pa.xis[0], pb.xis[0])
 
 
 def test_restriction_is_bitwise_fold():
     model = two_point_model()
     path = sample_path(1.0, 2.0**-8, 8, model, 7, 3)
     lam = eigenvalues(5)
-    micro = path.nodes
+    micro = path.nodes[0]
     for j_level in [1, 2, 4]:
         nodes = np.arange(int(1.0 / (2.0**-8 * 2**j_level)) + 1) * (2.0**-8 * 2**j_level)
         bundle = restrict_path(path, nodes, 5)
@@ -664,7 +677,7 @@ def test_fold_matches_a_sequential_fold_of_each_step(monkeypatch, fold_rows):
 def test_restriction_identity_on_micro_grid():
     model = two_point_model()
     path = sample_path(1.0, 2.0**-6, 8, model, 11, 0)
-    bundle = restrict_path(path, path.nodes, 8)
+    bundle = restrict_path(path, path.nodes[0], 8)
     assert np.array_equal(bundle.wiener, path.wiener)
 
 
@@ -690,7 +703,7 @@ def test_restriction_jump_bookkeeping():
     # partitions, and a partition that ends before the last jump is refused
     sk = JumpSkeleton(1.0, [0.1, 0.35, 0.40], [1.0, 2.0, -1.0])
     micro = np.sort(np.concatenate([np.arange(17) * 2.0**-4, sk.times]))
-    path = CoupledNoisePath(micro, 2.0**-4, np.zeros((micro.size - 1, 4)), sk)
+    path = whole_path(micro, 2.0**-4, np.zeros((micro.size - 1, 4)), sk)
     nodes = np.arange(5) * 0.25
     anodes = np.sort(np.concatenate([nodes, sk.times]))
     for part in (nodes, anodes):
@@ -718,10 +731,21 @@ def test_restriction_rejects_unrefined_partitions():
         with pytest.raises(ValueError, match="at least one step"):
             restrict_path(path, few, 4)
     # as many nodes as the micro grid, but not its nodes
-    off = path.nodes.copy()
+    off = path.nodes[0].copy()
     off[1] += 1e-3
     with pytest.raises(ValueError, match="not refined by the micro grid"):
         restrict_path(path, off, 4)
+    # one partition per row of a chunk, neither fewer nor more, and a
+    # whole path is one row
+    chunk = PathStream(1.0, 2.0**-4, 8, model, 7, range(3)).draw(0, 16,
+                                                                 range(3))
+    grid = np.arange(5) * 0.25
+    for parts in ([grid], [grid] * 4):
+        with pytest.raises(ValueError, match=f"^{len(parts)} partitions for "
+                           "a chunk of 3 rows"):
+            restrict_chunk(chunk, parts, 4)
+    with pytest.raises(ValueError, match="one row, got 3"):
+        restrict_path(chunk, grid, 4)
 
 
 # ---------------------------------------------------------------------------

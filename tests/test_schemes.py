@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from levyheat.noise import (
-    CoupledNoisePath,
     G1Spec,
     JumpSkeleton,
     MarkModel,
@@ -45,8 +44,9 @@ def zero_model(n=4):
 def silent_path(horizon, dt_ref, n, skeleton):
     """A noise path with all Wiener draws fixed to zero."""
     nodes = np.union1d(uniform_nodes(horizon, dt_ref), skeleton.times)
-    return CoupledNoisePath(nodes, dt_ref, np.zeros((nodes.size - 1, n)),
-                            skeleton)
+    return PathChunk(dt_ref, [nodes], np.zeros((nodes.size - 1, n)),
+                     np.array([0, nodes.size - 1]), [skeleton.times],
+                     [skeleton.xis])
 
 
 def config(scheme, n, dt, model, f=None, x0=None, horizon=1.0):
@@ -68,7 +68,7 @@ def test_uniform_partition_basic():
     model = MarkModel(4.0, TwoPointLaw(0.5, 1.0, -1.0),
                       power_profile(1.0, 2.0, 2))
     path = sample_path(1.0, 2.0**-4, 2, model, 3, 1)
-    assert path.skeleton.count > 0  # the fixture must have jumps to ignore
+    assert path.times[0].size > 0  # the fixture must have jumps to ignore
     part = run_scheme_B(config(SCHEME_B, 2, 0.25, model), path).partition
     assert np.array_equal(part.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert part.n_steps == 4 and part.horizon == 1.0
@@ -265,14 +265,14 @@ def test_run_B_single_step_unrolled():
     tr = run_scheme_B(cfg, path)
 
     lam = eigenvalues(4)
-    micro = path.nodes
+    micro = path.nodes[0]
     fold = np.zeros(4)
     for j in range(micro.size - 1):
         fold += np.exp(-lam * (1.0 - micro[j + 1])) * path.wiener[j]
     phi = model.profile.coeffs
     mean_g = model.intensity * model.law.mean() * phi
     expected = (np.exp(-lam) * x0.coeffs + fold
-                + np.exp(-lam) * (path.skeleton.xis.sum() * phi - mean_g))
+                + np.exp(-lam) * (path.xis[0].sum() * phi - mean_g))
     assert np.allclose(tr.final.coeffs, expected, rtol=0, atol=1e-12)
 
 
@@ -330,8 +330,8 @@ def test_one_step_composition_matches_runners():
     x0 = SpectralState(np.linspace(0.5, -0.5, 6))
     f = NonlinearitySpec.sine(1.0)
     path = sample_path(1.0, 2.0**-7, 6, model, 5, 2)
-    times, xis = path.skeleton.times, path.skeleton.xis
-    assert path.skeleton.count > 0  # the fixture must exercise jumps
+    times, xis = path.times[0], path.xis[0]
+    assert times.size > 0  # the fixture must exercise jumps
 
     for scheme, run in ((SCHEME_A, run_scheme_A), (SCHEME_B, run_scheme_B)):
         with warnings.catch_warnings():
@@ -350,7 +350,7 @@ def test_one_step_composition_matches_runners():
             finals, diverged, _ = run_block(cfg, block, tr.states[i:i + 1])
             assert diverged == {}
             assert finals[0].tobytes() == tr.states[i + 1].tobytes()
-        assert jumps == path.skeleton.count
+        assert jumps == times.size
 
 
 def test_a_row_entering_non_finite_is_gone_without_a_report():
@@ -361,7 +361,7 @@ def test_a_row_entering_non_finite_is_gone_without_a_report():
     cfg = config(SCHEME_A, 6, 2.0**-4, model, f=NonlinearitySpec.sine(1.0))
     paths = [sample_path(1.0, 2.0**-7, 6, model, 5, i) for i in (2, 4)]
     level = uniform_nodes(1.0, 2.0**-4)
-    parts = [stretch_nodes(cfg, level, p.skeleton.times) for p in paths]
+    parts = [stretch_nodes(cfg, level, p.times[0]) for p in paths]
     assert parts[0].size + 3 == parts[1].size
     wiener = [restrict_path(p, q, 6).wiener for p, q in zip(paths, parts)]
 
@@ -369,8 +369,8 @@ def test_a_row_entering_non_finite_is_gone_without_a_report():
         starts = np.cumsum([0] + [wiener[r].shape[0] for r in rows])
         return PathChunk(2.0**-7, [parts[r] for r in rows],
                          np.concatenate([wiener[r] for r in rows]), starts,
-                         [paths[r].skeleton.times for r in rows],
-                         [paths[r].skeleton.xis for r in rows])
+                         [paths[r].times[0] for r in rows],
+                         [paths[r].xis[0] for r in rows])
 
     state = np.full((2, 6), 0.5)
     state[1, 2] = np.nan
@@ -471,8 +471,8 @@ def test_single_mode_runs_match_scalar_oracle():
 
         args = (lam, x0, horizon, dt, f_kind, f_coef, intensity,
                 law.mean(), g1_const, phi_c,
-                path.nodes.tolist(), path.wiener[:, 0].tolist(),
-                path.skeleton.times.tolist(), path.skeleton.xis.tolist())
+                path.nodes[0].tolist(), path.wiener[:, 0].tolist(),
+                path.times[0].tolist(), path.xis[0].tolist())
         assert abs(got_a - _brute_force_terminal("A", *args)) <= 1e-12
         assert abs(got_b - _brute_force_terminal("B", *args)) <= 1e-12
 

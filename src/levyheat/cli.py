@@ -393,9 +393,32 @@ def _provenance(threads: int) -> dict:
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "core": _blas_core()},
         "workers": threads,
     }
+
+
+def _blas_core() -> str | None:
+    """The CPU kernel set that numpy's bundled OpenBLAS picked at load time,
+    which sets the transforms' bytes; None without that library or symbol.
+    The build string of `show_config` names the build host's set instead."""
+    import ctypes
+    import glob
+
+    import numpy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
+                        "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_",
+                       "scipy_openblas_get_corename"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 def _model_info(law) -> dict:

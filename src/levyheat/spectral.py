@@ -149,7 +149,6 @@ def phi1_apply(state: SpectralState, t: float) -> SpectralState:
 _SQRT2 = math.sqrt(2.0)
 
 
-@lru_cache(maxsize=64)
 def _sine_table(n_modes: int, m_nodes: int) -> np.ndarray:
     """Matrix S[k-1, m-1] = sin(k pi x_m) on the interior nodes x_m = m/(M+1)."""
     k = np.arange(1, n_modes + 1)[:, None]
@@ -160,14 +159,14 @@ def _sine_table(n_modes: int, m_nodes: int) -> np.ndarray:
 
 
 # From this many grid modes on, the Nemytskii transforms run on the half-width
-# tables of `_mirror_table`.  On blocks of 32 rows that takes about 70% of the
-# full-table time at 256 modes and 80% at 128; the temporal studies' 64 modes
-# gain nothing, and at 32 or fewer it is about twice as slow.  The mode count
-# alone chooses, so a row's doubles never depend on its block.
+# tables of `_mirror_table`.  On blocks of 32 rows that takes about 68% of the
+# full-table time at 256 modes and 85% at 128; at the temporal studies' 64
+# modes it is 10% slower, and at 32 or fewer 1.6 to 2.2 times as slow.  The
+# mode count alone chooses, so a row's doubles never depend on its block;
+# moving the threshold would move the bytes of every n between the two.
 _MIRROR_MODES = 128
 
 
-@lru_cache(maxsize=64)
 def _mirror_table(n_modes: int, m_nodes: int) -> np.ndarray:
     """The odd-k and the even-k rows of `_sine_table` on the nodes up to the
     middle one, shape (2, ceil(n_modes / 2), (m_nodes + 1) / 2) for odd
@@ -181,6 +180,28 @@ def _mirror_table(n_modes: int, m_nodes: int) -> np.ndarray:
     table = np.zeros((2, (n_modes + 1) // 2, half))
     table[0] = full[0::2, :half]
     table[1, :n_modes // 2] = full[1::2, :half]
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=64)
+def _node_table(n_modes: int, m_nodes: int, mirror: bool) -> np.ndarray:
+    """`_mirror_table` (shape (2, half, width)) or `_sine_table` (shape
+    (m_nodes, n_modes)) node-major: each table transposed, copied
+    C-contiguous from a 64-byte boundary and read-only.
+
+    The kernel's products run about 1.5 times as fast on this layout, and
+    only when it is aligned.  Neither row-major table stays cached.  The
+    even-k half starts 8 x half x width bytes in, so it is aligned as well
+    when half x width is a multiple of 8, as at every multiple of 16 modes.
+    """
+    rows = (_mirror_table if mirror else _sine_table)(n_modes, m_nodes)
+    nodes = rows.swapaxes(-1, -2)
+    buf = np.empty(nodes.nbytes + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    table = buf[start:start + nodes.nbytes].view(np.float64).reshape(
+        nodes.shape)
+    table[...] = nodes
     table.setflags(write=False)
     return table
 
@@ -265,12 +286,16 @@ class NemytskiiKernel:
     loops call this object directly on coefficient arrays, one state of
     shape (n_in,) or a block of shape (B, n_in); `nemytskii` wraps it for
     SpectralState arguments.  Each row of a block gets exactly the doubles
-    of a 1-D call: the transforms are stacked matrix-vector products, since
-    a 2-D matrix product rounds a row differently depending on the block.
-    From `_MIRROR_MODES` grid modes on, the transforms fold the grid's
-    mirror symmetry: the odd and the even modes each take one product with
-    a half-width table, which rounds differently from the full table by a
-    few ulps.
+    of a 1-D call: the transforms are stacked matrix-vector products, one
+    BLAS gemv per row on the same table with the same strides, so a row's
+    sums run in the same order whatever its block or its place in it; a
+    2-D matrix product would round a row differently depending on the
+    block.  The table is node-major (`_node_table`), synthesis is table
+    times column, (M, n_in) x (n_in, 1), and analysis row times table,
+    (1, M) x (M, n_out).  From `_MIRROR_MODES` grid modes on, the
+    transforms fold the grid's mirror symmetry: the odd and the even modes
+    each take one product with a half-width table, which rounds
+    differently from the full table by a few ulps.
     """
 
     def __init__(self, spec: NonlinearitySpec, n_in: int, n_out: int):
@@ -280,10 +305,10 @@ class NemytskiiKernel:
         self.m_nodes = 2 * max(n_in, n_out) + 1
         self._mirror = max(n_in, n_out) >= _MIRROR_MODES
         if spec.kind == "sine":
-            # synthesis/analysis tables only needed on the transform path
-            table = _mirror_table if self._mirror else _sine_table
-            self._syn = table(n_in, self.m_nodes)
-            self._ana = table(n_out, self.m_nodes)
+            # synthesis/analysis tables only needed on the transform path;
+            # one array for both when n_in == n_out
+            self._syn = _node_table(n_in, self.m_nodes, self._mirror)
+            self._ana = _node_table(n_out, self.m_nodes, self._mirror)
             self._scale = math.sqrt(2.0) / (self.m_nodes + 1)
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
@@ -300,14 +325,14 @@ class NemytskiiKernel:
         if self._mirror:
             values = self._mirror_synthesis(coeffs.reshape(-1, self.n_in))
         else:
-            values = np.matmul(coeffs.reshape(-1, 1, self.n_in), self._syn)
+            values = np.matmul(self._syn, coeffs.reshape(-1, self.n_in, 1))
         values *= _SQRT2
         np.sin(values, out=values)
         values *= spec.coef
         if self._mirror:
             out = self._mirror_analysis(values)
         else:
-            out = np.matmul(self._ana, values.reshape(-1, self.m_nodes, 1))
+            out = np.matmul(values.reshape(-1, 1, self.m_nodes), self._ana)
         out *= self._scale
         return out.reshape(shape)
 
@@ -315,12 +340,12 @@ class NemytskiiKernel:
         """Sum over the modes at every node of rows of shape (B, n_in): the
         odd and the even modes give P and Q on the nodes up to the middle
         one, so the sum is P + Q there and P - Q at their mirror nodes."""
-        _, width, half = self._syn.shape
-        split = np.zeros((rows.shape[0], 2, 1, width))
-        split[:, 0, 0] = rows[:, 0::2]
-        split[:, 1, 0, :self.n_in // 2] = rows[:, 1::2]
-        pq = np.matmul(split, self._syn)
-        p, q = pq[:, 0, 0], pq[:, 1, 0]
+        _, half, width = self._syn.shape
+        split = np.zeros((rows.shape[0], 2, width, 1))
+        split[:, 0, :, 0] = rows[:, 0::2]
+        split[:, 1, :self.n_in // 2, 0] = rows[:, 1::2]
+        pq = np.matmul(self._syn, split)
+        p, q = pq[:, 0, :, 0], pq[:, 1, :, 0]
         values = np.empty((rows.shape[0], self.m_nodes))
         np.add(p, q, out=values[:, :half])
         np.subtract(p[:, :-1], q[:, :-1], out=values[:, :half - 1:-1])
@@ -330,16 +355,16 @@ class NemytskiiKernel:
         """The unscaled sine coefficients of node values of shape (B, M):
         the odd modes read each node plus its mirror, the even modes each
         node minus its mirror, and both the middle node."""
-        half = self._ana.shape[2]
+        half = self._ana.shape[1]
         near, far = values[:, :half - 1], values[:, :half - 1:-1]
-        folded = np.empty((values.shape[0], 2, half, 1))
-        np.add(near, far, out=folded[:, 0, :-1, 0])
-        np.subtract(near, far, out=folded[:, 1, :-1, 0])
-        folded[:, :, -1, 0] = values[:, half - 1:half]
-        both = np.matmul(self._ana, folded)
+        folded = np.empty((values.shape[0], 2, 1, half))
+        np.add(near, far, out=folded[:, 0, 0, :-1])
+        np.subtract(near, far, out=folded[:, 1, 0, :-1])
+        folded[:, :, 0, -1] = values[:, half - 1:half]
+        both = np.matmul(folded, self._ana)
         out = np.empty((values.shape[0], self.n_out))
-        out[:, 0::2] = both[:, 0, :, 0]
-        out[:, 1::2] = both[:, 1, :self.n_out // 2, 0]
+        out[:, 0::2] = both[:, 0, 0]
+        out[:, 1::2] = both[:, 1, 0, :self.n_out // 2]
         return out
 
 

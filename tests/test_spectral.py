@@ -6,10 +6,14 @@ dense quadrature loops).
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from levyheat.experiments import MAX_BLOCK
 from levyheat.spectral import (
     NemytskiiKernel,
     NonlinearitySpec,
@@ -233,41 +237,59 @@ def test_nemytskii_sine_against_dense_quadrature_oracle():
         assert np.max(np.abs(got.coeffs - expected)) < 1e-12
 
 
+def _node_major(table):
+    """A row-major sine table as the C-contiguous node-major matrix that
+    the kernel multiplies by."""
+    return np.ascontiguousarray(table.T)
+
+
 def _full_table_reference(row, coef, n_in, n_out):
-    """P_N f(u) of one row through the full sine tables, in 1-D."""
+    """P_N f(u) of one row through the full sine tables, in 1-D: synthesis
+    as table times column, analysis as row times table."""
     m = 2 * max(n_in, n_out) + 1
-    values = math.sqrt(2.0) * (row @ _sine_table(n_in, m))
+    values = math.sqrt(2.0) * (_node_major(_sine_table(n_in, m)) @ row)
     np.sin(values, out=values)
     values *= coef
-    return math.sqrt(2.0) / (m + 1) * (_sine_table(n_out, m) @ values)
+    return math.sqrt(2.0) / (m + 1) * (values @ _node_major(
+        _sine_table(n_out, m)))
 
 
-def _mirrored_reference(row, coef, n):
+def _half_tables(n, m):
+    """The odd-k and the even-k rows of the sine table on the nodes up to
+    the middle one, node-major; an odd n pads the even modes with a zero."""
+    half, width = (m + 1) // 2, (n + 1) // 2
+    table = _sine_table(n, m)
+    odd, even = np.zeros((width, half)), np.zeros((width, half))
+    odd[:] = table[0::2, :half]
+    even[:n // 2] = table[1::2, :half]
+    return _node_major(odd), _node_major(even)
+
+
+def _mirrored_reference(row, coef, n_in, n_out):
     """P_N f(u) of one row through the half-width tables, in 1-D.
 
     sin(k pi (1 - x)) = (-1)^(k+1) sin(k pi x), so the odd modes give P and
     the even modes Q on the nodes up to the middle one x = 1/2, the node
     values are P + Q there and P - Q at the mirror nodes, and the analysis
     reads node plus mirror for odd modes and node minus mirror for even.
-    An odd n pads the even modes with a zero.
+    Synthesis is table times column, analysis row times table.
     """
-    m, half, width = 2 * n + 1, n + 1, (n + 1) // 2
-    table = _sine_table(n, m)
-    odd, even = np.zeros((width, half)), np.zeros((width, half))
-    odd[:] = table[0::2, :half]
-    even[:n // 2] = table[1::2, :half]
-    a_odd, a_even = np.zeros(width), np.zeros(width)
+    n = max(n_in, n_out)
+    m = 2 * n + 1
+    odd, even = _half_tables(n_in, m)
+    a_odd, a_even = np.zeros(odd.shape[1]), np.zeros(even.shape[1])
     a_odd[:] = row[0::2]
-    a_even[:n // 2] = row[1::2]
-    p, q = a_odd @ odd, a_even @ even
+    a_even[:n_in // 2] = row[1::2]
+    p, q = odd @ a_odd, even @ a_even
     values = np.concatenate([p + q, (p - q)[-2::-1]])
     values *= math.sqrt(2.0)
     np.sin(values, out=values)
     values *= coef
     near, far, middle = values[:n], values[:n:-1], values[n]
-    out = np.empty(n)
-    out[0::2] = odd @ np.append(near + far, middle)
-    out[1::2] = (even @ np.append(near - far, middle))[:n // 2]
+    odd, even = _half_tables(n_out, m)
+    out = np.empty(n_out)
+    out[0::2] = np.append(near + far, middle) @ odd
+    out[1::2] = (np.append(near - far, middle) @ even)[:n_out // 2]
     return math.sqrt(2.0) / (m + 1) * out
 
 
@@ -281,14 +303,15 @@ def test_nemytskii_kernel_block_rows_match_vector_products(n):
     block = rng.standard_normal((7, n))
     # rows whose coefficients fall off like the schemes' states
     states = rng.standard_normal((7, n)) / np.arange(1, n + 1)
+    full_block = rng.standard_normal((MAX_BLOCK, n))
     for coef in (1.0, -0.7):
         kernel = NemytskiiKernel(NonlinearitySpec.sine(coef), n, n)
-        for rows in (block, block[:1], block[2:6], states):
+        for rows in (block, block[:1], block[2:6], states, full_block):
             got = kernel(rows)
             assert got.shape == rows.shape
             for row, out in zip(rows, got):
                 if n >= 128:
-                    expected = _mirrored_reference(row, coef, n)
+                    expected = _mirrored_reference(row, coef, n, n)
                 else:
                     expected = _full_table_reference(row, coef, n, n)
                 assert out.tobytes() == expected.tobytes()
@@ -320,6 +343,63 @@ def test_mirrored_kernel_with_unequal_mode_counts(n_in, n_out):
         full = _full_table_reference(row, 0.8, n_in, n_out)
         assert out.tobytes() == kernel(row).tobytes()
         assert np.linalg.norm(out - full) <= 1e-13 * np.linalg.norm(full)
+    wide = rng.standard_normal((MAX_BLOCK, n_in)) / np.arange(1, n_in + 1)
+    for block in (wide, wide[:1], wide[2:6], wide[:7]):
+        for row, out in zip(block, kernel(block)):
+            expected = _mirrored_reference(row, 0.8, n_in, n_out)
+            assert out.tobytes() == expected.tobytes()
+            assert out.tobytes() == kernel(row).tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 64, 128, 131, 256])
+def test_kernel_table_is_aligned_node_major_and_shared(n):
+    # the gemv products are fast only on a C-contiguous table that starts
+    # on a 64-byte boundary; a misaligned one gives the same bytes slower,
+    # so only the layout can show the loss
+    kernel = NemytskiiKernel(NonlinearitySpec.sine(1.0), n, n)
+    table = kernel._syn
+    assert kernel._ana is table
+    assert table.flags.c_contiguous and not table.flags.writeable
+    assert table.ctypes.data % 64 == 0
+    m = 2 * n + 1
+    if n >= 128:
+        assert table.shape == (2, n + 1, (n + 1) // 2)
+        assert np.array_equal(table[0], _half_tables(n, m)[0])
+        assert np.array_equal(table[1], _half_tables(n, m)[1])
+    else:
+        assert np.array_equal(table, _sine_table(n, m).T)
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from levyheat.spectral import NemytskiiKernel, NonlinearitySpec
+digest = hashlib.sha256()
+for n in (256, 512):
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((32, n)) / np.arange(1, n + 1)
+    kernel = NemytskiiKernel(NonlinearitySpec.sine(1.0), n, n)
+    digest.update(kernel(block).tobytes())
+    digest.update(kernel(block[0]).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_kernel_bytes_do_not_depend_on_blas_threads():
+    # the mirrored products at n = 256 and 512 (half tables of 257 x 128
+    # and 513 x 256) are large enough for OpenBLAS to split across threads
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def _extended_reference(row, coef, n):

@@ -222,8 +222,11 @@ class OrderReport:
                 raise ValueError(
                     f"p = {self.p:g}, levels[{j}] = {levels[j]:g}: L^p error "
                     f"{errors[j]} with interval [{lo[j]}, {hi[j]}] is not finite")
-        if np.any(errors <= 0):
-            raise ValueError("errors must be strictly positive")
+            if errors[j] <= 0:
+                raise ValueError(
+                    f"p = {self.p:g}, levels[{j}] = {levels[j]:g}: L^p error "
+                    f"{errors[j]} is not positive: the mean of |e|^p "
+                    "underflowed to zero at this p")
         if np.any(hi < lo):
             raise ValueError("interval bounds are reversed")
         for arr in (levels, errors, lo, hi):
@@ -338,8 +341,10 @@ def _build_reports(plan: StudyPlan, norms: np.ndarray,
             errors[j] = _lp_point(norms[:, j], p)
             lo[j], hi[j] = _bootstrap_interval(norms[:, j], p, rng)
         order = stderr = None
-        # a non-finite error is not fitted: OrderReport refuses it
-        if levels.size >= 3 and np.isfinite(errors).all():
+        # a non-finite or underflowed error is not fitted: OrderReport
+        # refuses it
+        if levels.size >= 3 and np.isfinite(errors).all() and \
+                (errors > 0).all():
             slope, stderr = _ols(np.log(levels), np.log(errors))
             order = -slope if negate_order else slope
         reports.append(OrderReport(p, levels, errors, lo, hi, order, stderr))
@@ -414,13 +419,14 @@ def _resolutions(plan: StudyPlan) -> list:
 
 
 def _new_phases(plan: StudyPlan) -> dict:
-    """Seconds per phase of a study: drawing the paths, restricting them,
-    stepping each resolution (reference first), reducing the norms and the
-    bootstrap; on the Hölder axis, drawing the skeletons, evaluating the
-    norms and the bootstrap."""
+    """Seconds per phase of a study: drawing the paths, restricting them to
+    each resolution and stepping each resolution (both reference first; a
+    fold that several resolutions share is booked to the first of them),
+    reducing the norms and the bootstrap; on the Hölder axis, drawing the
+    skeletons, evaluating the norms and the bootstrap."""
     if plan.axis == "holder":
         return {"skeletons": 0.0, "norms": 0.0, "bootstrap": 0.0}
-    return {"draw": 0.0, "restrict": 0.0,
+    return {"draw": 0.0, "restrict": [0.0] * (len(plan.levels) + 1),
             "step": [0.0] * (len(plan.levels) + 1),
             "norms": 0.0, "bootstrap": 0.0}
 
@@ -475,21 +481,27 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
         chunk = paths.draw(k0, k1, rows)
         t1 = clock()
         spent["draw"] += t1 - t0
-        # each time grid's partitions and folds at n_ref, by dt: the fold is
+        # each time grid's partitions and folds at n_ref, by dt, the finest
+        # first, each folded on from the next finer grid's: the fold is
         # elementwise per mode, so a resolution of fewer modes on the same
-        # grid (every spatial level) steps on the leading columns
-        folded = {}
+        # grid (every spatial level) steps on the leading columns, and the
+        # fold's time is booked to the first of them in plan order
+        folded, finer = {}, None
+        for j in sorted(range(len(res)), key=lambda j: res[j][0]):
+            dt, r = res[j][0], ratios[j]
+            if dt in folded:
+                continue
+            t0 = clock()
+            level = grids[j][k0 // r:k1 // r + 1]
+            parts = [stretch_nodes(cfgs[j], level, t) for t in chunk.times]
+            finer = folded[dt] = restrict_chunk(chunk, parts, plan.n_ref,
+                                                finer)
+            spent["restrict"][j] += clock() - t0
         for j, cfg in enumerate(cfgs):
             t0 = clock()
-            dt, r = res[j][0], ratios[j]
-            if dt not in folded:
-                level = grids[j][k0 // r:k1 // r + 1]
-                parts = [stretch_nodes(cfg, level, t) for t in chunk.times]
-                folded[dt] = restrict_chunk(chunk, parts, plan.n_ref)
-            t1 = clock()
+            dt = res[j][0]
             finals, diverged, _ = run_block(cfg, folded[dt], states[j])
-            spent["restrict"] += t1 - t0
-            spent["step"][j] += clock() - t1
+            spent["step"][j] += clock() - t0
             states[j] = finals
             # the sample sits out the higher resolutions, so a later
             # stretch reports it at a lower one: the first in plan order
@@ -609,7 +621,7 @@ def _collect_norms(plan: StudyPlan, workers: int, phases=None) -> tuple:
             filled += len(rows)
             aborted.extend(dead)
             for key, value in spent.items():
-                if key == "step":
+                if key in ("restrict", "step"):
                     phases[key] = [a + b for a, b in zip(phases[key], value)]
                 else:
                     phases[key] += value

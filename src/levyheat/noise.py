@@ -597,48 +597,61 @@ _FOLD_ROWS = 1024
 
 
 def _fold(inc: np.ndarray, deltas: np.ndarray, dt_ref: float,
-          pos: np.ndarray) -> np.ndarray:
+          pos: np.ndarray, head=None) -> np.ndarray:
     """Left-to-right convolution folds of the micro rows between the
     micro indices `pos`: row i folds rows pos[i] .. pos[i+1] - 1.
 
     A step's first row enters as it is, and every later row j scales the
-    sum so far by exp(-lam deltas[j]) before it is added.  All steps fold
-    together, one position at a time, longest first, so that the steps
-    still folding are a leading slice, and at most _FOLD_ROWS steps at
-    once, which keeps the working set far below a whole path's output.
-    A position scales every step by the dt_ref decay, and only the few
-    steps whose row there is irregular (shorter than dt_ref, beside a
-    jump) by their own: each step gets the multiplies and adds of its own
-    sequential fold, in the same order.
+    sum so far by exp(-lam deltas[j]) before it is added.  With `head` =
+    (acc, after) each step continues a fold already begun: acc[i] is its
+    running sum over rows pos[i] .. after[i] - 1, and only the rows from
+    after[i] on are folded onto it, with the multiplies and adds that the
+    fold from its first row would make there.  A step with no row left to
+    fold (one micro row, or acc[i] over all of it) is copied straight
+    into the output.  The others fold together, one position at a time,
+    longest first, so that the steps still folding are a leading slice,
+    and at most _FOLD_ROWS steps at once, which keeps the working set far
+    below a whole path's output.  A position scales every step by the
+    dt_ref decay, and only the few steps whose row there is irregular
+    (shorter than dt_ref, beside a jump) by their own: each step gets the
+    multiplies and adds of its own sequential fold, in the same order.
     """
+    end = pos[1:]
+    if head is None:
+        last = pos[:-1]  # the last row each step has folded
+        out = inc[last]
+    else:
+        last = head[1] - 1
+        out = head[0].copy()
+    steps = np.nonzero(end - last > 1)[0]
+    if not steps.size:
+        return out
     lam = eigenvalues(inc.shape[1])
-    start, end = pos[:-1], pos[1:]
     decay_ref = np.exp(-lam * dt_ref)
-    out = np.empty((start.size, inc.shape[1]))
-    order = np.argsort(start - end, kind="stable")
-    # the irregular rows after the first row of their step: the step's
-    # place in `order`, the row's position in the step and its decay
+    order = steps[np.argsort(last[steps] - end[steps], kind="stable")]
+    # the irregular rows still to fold: the step's place in `order`, the
+    # row's position after the step's last folded row and its decay
     odd = np.nonzero(deltas != dt_ref)[0]
-    step = np.searchsorted(start, odd, side="right") - 1
-    inside = (step >= 0) & (odd > start[step]) & (odd < end[step])
+    step = np.searchsorted(last, odd, side="right") - 1
+    inside = (step >= 0) & (odd > last[step]) & (odd < end[step])
     odd, step = odd[inside], step[inside]
-    place = np.empty(start.size, dtype=np.intp)
-    place[order] = np.arange(start.size)
+    place = np.empty(last.size, dtype=np.intp)
+    place[order] = np.arange(order.size)
     sizes, which = np.unique(deltas[odd], return_inverse=True)
     decays = np.array([np.exp(-lam * d) for d in sizes]).reshape(
         sizes.size, lam.size)
     fixes = {}
     for slot, q, code in zip(place[step].tolist(),
-                             (odd - start[step]).tolist(), which.tolist()):
+                             (odd - last[step]).tolist(), which.tolist()):
         fixes.setdefault((slot // _FOLD_ROWS, q), []).append(
             (slot % _FOLD_ROWS, code))
     for lo in range(0, order.size, _FOLD_ROWS):
         sel = order[lo:lo + _FOLD_ROWS]
-        first = start[sel]
+        first = last[sel]
         length = end[sel] - first
-        acc = inc[first]
+        acc = out[sel]
         rows = np.empty_like(acc)
-        later = np.arange(1, length[0])  # the positions after the first
+        later = np.arange(1, length[0])  # the positions still to fold
         live = np.searchsorted(-length, -later, side="left").tolist()
         for q, k in zip(later.tolist(), live):
             part = acc[:k]
@@ -649,7 +662,7 @@ def _fold(inc: np.ndarray, deltas: np.ndarray, dt_ref: float,
             part *= decay_ref
             if fix is not None:
                 acc[at] = kept
-            np.take(inc, first[:k] + q, axis=0, out=rows[:k], mode="clip")
+            inc.take(first[:k] + q, axis=0, out=rows[:k], mode="clip")
             part += rows[:k]
         out[sel] = acc
     return out
@@ -753,7 +766,8 @@ def _starts(nodes) -> np.ndarray:
     return starts
 
 
-def restrict_chunk(chunk: PathChunk, parts, n_modes: int) -> PathChunk:
+def restrict_chunk(chunk: PathChunk, parts, n_modes: int,
+                   finer: Optional[PathChunk] = None) -> PathChunk:
     """Exactly restrict a stretch to one partition per sample and a mode
     count; every restriction of a path, whole or streamed, is made here.
 
@@ -766,26 +780,58 @@ def restrict_chunk(chunk: PathChunk, parts, n_modes: int) -> PathChunk:
     bit-for-bit reproducible.  All the samples' steps fold together
     (`_fold`).  Where every partition is the chunk's own, the result's
     increments are a view of its rows.
+
+    `finer`, if given, is a restriction of this chunk to partitions that
+    refine `parts`, with at least n_modes modes.  A coarse step then
+    starts from the row of its first finer step, which is its running sum
+    over that step's micro rows, folded left to right as here, and folds
+    on over the micro rows after it alone: the same doubles for fewer
+    passes.  A coarse step that is one finer step is that row.
     """
     if len(parts) != len(chunk.nodes):
         raise ValueError(f"{len(parts)} partitions for a chunk of "
                          f"{len(chunk.nodes)} rows")
-    if not 1 <= n_modes <= chunk.n_ref:
-        raise ValueError(f"mode count must lie in [1, {chunk.n_ref}]")
+    if finer is not None and len(finer.nodes) != len(parts):
+        raise ValueError(f"a finer chunk of {len(finer.nodes)} rows for "
+                         f"{len(parts)} partitions")
+    top = chunk.n_ref if finer is None else min(chunk.n_ref, finer.n_ref)
+    if not 1 <= n_modes <= top:
+        raise ValueError(f"mode count must lie in [1, {top}]")
     inc = chunk.wiener[:, :n_modes]
     if all(map(np.array_equal, parts, chunk.nodes)):
         return replace(chunk, wiener=inc)
-    pos = []
-    for p, m, a in zip(parts, chunk.nodes, chunk.starts):
-        at = np.searchsorted(m, p)
-        if np.any(at >= m.size) or np.any(m[at] != p):
+    if finer is not None and all(map(np.array_equal, finer.nodes,
+                                     chunk.nodes)):
+        finer = None  # its rows are the micro rows
+    # each sample's nodes located in its micro nodes, through those of its
+    # finer partition when there is one
+    pos, heads, after = [], [], []
+    for s, (p, m, a) in enumerate(zip(parts, chunk.nodes, chunk.starts)):
+        f = p if finer is None else finer.nodes[s]
+        at = m.searchsorted(f)
+        # a node past the last micro node is compared with that node
+        if (m.take(at, mode="clip") != f).any():
             raise ValueError("partition is not refined by the micro grid")
+        if finer is not None:
+            k = f.searchsorted(p)
+            if (f.take(k, mode="clip") != p).any():
+                raise ValueError("partition is not refined by the finer "
+                                 "partition")
+            heads.append(k[:-1] + finer.starts[s])
+            after.append(at[k[:-1] + 1] + a)
+            at = at[k]
         if at[0] != 0 or at[-1] != m.size - 1:
             raise ValueError("a partition must span the stretch")
         pos.append(at[:-1] + a)
     pos.append(chunk.starts[-1:])
-    deltas = np.concatenate([np.diff(m) for m in chunk.nodes])
-    wiener = _fold(inc, deltas, chunk.dt_ref, np.concatenate(pos))
+    # the micro rows' lengths: the steps between the samples dropped
+    deltas = np.delete(np.diff(np.concatenate(chunk.nodes)),
+                       chunk.starts[1:-1] + np.arange(len(parts) - 1))
+    head = None
+    if finer is not None:
+        head = (finer.wiener[np.concatenate(heads), :n_modes],
+                np.concatenate(after))
+    wiener = _fold(inc, deltas, chunk.dt_ref, np.concatenate(pos), head)
     return PathChunk(chunk.dt_ref, list(parts), wiener, _starts(parts),
                      chunk.times, chunk.xis)
 

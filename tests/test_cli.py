@@ -383,6 +383,20 @@ def test_execute_records_failed_study_and_keeps_going(tmp_path):
     assert recorded["studies"] == [dict(e) for e in manifest.studies]
 
 
+def test_an_underflowing_p_fails_naming_p_and_the_level(tmp_path):
+    # |e|^1000 underflows to zero for every sample, so the L^p error at
+    # p = 1000 is zero: the study fails naming p, the level and why
+    with pytest.warns(UserWarning, match="fewer than 100"):
+        plans = parse_config(write_config(tmp_path, study_dict(
+            samples=4, p_list=[2.0, 1000.0])))
+    manifest = execute(plans, tmp_path / "out")
+    (entry,) = manifest.studies
+    assert entry["status"] == "failed"
+    assert entry["error"].startswith("p = 1000, levels[0] = 0.25: L^p error "
+                                     "0.0 is not positive")
+    assert "underflowed" in entry["error"]
+
+
 def test_manifest_records_provenance_and_aborted_samples(tmp_path):
     # one mode and marks of +-2.4e308, which overflow: exactly the samples
     # with a jump abort, and the others give finite errors
@@ -623,10 +637,17 @@ def test_manifest_times_each_phase(tmp_path):
         else:
             assert set(phases) == {"draw", "restrict", "step", "norms",
                                    "bootstrap"}
-            # the reference run, then every level
+            # the reference run, then every level; a fold that several
+            # resolutions share is booked to the first of them
             assert len(phases["step"]) == len(plan.levels) + 1
-            seconds = [v for k, v in phases.items() if k != "step"]
-            seconds += phases["step"]
+            assert len(phases["restrict"]) == len(plan.levels) + 1
+            if plan.axis == "spatial":
+                assert phases["restrict"][1:] == [0.0] * len(plan.levels)
+            else:
+                assert all(v > 0.0 for v in phases["restrict"][1:])
+            seconds = [v for k, v in phases.items()
+                       if k not in ("restrict", "step")]
+            seconds += phases["restrict"] + phases["step"]
         assert all(v >= 0.0 for v in seconds)
         assert sum(seconds) <= entry["elapsed_seconds"]
         assert entry["samples_per_s"] > 0.0

@@ -322,7 +322,8 @@ def test_order_report_invariants():
     err = np.array([1.0, 0.7, 0.5])
     rep = OrderReport(2.0, lv, err, err * 0.9, err * 1.1, 0.5, 0.01)
     assert np.allclose(rep.half_widths, err * 0.1)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match=r"p = 2, levels\[1\] = 0.25: L\^p "
+                       r"error 0.0 is not positive: .*underflowed"):
         OrderReport(2.0, lv, np.array([1.0, 0.0, 0.5]), err, err)
     with pytest.raises(ValueError, match="reversed"):
         OrderReport(2.0, lv, err, err * 1.1, err * 0.9)
@@ -992,9 +993,9 @@ def test_restrict_chunk_locates_every_samples_nodes(monkeypatch):
     seen = []
     fold = noise._fold
 
-    def spy(inc, deltas, dt_ref, pos):
+    def spy(inc, deltas, dt_ref, pos, head=None):
         seen.append(pos)
-        return fold(inc, deltas, dt_ref, pos)
+        return fold(inc, deltas, dt_ref, pos, head)
 
     monkeypatch.setattr(noise, "_fold", spy)
     restrict_chunk(chunk, parts, plan.n_ref)
@@ -1053,6 +1054,57 @@ def test_spatial_levels_step_on_the_reference_fold(monkeypatch):
             oracle = restrict_path(path, part, n).wiener
             assert np.concatenate(stepped[n, s]).tobytes() == \
                 oracle.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:uniform-grid scheme")
+@pytest.mark.parametrize("levels", [(2.0**-2, 2.0**-5),
+                                    (2.0**-5, 2.0**-3, 2.0**-2)])
+@pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
+def test_temporal_levels_step_on_folds_from_the_next_finer_level(
+        monkeypatch, scheme, levels):
+    # every temporal level folds on from the next finer resolution's rows
+    # (2^-2 from 2^-5 or 2^-3, which skip powers of two), and steps on the
+    # doubles of a whole path's restriction to its partition
+    plan = _block_plan(scheme, "temporal", levels=levels, samples=6)
+    dt, stretch = plan.dt_ref, 16
+    _budget_for(monkeypatch, plan, stretch)
+    edge = stretch * dt  # a stretch edge and a node of every level
+    _force_jumps(monkeypatch, {
+        # inside the first finer step of a coarse step, and within dt / 2
+        # of the next coarse node: on the adapted partition, the coarse
+        # step from that jump is one finer step
+        0: [1.4 * dt, edge - 0.4 * dt],
+        1: [edge - 0.4 * dt, edge + 0.3 * dt],  # both rows beside an edge
+        2: [2.1 * dt, 2.1 * dt + 1e-4, 2.7 * dt],  # two in one micro row
+        3: [0.3 * dt, edge + 4.5 * dt, plan.horizon - 0.5 * dt],
+        4: [],
+    })
+    stepped = {}  # (dt, sample) -> (nodes, increments), stretch by stretch
+    real = experiments.run_block
+
+    def spy(cfg, chunk, state, record=False):
+        for s, (nodes, a) in enumerate(zip(chunk.nodes, chunk.starts)):
+            seen = stepped.setdefault((cfg.dt_nominal, s), ([], []))
+            seen[0].append(nodes[:-1])
+            seen[1].append(chunk.wiener[a:a + nodes.size - 1].copy())
+        return real(cfg, chunk, state, record)
+
+    monkeypatch.setattr(experiments, "run_block", spy)
+    _, aborted = _run_block(plan, range(plan.samples))
+    assert aborted == []
+    run = run_scheme_A if scheme == SCHEME_A else run_scheme_B
+    for s in range(plan.samples):
+        path = sample_path(plan.horizon, dt, plan.n_ref, plan.model,
+                           plan.seed, s)
+        for level, n in _resolutions(plan):
+            cfg = SchemeConfig(scheme, n, level, plan.horizon,
+                               plan.nonlinearity, plan.model, plan.x0)
+            part = run(cfg, path).partition.nodes
+            oracle = restrict_path(path, part, n).wiener
+            nodes, incs = stepped[level, s]
+            assert np.concatenate(nodes + [part[-1:]]).tobytes() == \
+                part.tobytes()
+            assert np.concatenate(incs).tobytes() == oracle.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:uniform-grid scheme")

@@ -6,6 +6,7 @@ quadrature results are cross-checked by independent hand-rolled integrators.
 
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -625,9 +626,13 @@ def test_restriction_is_bitwise_fold():
     path = sample_path(1.0, 2.0**-8, 8, model, 7, 3)
     lam = eigenvalues(5)
     micro = path.nodes[0]
+    finer = path  # each level also folds on from the last one's rows
     for j_level in [1, 2, 4]:
         nodes = np.arange(int(1.0 / (2.0**-8 * 2**j_level)) + 1) * (2.0**-8 * 2**j_level)
         bundle = restrict_path(path, nodes, 5)
+        chained = restrict_chunk(path, [nodes], 5, finer)
+        assert chained.wiener.tobytes() == bundle.wiener.tobytes()
+        finer = chained
         for i in range(nodes.size - 1):
             lo = int(np.searchsorted(micro, nodes[i]))
             hi = int(np.searchsorted(micro, nodes[i + 1]))
@@ -672,6 +677,39 @@ def test_fold_matches_a_sequential_fold_of_each_step(monkeypatch, fold_rows):
         for i, (a, b) in enumerate(zip(pos[:-1], pos[1:])):
             expected = _sequential_fold(inc[:, :4], deltas, lam[:4], a, b)
             assert folded[i].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("fold_rows", [3, 1024])
+def test_fold_continues_from_head_rows_as_a_sequential_fold(monkeypatch,
+                                                           fold_rows):
+    # each step starts from a given accumulator and folds on over the rows
+    # from after[i]: irregular rows right after the head, inside it (which
+    # the head holds already), steps with nothing left (the head's bytes)
+    # and one-row steps (their row's bytes)
+    monkeypatch.setattr(noise, "_FOLD_ROWS", fold_rows)
+    dt = 2.0**-6
+    deltas = np.full(60, dt)
+    for row in (1, 2, 5, 9, 14, 15, 17, 22, 30, 31, 41, 47, 59):
+        deltas[row] = dt * (0.1 + 0.05 * (row % 7))
+    rng = np.random.default_rng(6)
+    inc = rng.standard_normal((60, 6))
+    lam = eigenvalues(6)
+    pos = np.array([0, 4, 5, 9, 10, 17, 23, 31, 32, 40, 48, 56, 60])
+    after = np.array([1, 5, 9, 10, 14, 22, 31, 32, 40, 41, 52, 60])
+    acc = rng.standard_normal((after.size, 4))
+    # the oracle starts a step at its first row: put each accumulator in
+    # the row before its step goes on, then fold from there
+    seeded = inc[:, :4].copy()
+    seeded[after - 1] = acc
+    folded = noise._fold(inc[:, :4], deltas, dt, pos, (acc, after))
+    for i, (b, c) in enumerate(zip(after, pos[1:])):
+        expected = _sequential_fold(seeded, deltas, lam[:4], b - 1, c)
+        assert folded[i].tobytes() == expected.tobytes()
+        if b == c:
+            assert folded[i].tobytes() == acc[i].tobytes()
+    plain = noise._fold(inc[:, :4], deltas, dt, pos)
+    for i in np.nonzero(np.diff(pos) == 1)[0]:
+        assert plain[i].tobytes() == inc[pos[i], :4].tobytes()
 
 
 def test_restriction_identity_on_micro_grid():
@@ -746,6 +784,18 @@ def test_restriction_rejects_unrefined_partitions():
             restrict_chunk(chunk, parts, 4)
     with pytest.raises(ValueError, match="one row, got 3"):
         restrict_path(chunk, grid, 4)
+    # a finer chunk must refine the partitions, row for row, with enough
+    # modes; one that lacks a coarse node is refused like a partition off
+    # the micro grid
+    finer = restrict_chunk(chunk, [grid] * 3, 4)
+    with pytest.raises(ValueError, match="not refined by the finer "
+                       "partition"):
+        restrict_chunk(chunk, [np.arange(9) * 0.125] * 3, 4, finer)
+    with pytest.raises(ValueError, match="a finer chunk of 2 rows for 3"):
+        restrict_chunk(chunk, [grid[::2]] * 3, 4,
+                       replace(finer, nodes=finer.nodes[:2]))
+    with pytest.raises(ValueError, match=r"mode count must lie in \[1, 4\]"):
+        restrict_chunk(chunk, [grid[::2]] * 3, 8, finer)
 
 
 # ---------------------------------------------------------------------------

@@ -500,7 +500,7 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
         for j, cfg in enumerate(cfgs):
             t0 = clock()
             dt = res[j][0]
-            finals, diverged, _ = run_block(cfg, folded[dt], states[j])
+            finals, diverged = run_block(cfg, folded[dt], states[j])
             spent["step"][j] += clock() - t0
             states[j] = finals
             # the sample sits out the higher resolutions, so a later
@@ -637,7 +637,9 @@ def _collect_norms(plan: StudyPlan, workers: int, phases=None) -> tuple:
         gather(map(job, starts))
     else:
         from concurrent.futures import ProcessPoolExecutor  # 10 ms to load
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forking pool starts all its workers at once: one per block at most
+        with ProcessPoolExecutor(
+                max_workers=min(workers, len(starts))) as pool:
             gather(pool.map(job, starts))
     if len(aborted) == plan.samples:
         raise StudyAborted(aborted)

@@ -11,6 +11,10 @@ realized jump times).  Between jumps the jump term is the compensator alone,
 and each realized jump is applied at its node to the pre-jump state.  Scheme B
 steps on the plain uniform grid and aggregates the jumps of each step into the
 frozen jump term.
+
+`run_block` steps a block of rows through a stretch and returns the state
+each row ends on; `run_scheme_A` and `run_scheme_B` run it on one whole path
+and return the terminal state, which is all a study measures.
 """
 
 import warnings
@@ -38,9 +42,7 @@ __all__ = [
     "SCHEME_A",
     "SCHEME_B",
     "DivergenceError",
-    "TimePartition",
     "SchemeConfig",
-    "Trajectory",
     "run_scheme_A",
     "run_scheme_B",
     "stretch_nodes",
@@ -61,55 +63,7 @@ class DivergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# partitions
-
-
-@dataclass(frozen=True)
-class TimePartition:
-    """Sorted nodes 0 = t_0 < ... < t_n = T.
-
-    Every step is at most dt_nominal long and every multiple of dt_nominal
-    is a node.
-    """
-
-    nodes: np.ndarray
-    dt_nominal: float
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=np.float64).copy()
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("a partition needs at least one step")
-        if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("nodes must increase strictly from zero")
-        if self.dt_nominal <= 0 or not np.isfinite(self.dt_nominal):
-            raise ValueError("dt_nominal must be positive and finite")
-        if np.max(np.diff(nodes)) > self.dt_nominal * (1.0 + 1e-12):
-            raise ValueError("maximal step exceeds dt_nominal")
-        n_nominal = nodes[-1] / self.dt_nominal
-        if abs(n_nominal - round(n_nominal)) > 1e-9:
-            raise ValueError("horizon must be an integer multiple of dt_nominal")
-        base = np.arange(round(n_nominal), dtype=np.float64) * self.dt_nominal
-        pos = np.searchsorted(nodes, base)  # nodes are sorted
-        if np.any(pos == nodes.size) or np.any(nodes[pos] != base):
-            raise ValueError("every multiple of dt_nominal must be a node")
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.nodes[-1])
-
-    @property
-    def n_steps(self) -> int:
-        return self.nodes.size - 1
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
-
-# ---------------------------------------------------------------------------
-# configuration and results
+# configuration
 
 
 @dataclass(frozen=True)
@@ -149,46 +103,6 @@ class SchemeConfig:
             )
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Per-node states of one scheme run.
-
-    `states[i]` is the value at node i after any jump applied there;
-    `pre_jump[j]` keeps the pre-jump value at node `jump_nodes[j]` for the
-    adapted scheme.  All states are finite by construction.
-    """
-
-    partition: TimePartition
-    states: np.ndarray
-    jump_nodes: np.ndarray
-    pre_jump: np.ndarray
-
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.float64)
-        if states.ndim != 2 or states.shape[0] != self.partition.nodes.size:
-            raise ValueError("one state per partition node required")
-        if not np.all(np.isfinite(states)):
-            raise ValueError("trajectory contains non-finite states")
-        jn = np.asarray(self.jump_nodes, dtype=np.int64)
-        pre = np.asarray(self.pre_jump, dtype=np.float64)
-        if pre.shape != (jn.size, states.shape[1]):
-            raise ValueError("pre-jump rows must match the jump nodes")
-        states.setflags(write=False)
-        jn.setflags(write=False)
-        pre.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "jump_nodes", jn)
-        object.__setattr__(self, "pre_jump", pre)
-
-    @property
-    def n_modes(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def final(self) -> SpectralState:
-        return SpectralState(self.states[-1])
-
-
 # ---------------------------------------------------------------------------
 # the one-step map
 
@@ -222,8 +136,7 @@ def stretch_nodes(cfg: SchemeConfig, level: np.ndarray,
     return level
 
 
-def run_block(cfg: SchemeConfig, chunk: PathChunk, state,
-              record: bool = False) -> tuple:
+def run_block(cfg: SchemeConfig, chunk: PathChunk, state) -> tuple:
     """Run the configured scheme over a stretch for each row of `chunk`,
     all rows through one loop of the one-step map.
 
@@ -242,12 +155,10 @@ def run_block(cfg: SchemeConfig, chunk: PathChunk, state,
     non-finite is gone already.  The loop stops early once every row is
     gone or past its last step.
 
-    Returns (finals, diverged, history): the state of each row at its own
-    last step (NaN where the row is gone), a dict mapping each row that
-    turned non-finite within its steps here to the step at which it did,
-    counted within the stretch from 0, and that step's end time, and with
-    `record` (one row) the per-node states, the jump nodes and their
-    pre-jump states, else None.
+    Returns (finals, diverged): the state of each row at its own last step
+    (NaN where the row is gone), and a dict mapping each row that turned
+    non-finite within its steps here to the step at which it did, counted
+    within the stretch from 0, and that step's end time.
     """
     n = cfg.n_modes
     lam = eigenvalues(n)
@@ -310,10 +221,6 @@ def run_block(cfg: SchemeConfig, chunk: PathChunk, state,
         x = np.where(gone[:, None], np.nan, x)
     finals = np.full((rows, n), np.nan)
     diverged = {}
-    history = None
-    if record:
-        history = (np.empty((width + 1, n)), [], [])
-        history[0][0] = x[0]
     for i in range(0 if gone.all() else width):
         if shared[i]:
             e_vec, p_vec, shift, coeff = tables[first[i]]
@@ -333,13 +240,8 @@ def run_block(cfg: SchemeConfig, chunk: PathChunk, state,
                 shift[hit] = sum_xi[hit, i, None] * phi_vec + shift[hit]
         y = _apply_step(x, fv, wiener[src[i]], e_vec, p_vec, coeff, shift)
         if adapted and jumped[i]:
-            if record:
-                history[1].append(i + 1)
-                history[2].append(y[0].copy())
             y[hit] *= 1.0 + sum_g1[hit, i, None]
             y[hit] += sum_xi[hit, i, None] * phi_vec
-        if record:
-            history[0][i + 1] = y[0]
         x = y
         done = ends.get(i)
         if np.isfinite(y).all() and done is None:
@@ -353,13 +255,14 @@ def run_block(cfg: SchemeConfig, chunk: PathChunk, state,
             finals[done] = y[done]
         if (gone | (steps <= i + 1)).all():
             break
-    return finals, diverged, history
+    return finals, diverged
 
 
-def _run_one(cfg: SchemeConfig, path: PathChunk) -> Trajectory:
-    """Run the scheme on one whole path (`sample_path`'s one-row chunk):
-    `run_block` from x0 on the chunk that `restrict_path` makes on the
-    scheme's partition of [0, T] (see `stretch_nodes`)."""
+def _run_one(cfg: SchemeConfig, path: PathChunk) -> SpectralState:
+    """The terminal state of the scheme on one whole path (`sample_path`'s
+    one-row chunk): `run_block` from x0 on the chunk that `restrict_path`
+    makes on the scheme's partition of [0, T] (see `stretch_nodes`).
+    Raises DivergenceError if the state turns non-finite."""
     if path.nodes[0][-1] != cfg.horizon:
         raise ValueError("path horizon does not match the configuration")
     # exactly: the partition's nodes are micro nodes of the path
@@ -367,28 +270,25 @@ def _run_one(cfg: SchemeConfig, path: PathChunk) -> Trajectory:
         raise ValueError(
             "dt_nominal must be the reference step times a power of two"
         )
-    part = TimePartition(stretch_nodes(
-        cfg, uniform_nodes(cfg.horizon, cfg.dt_nominal), path.times[0]),
-        cfg.dt_nominal)
-    chunk = restrict_path(path, part.nodes, cfg.n_modes)
+    nodes = stretch_nodes(cfg, uniform_nodes(cfg.horizon, cfg.dt_nominal),
+                          path.times[0])
+    chunk = restrict_path(path, nodes, cfg.n_modes)
     x0 = project(cfg.x0, cfg.n_modes).coeffs[None]
-    _, diverged, (states, jump_nodes, pre_rows) = run_block(cfg, chunk, x0,
-                                                            record=True)
+    finals, diverged = run_block(cfg, chunk, x0)
     if diverged:
         raise DivergenceError(*diverged[0])
-    pre = np.array(pre_rows) if pre_rows else np.empty((0, cfg.n_modes))
-    return Trajectory(part, states, np.array(jump_nodes, dtype=np.int64), pre)
+    return SpectralState(finals[0])
 
 
-def run_scheme_A(cfg: SchemeConfig, path: PathChunk) -> Trajectory:
-    """Run the jump-adapted scheme on one noise path."""
+def run_scheme_A(cfg: SchemeConfig, path: PathChunk) -> SpectralState:
+    """The jump-adapted scheme's terminal state on one noise path."""
     if cfg.scheme != SCHEME_A:
         raise ValueError("configuration does not select the adapted scheme")
     return _run_one(cfg, path)
 
 
-def run_scheme_B(cfg: SchemeConfig, path: PathChunk) -> Trajectory:
-    """Run the uniform-grid scheme on one noise path."""
+def run_scheme_B(cfg: SchemeConfig, path: PathChunk) -> SpectralState:
+    """The uniform-grid scheme's terminal state on one noise path."""
     if cfg.scheme != SCHEME_B:
         raise ValueError("configuration does not select the uniform scheme")
     return _run_one(cfg, path)

@@ -27,7 +27,12 @@ from levyheat.cli import (
     serialize_config,
     serialize_plan,
 )
-from levyheat.experiments import StudyPlan, _collect_norms, run_study
+from levyheat.experiments import (
+    StudyAborted,
+    StudyPlan,
+    _collect_norms,
+    run_study,
+)
 from levyheat.noise import TruncatedStableLaw, power_profile, truncate_levy
 from levyheat.spectral import NonlinearitySpec, SpectralState
 
@@ -761,6 +766,36 @@ def test_main_runtime_failure_exit_code(tmp_path, capsys):
         code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "FAILED" in capsys.readouterr().err
+
+
+def test_a_study_whose_every_sample_aborts(tmp_path, capsys):
+    # the example's temporal study at three samples under a drift of 1e25 u:
+    # every sample turns non-finite at the reference, at the same step
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "configs", "example.json")) as fh:
+        study = json.load(fh)["studies"][0]
+    assert study["axis"] == "temporal"
+    study.update(samples=3, nonlinearity={"kind": "linear", "coef": 1e25})
+    cfg = write_config(tmp_path, study)
+    with pytest.warns(UserWarning, match="fewer than 100"):
+        (plan,) = parse_config(cfg)
+    assert plan.nonlinearity == NonlinearitySpec.linear(1e25)
+    lost = [{"index": i, "level": 2.0**-10, "step": 13, "time": 0.013671875}
+            for i in range(3)]
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StudyAborted) as caught:
+            run_study(plan)
+        manifest = execute([plan], out)
+        with pytest.warns(UserWarning, match="fewer than 100"):
+            code = main(["run", str(cfg), "--out", str(tmp_path / "again")])
+    assert caught.value.aborted == lost
+    (entry,) = manifest.studies
+    assert entry["status"] == "failed"
+    assert entry["aborts"] == 3 and entry["aborted"] == lost
+    assert not (out / f"{study['name']}.csv").exists()
+    assert code == 2
+    assert f"{study['name']}: FAILED" in capsys.readouterr().err
 
 
 def test_overflowing_estimate_fails_the_study(tmp_path, capsys):

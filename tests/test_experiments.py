@@ -409,6 +409,38 @@ def test_worker_pool_matches_serial():
     assert serial.aborts == pooled.aborts == 0
 
 
+@pytest.mark.filterwarnings("ignore:fewer than 100 samples")
+@pytest.mark.parametrize("workers, samples, started", [(8, 70, 3),
+                                                       (2, 20, 1)])
+def test_worker_pool_starts_no_more_workers_than_blocks(
+        monkeypatch, workers, samples, started):
+    # a forking pool starts all of its workers at once, so the pool is
+    # asked for one worker per block at most; a stand-in pool records the
+    # count and maps in this process
+    import concurrent.futures
+
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    plan = make_plan(levels=(2.0**-3,), samples=samples)
+    assert -(-samples // block_size(plan)) == started
+    norms, _ = _collect_norms(plan, workers)
+    assert asked == [started]
+    assert norms.tobytes() == _collect_norms(plan, 1)[0].tobytes()
+
+
 def test_run_study_rejects_a_worker_count_below_one():
     with pytest.raises(ValueError, match="worker count must be a positive"):
         run_study(make_plan(), workers=0)
@@ -658,7 +690,7 @@ def _alone(plan, index):
             cfg = SchemeConfig(plan.scheme, n, dt, plan.horizon,
                                plan.nonlinearity, plan.model, plan.x0)
         try:
-            finals.append(run(cfg, path).final)
+            finals.append(run(cfg, path))
         except DivergenceError as exc:
             level = dt if plan.axis == "temporal" else n
             return finals, (level, exc.step, exc.time)
@@ -842,7 +874,6 @@ def _streamed(plan, stretch):
 def _check_streamed(plan, stretch):
     res = _resolutions(plan)
     nodes, incs = _streamed(plan, stretch)
-    run = run_scheme_A if plan.scheme == SCHEME_A else run_scheme_B
     for s in range(plan.samples):
         path = sample_path(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
                            plan.seed, s)
@@ -851,10 +882,11 @@ def _check_streamed(plan, stretch):
                 warnings.simplefilter("ignore", UserWarning)
                 cfg = SchemeConfig(plan.scheme, n, dt, plan.horizon,
                                    plan.nonlinearity, plan.model, plan.x0)
-            part = run(cfg, path).partition
-            oracle = restrict_path(path, part.nodes, n)
-            joined = np.concatenate(nodes[s, j] + [part.nodes[-1:]])
-            assert joined.tobytes() == part.nodes.tobytes()
+            part = stretch_nodes(cfg, uniform_nodes(plan.horizon, dt),
+                                 path.times[0])
+            oracle = restrict_path(path, part, n)
+            joined = np.concatenate(nodes[s, j] + [part[-1:]])
+            assert joined.tobytes() == part.tobytes()
             streamed = np.concatenate(incs[s, j])
             assert streamed.tobytes() == oracle.wiener.tobytes()
 
@@ -1037,11 +1069,11 @@ def test_spatial_levels_step_on_the_reference_fold(monkeypatch):
     stepped = {}  # (n, sample) -> increments stepped on, stretch by stretch
     real = experiments.run_block
 
-    def spy(cfg, chunk, state, record=False):
+    def spy(cfg, chunk, state):
         for s, (nodes, a) in enumerate(zip(chunk.nodes, chunk.starts)):
             stepped.setdefault((cfg.n_modes, s), []).append(
                 chunk.wiener[a:a + nodes.size - 1, :cfg.n_modes].copy())
-        return real(cfg, chunk, state, record)
+        return real(cfg, chunk, state)
 
     monkeypatch.setattr(experiments, "run_block", spy)
     _, aborted = _run_block(plan, range(plan.samples))
@@ -1082,24 +1114,24 @@ def test_temporal_levels_step_on_folds_from_the_next_finer_level(
     stepped = {}  # (dt, sample) -> (nodes, increments), stretch by stretch
     real = experiments.run_block
 
-    def spy(cfg, chunk, state, record=False):
+    def spy(cfg, chunk, state):
         for s, (nodes, a) in enumerate(zip(chunk.nodes, chunk.starts)):
             seen = stepped.setdefault((cfg.dt_nominal, s), ([], []))
             seen[0].append(nodes[:-1])
             seen[1].append(chunk.wiener[a:a + nodes.size - 1].copy())
-        return real(cfg, chunk, state, record)
+        return real(cfg, chunk, state)
 
     monkeypatch.setattr(experiments, "run_block", spy)
     _, aborted = _run_block(plan, range(plan.samples))
     assert aborted == []
-    run = run_scheme_A if scheme == SCHEME_A else run_scheme_B
     for s in range(plan.samples):
         path = sample_path(plan.horizon, dt, plan.n_ref, plan.model,
                            plan.seed, s)
         for level, n in _resolutions(plan):
             cfg = SchemeConfig(scheme, n, level, plan.horizon,
                                plan.nonlinearity, plan.model, plan.x0)
-            part = run(cfg, path).partition.nodes
+            part = stretch_nodes(cfg, uniform_nodes(plan.horizon, level),
+                                 path.times[0])
             oracle = restrict_path(path, part, n).wiener
             nodes, incs = stepped[level, s]
             assert np.concatenate(nodes + [part[-1:]]).tobytes() == \

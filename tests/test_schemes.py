@@ -27,14 +27,17 @@ from levyheat.schemes import (
     SCHEME_B,
     DivergenceError,
     SchemeConfig,
-    TimePartition,
-    Trajectory,
     run_block,
     run_scheme_A,
     run_scheme_B,
     stretch_nodes,
 )
-from levyheat.spectral import NonlinearitySpec, SpectralState, eigenvalues
+from levyheat.spectral import (
+    NonlinearitySpec,
+    SpectralState,
+    eigenvalues,
+    project,
+)
 
 
 def zero_model(n=4):
@@ -59,6 +62,33 @@ def config(scheme, n, dt, model, f=None, x0=None, horizon=1.0):
                         model, x0)
 
 
+def path_nodes(cfg, path):
+    """The partition that `run_scheme_A/B` step `cfg` on over `path`."""
+    return stretch_nodes(cfg, uniform_nodes(cfg.horizon, cfg.dt_nominal),
+                         path.times[0])
+
+
+def stepwise(cfg, path):
+    """The states at every node of `path_nodes(cfg, path)`: `run_block`
+    one step at a time on the path's restriction, each step from the state
+    the step before it ended on."""
+    nodes = path_nodes(cfg, path)
+    wiener = restrict_path(path, nodes, cfg.n_modes).wiener
+    times, xis = path.times[0], path.xis[0]
+    states = [project(cfg.x0, cfg.n_modes).coeffs[None]]
+    jumps = 0
+    for i in range(nodes.size - 1):
+        mine = (nodes[i] < times) & (times <= nodes[i + 1])
+        jumps += int(mine.sum())
+        block = PathChunk(path.dt_ref, [nodes[i:i + 2]], wiener,
+                          np.array([i, i + 1]), [times[mine]], [xis[mine]])
+        finals, diverged = run_block(cfg, block, states[-1])
+        assert diverged == {}
+        states.append(finals)
+    assert jumps == times.size  # each jump in exactly one step
+    return np.concatenate(states)
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -69,33 +99,17 @@ def test_uniform_partition_basic():
                       power_profile(1.0, 2.0, 2))
     path = sample_path(1.0, 2.0**-4, 2, model, 3, 1)
     assert path.times[0].size > 0  # the fixture must have jumps to ignore
-    part = run_scheme_B(config(SCHEME_B, 2, 0.25, model), path).partition
-    assert np.array_equal(part.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert part.n_steps == 4 and part.horizon == 1.0
+    part = path_nodes(config(SCHEME_B, 2, 0.25, model), path)
+    assert np.array_equal(part, [0.0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(ValueError):
         config(SCHEME_B, 2, 0.3, model)  # horizon not a multiple
 
 
-def test_partition_invariants():
-    with pytest.raises(ValueError):  # missing multiple / oversize step
-        TimePartition(np.array([0.0, 1.0]), 0.5)
-    part = TimePartition(np.array([0.0, 0.2, 0.5, 0.6, 1.0]), 0.5)
-    assert np.max(part.deltas) <= 0.5
-
-
-def test_partition_checks_name_what_is_wrong():
-    with pytest.raises(ValueError, match="every multiple of dt_nominal"):
-        # 0.5 is missing, yet no step is longer than 0.5
-        TimePartition(np.array([0.0, 0.25, 0.45, 0.75, 1.0]), 0.5)
-    with pytest.raises(ValueError, match="maximal step exceeds"):
-        TimePartition(np.array([0.0, 0.25, 0.5, 0.75, 1.0]), 0.125)
-
-
 def test_adapted_partition_no_jumps():
     sk = JumpSkeleton(1.0, np.empty(0), np.empty(0))
-    part = run_scheme_A(config(SCHEME_A, 2, 0.25, zero_model(2)),
-                        silent_path(1.0, 2.0**-4, 2, sk)).partition
-    assert np.array_equal(part.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
+    part = path_nodes(config(SCHEME_A, 2, 0.25, zero_model(2)),
+                      silent_path(1.0, 2.0**-4, 2, sk))
+    assert np.array_equal(part, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_adapted_partition_merges_coincident_node():
@@ -110,10 +124,42 @@ def test_adapted_partition_merges_coincident_node():
 
 def test_adapted_partition_interleaves_jump():
     sk = JumpSkeleton(1.0, np.array([0.3]), np.array([-1.0]))
-    part = run_scheme_A(config(SCHEME_A, 2, 0.25, zero_model(2)),
-                        silent_path(1.0, 2.0**-4, 2, sk)).partition
-    assert np.array_equal(part.nodes, [0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
-    assert np.max(part.deltas) <= 0.25
+    part = path_nodes(config(SCHEME_A, 2, 0.25, zero_model(2)),
+                      silent_path(1.0, 2.0**-4, 2, sk))
+    assert np.array_equal(part, [0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
+    assert np.max(np.diff(part)) <= 0.25
+
+
+def test_scheme_partitions_keep_their_invariants():
+    # the partitions both schemes step on run from 0 to T, strictly
+    # increasing, hold every uniform node and no step longer than dt; the
+    # adapted one adds exactly the jump times, the uniform one none
+    dt = 0.125
+    level = uniform_nodes(1.0, dt)
+    model = MarkModel(8.0, TwoPointLaw(0.5, 1.0, -1.0),
+                      power_profile(1.0, 2.0, 2))
+    jump_sets = [
+        np.empty(0),  # no jumps
+        np.array([0.5]),  # on a level node
+        np.array([1.0]),  # at T
+        np.array([0.3, 0.33]),  # two in one step
+        np.array([0.125, 0.2, 0.25, 0.9, 1.0]),  # all of these at once
+    ] + [sample_path(1.0, 2.0**-6, 2, model, 17, i).times[0]
+         for i in range(30)]
+    assert max(t.size for t in jump_sets) > 8
+    for times in jump_sets:
+        for scheme in (SCHEME_A, SCHEME_B):
+            nodes = stretch_nodes(config(scheme, 2, dt, model), level, times)
+            assert nodes[0] == 0.0 and nodes[-1] == 1.0
+            assert np.all(np.diff(nodes) > 0.0)
+            assert np.diff(nodes).max() <= dt
+            assert np.isin(level, nodes).all()
+            added = np.setdiff1d(nodes, level)
+            if scheme == SCHEME_A:
+                assert np.isin(times, nodes).all()
+                assert np.isin(added, times).all()
+            else:
+                assert added.size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +190,9 @@ def one_step(cfg):
     """The final state of a one-step scheme-A run (horizon = dt) on a
     silent path without jumps."""
     sk = JumpSkeleton(cfg.horizon, np.empty(0), np.empty(0))
-    tr = run_scheme_A(cfg, silent_path(cfg.horizon, cfg.dt_nominal,
-                                       cfg.n_modes, sk))
-    assert tr.partition.n_steps == 1
-    return tr.final
+    path = silent_path(cfg.horizon, cfg.dt_nominal, cfg.n_modes, sk)
+    assert path_nodes(cfg, path).size == 2
+    return run_scheme_A(cfg, path)
 
 
 def test_one_step_pure_heat_flow():
@@ -184,17 +229,15 @@ def test_one_step_gamma_factor():
 
 
 def one_jump(profile, g1, x0):
-    """A scheme-A run over [0, 1] in one uniform step with one jump of
-    magnitude 1 at 1/2, no intensity, f zero and silent Wiener draws: the
-    states just before and just after the jump."""
+    """A scheme-A run over [0, 1/2] in one uniform step with one jump of
+    magnitude 1 at T = 1/2, no intensity, f zero and silent Wiener draws:
+    the state just before the jump, E(1/2) x0, and the terminal state."""
     model = MarkModel(0.0, TwoPointLaw(0.5, 1.0, -1.0), profile, g1)
-    sk = JumpSkeleton(1.0, np.array([0.5]), np.array([1.0]))
-    tr = run_scheme_A(config(SCHEME_A, x0.dim, 1.0, model, x0=x0),
-                      silent_path(1.0, 1.0, x0.dim, sk))
-    assert np.array_equal(tr.jump_nodes, [1])
-    pre = tr.pre_jump[0]
-    assert np.array_equal(pre, np.exp(-eigenvalues(x0.dim) * 0.5) * x0.coeffs)
-    return pre, tr.states[1]
+    sk = JumpSkeleton(0.5, np.array([0.5]), np.array([1.0]))
+    post = run_scheme_A(config(SCHEME_A, x0.dim, 0.5, model, x0=x0,
+                               horizon=0.5),
+                        silent_path(0.5, 0.5, x0.dim, sk))
+    return np.exp(-eigenvalues(x0.dim) * 0.5) * x0.coeffs, post.coeffs
 
 
 def test_jump_apply_examples():
@@ -221,10 +264,9 @@ def test_run_A_pure_flow():
     path = silent_path(1.0, 2.0**-4, 4, sk)
     x0 = SpectralState([1.0, -2.0, 0.5, 3.0])
     cfg = config(SCHEME_A, 4, 0.25, zero_model(), x0=x0)
-    tr = run_scheme_A(cfg, path)
+    x = run_scheme_A(cfg, path)
     expected = np.exp(-eigenvalues(4)) * x0.coeffs
-    assert np.allclose(tr.final.coeffs, expected, rtol=1e-13, atol=0)
-    assert tr.jump_nodes.size == 0
+    assert np.allclose(x.coeffs, expected, rtol=1e-13, atol=0)
 
 
 def test_run_A_gamma_product_oracle():
@@ -238,7 +280,7 @@ def test_run_A_gamma_product_oracle():
     path = silent_path(1.0, 2.0**-5, 4, sk)
     x0 = SpectralState([1.0, -1.0, 2.0, 0.5])
     cfg = config(SCHEME_A, 4, 0.25, model, x0=x0)
-    tr = run_scheme_A(cfg, path)
+    x = run_scheme_A(cfg, path)
 
     nodes = sorted({0.0, 0.25, 0.5, 0.75, 1.0} | {0.33, 0.77})
     lam = eigenvalues(4)
@@ -247,12 +289,7 @@ def test_run_A_gamma_product_oracle():
         expected = np.exp(-lam * (hi - lo)) * (1.0 - (hi - lo) * nu * beta) * expected
         if hi in (0.33, 0.77):
             expected = (1.0 + beta) * expected
-    assert np.allclose(tr.final.coeffs, expected, rtol=1e-12, atol=0)
-    assert tr.jump_nodes.size == 2
-    # pre-jump rows hold the state before each node jump
-    i = tr.jump_nodes[0]
-    assert np.allclose((1.0 + beta) * tr.pre_jump[0], tr.states[i],
-                       rtol=1e-15, atol=0)
+    assert np.allclose(x.coeffs, expected, rtol=1e-12, atol=0)
 
 
 def test_run_B_single_step_unrolled():
@@ -262,7 +299,7 @@ def test_run_B_single_step_unrolled():
     path = sample_path(1.0, 2.0**-3, 4, model, 31, 2)
     x0 = SpectralState([1.0, 0.5, -0.5, 0.2])
     cfg = config(SCHEME_B, 4, 1.0, model, x0=x0)
-    tr = run_scheme_B(cfg, path)
+    x = run_scheme_B(cfg, path)
 
     lam = eigenvalues(4)
     micro = path.nodes[0]
@@ -273,7 +310,7 @@ def test_run_B_single_step_unrolled():
     mean_g = model.intensity * model.law.mean() * phi
     expected = (np.exp(-lam) * x0.coeffs + fold
                 + np.exp(-lam) * (path.xis[0].sum() * phi - mean_g))
-    assert np.allclose(tr.final.coeffs, expected, rtol=0, atol=1e-12)
+    assert np.allclose(x.coeffs, expected, rtol=0, atol=1e-12)
 
 
 def test_superposition_linearity():
@@ -290,7 +327,7 @@ def test_superposition_linearity():
     for scheme, run in [(SCHEME_A, run_scheme_A), (SCHEME_B, run_scheme_B)]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            outs = [run(config(scheme, 4, 0.25, model, f=f, x0=x), path).final.coeffs
+            outs = [run(config(scheme, 4, 0.25, model, f=f, x0=x), path).coeffs
                     for x in (xa, xb, combo)]
         assert np.allclose(outs[2], 1.3 * outs[0] - 0.7 * outs[1],
                            rtol=0, atol=1e-12)
@@ -301,9 +338,11 @@ def test_schemes_agree_without_jumps_bitwise():
     path = sample_path(1.0, 2.0**-8, 8, model, 6, 0)
     x0 = SpectralState(np.linspace(1.0, 0.1, 8))
     f = NonlinearitySpec.sine(0.7)
-    ta = run_scheme_A(config(SCHEME_A, 8, 2.0**-5, model, f=f, x0=x0), path)
-    tb = run_scheme_B(config(SCHEME_B, 8, 2.0**-5, model, f=f, x0=x0), path)
-    assert ta.states.tobytes() == tb.states.tobytes()
+    cfg_a = config(SCHEME_A, 8, 2.0**-5, model, f=f, x0=x0)
+    cfg_b = config(SCHEME_B, 8, 2.0**-5, model, f=f, x0=x0)
+    assert stepwise(cfg_a, path).tobytes() == stepwise(cfg_b, path).tobytes()
+    assert run_scheme_A(cfg_a, path).coeffs.tobytes() == \
+        run_scheme_B(cfg_b, path).coeffs.tobytes()
 
 
 def test_coupling_constraint_enforced():
@@ -323,8 +362,9 @@ def test_coupling_constraint_enforced():
 
 
 def test_one_step_composition_matches_runners():
-    # every step of a run, restarted alone from the run's state at its left
-    # node, gives the run's state at its right node byte for byte
+    # a run's steps, each run alone from the state the step before it ended
+    # on, pass through the state at every node of the run's leading steps
+    # and end on the run's terminal state, byte for byte
     model = MarkModel(3.0, TwoPointLaw(0.5, 2.0, -1.0),
                       power_profile(1.0, 2.0, 6), G1Spec.constant(0.3))
     x0 = SpectralState(np.linspace(0.5, -0.5, 6))
@@ -337,20 +377,17 @@ def test_one_step_composition_matches_runners():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             cfg = config(scheme, 6, 2.0**-4, model, f=f, x0=x0)
-        tr = run(cfg, path)
-        nodes = tr.partition.nodes
+        states = stepwise(cfg, path)
+        assert states[-1].tobytes() == run(cfg, path).coeffs.tobytes()
+        nodes = path_nodes(cfg, path)
         wiener = restrict_path(path, nodes, 6).wiener
-        jumps = 0
-        for i in range(nodes.size - 1):
-            mine = (nodes[i] < times) & (times <= nodes[i + 1])
-            jumps += int(mine.sum())
-            block = PathChunk(path.dt_ref, [nodes[i:i + 2]], wiener,
-                              np.array([i, i + 1]), [times[mine]],
-                              [xis[mine]])
-            finals, diverged, _ = run_block(cfg, block, tr.states[i:i + 1])
+        for i in range(1, nodes.size - 1):
+            mine = times <= nodes[i]
+            head = PathChunk(path.dt_ref, [nodes[:i + 1]], wiener,
+                             np.array([0, i]), [times[mine]], [xis[mine]])
+            finals, diverged = run_block(cfg, head, states[:1])
             assert diverged == {}
-            assert finals[0].tobytes() == tr.states[i + 1].tobytes()
-        assert jumps == times.size
+            assert finals[0].tobytes() == states[i].tobytes()
 
 
 def test_a_row_entering_non_finite_is_gone_without_a_report():
@@ -376,8 +413,8 @@ def test_a_row_entering_non_finite_is_gone_without_a_report():
     state[1, 2] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        finals, diverged, _ = run_block(cfg, block([0, 1]), state)
-        alone, _, _ = run_block(cfg, block([0]), state[:1])
+        finals, diverged = run_block(cfg, block([0, 1]), state)
+        alone, _ = run_block(cfg, block([0]), state[:1])
     assert 1 not in diverged
     assert np.isnan(finals[1]).all()
     assert finals[0].tobytes() == alone[0].tobytes()
@@ -466,8 +503,8 @@ def test_single_mode_runs_match_scalar_oracle():
                            x0=SpectralState([x0]), horizon=horizon)
             cfg_b = config(SCHEME_B, 1, dt, model, f=fspec,
                            x0=SpectralState([x0]), horizon=horizon)
-        got_a = float(run_scheme_A(cfg_a, path).final.coeffs[0])
-        got_b = float(run_scheme_B(cfg_b, path).final.coeffs[0])
+        got_a = float(run_scheme_A(cfg_a, path).coeffs[0])
+        got_b = float(run_scheme_B(cfg_b, path).coeffs[0])
 
         args = (lam, x0, horizon, dt, f_kind, f_coef, intensity,
                 law.mean(), g1_const, phi_c,
@@ -492,7 +529,7 @@ def test_mean_square_stability_across_levels():
         acc = 0.0
         for i in range(1000):
             path = sample_path(0.5, 2.0**-6, 8, model, 1234, i)
-            final = run_scheme_A(cfg, path).final.coeffs
+            final = run_scheme_A(cfg, path).coeffs
             acc += float(final @ final)
         means.append(acc / 1000)
     assert all(np.isfinite(means))
@@ -508,10 +545,3 @@ def test_divergence_aborts_run():
         with pytest.raises(DivergenceError):
             run_scheme_A(cfg, path)
 
-
-def test_trajectory_rejects_non_finite_states():
-    part = TimePartition(np.array([0.0, 0.5, 1.0]), 0.5)
-    states = np.zeros((3, 2))
-    states[2, 1] = np.inf
-    with pytest.raises(ValueError):
-        Trajectory(part, states, np.empty(0, dtype=np.int64), np.empty((0, 2)))

@@ -37,6 +37,7 @@ from .noise import (  # sample_path: bench/test_bench.py looks it up here
     restrict_chunk,
     sample_jump_skeletons,
     sample_path,
+    step_count,
     stream,
     uniform_nodes,
 )
@@ -105,11 +106,10 @@ class StudyPlan:
             raise ValueError("study name must be a non-empty file stem")
         if self.n_ref < 1:
             raise ValueError("reference mode count must be positive")
-        if self.dt_ref <= 0 or self.horizon <= 0:
-            raise ValueError("dt_ref and horizon must be positive")
-        n = self.horizon / self.dt_ref
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
-            raise ValueError("horizon must be an integer multiple of dt_ref")
+        for name, v in (("horizon", self.horizon), ("dt_ref", self.dt_ref)):
+            if not 0 < v < math.inf:
+                raise ValueError(f"{name}: {v} is not a positive finite number")
+        steps = step_count(self.horizon, self.dt_ref, "dt_ref")
         levels = tuple(self.levels)
         if not levels:
             raise ValueError("a study needs at least one level")
@@ -128,7 +128,7 @@ class StudyPlan:
                         f"levels[{j}]: temporal level {dt} equals dt_ref, so "
                         "its coupled error is zero"
                     )
-                if round(n) % r:
+                if steps % r:
                     raise ValueError(
                         f"levels[{j}]: horizon {self.horizon} is not an "
                         f"integer multiple of temporal level {dt}"
@@ -136,7 +136,7 @@ class StudyPlan:
         elif self.axis == "spatial":
             coerced = []
             for j, v in enumerate(levels):
-                if float(v) != int(v):
+                if not math.isfinite(v) or float(v) != int(v):
                     raise ValueError(
                         f"levels[{j}]: spatial level {v} is not an integer")
                 coerced.append(int(v))

@@ -12,8 +12,11 @@ The driving noise has two independent parts:
 
 * A compound Poisson jump part.  Marks are rank one, z = xi * phi, with a
   scalar magnitude xi drawn from a configurable law and a fixed smooth
-  profile phi.  The jump skeleton (times and magnitudes) is shared across
-  resolutions as well.
+  profile phi.  The jump skeleton, shared across resolutions as well, is
+  two plain arrays from draw to step: a sample's (times, xis), and a
+  batch's (times, xis, counts), the samples' arrays concatenated in order,
+  as `sample_jump_skeletons` returns them.  `_check_jumps` alone decides
+  whether a batch, or one skeleton as a batch of one, is valid.
 
 Randomness comes from counter-based Philox streams keyed by
 (global seed, sample index, purpose), so each sample is reproducible in
@@ -22,11 +25,9 @@ Paths are drawn one stretch of time at a time, and one record holds a
 stretch from draw to step: a `PathChunk` of per-sample nodes, increment
 rows and jumps.  `PathStream.draw` returns it on the micro nodes,
 `restrict_chunk` folds it to coarse partitions, and the schemes'
-`run_block` steps it.  A whole path is the one-row `PathChunk` of the
-single stretch [0, horizon]: `sample_path` draws it with the stream's
-micro nodes and row scaling, and `restrict_path` is `restrict_chunk` on
-its one row, so there is one record, one row scaling (`_scale_rows`) and
-one restriction.
+`run_block` steps it.  A whole path is the one-row chunk of [0, horizon]
+that `sample_path` draws with the stream's micro nodes and row scaling
+(`_scale_rows`), and `restrict_path` is `restrict_chunk` on its one row.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ __all__ = [
     "MarkModel",
     "power_profile",
     "truncate_levy",
-    "JumpSkeleton",
     "sample_jump_skeleton",
     "sample_jump_skeletons",
+    "step_count",
     "uniform_nodes",
     "dyadic_ratio",
     "conv_variance",
@@ -409,36 +410,6 @@ def truncate_levy(alpha: float, eps: float, profile: SpectralState,
 # jump skeleton and micro grid
 
 
-@dataclass(frozen=True)
-class JumpSkeleton:
-    """Jump times (sorted, strictly inside (0, T]) and their magnitudes."""
-
-    horizon: float
-    times: np.ndarray
-    xis: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64).copy()
-        x = np.asarray(self.xis, dtype=np.float64).copy()
-        if t.shape != x.shape or t.ndim != 1:
-            raise ValueError("times and magnitudes must be matching vectors")
-        if t.size:
-            if t[0] <= 0.0 or t[-1] > self.horizon:
-                raise ValueError("jump times must lie in (0, horizon]")
-            if np.any(np.diff(t) <= 0.0):
-                raise ValueError("simultaneous jumps are not representable")
-            if np.any(x == 0.0):
-                raise ValueError("zero marks are not in the mark space")
-        t.setflags(write=False)
-        x.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "xis", x)
-
-    @property
-    def count(self) -> int:
-        return self.times.size
-
-
 def _draw_jumps(horizon: float, model: MarkModel,
                 rng: np.random.Generator) -> tuple:
     """The draws of one skeleton, in their one order: the count ~
@@ -453,37 +424,52 @@ def _draw_jumps(horizon: float, model: MarkModel,
     return times, xis
 
 
-def _skeleton(horizon: float, times: np.ndarray,
-              xis: np.ndarray) -> JumpSkeleton:
-    if times.size and (times[0] <= 0.0 or np.any(np.diff(times) <= 0.0)):
-        # probability-zero collision; refuse rather than silently merge
-        raise ArithmeticError("degenerate jump times drawn")
-    return JumpSkeleton(horizon, times, xis)
+def _check_jumps(horizon: float, times: np.ndarray, xis: np.ndarray,
+                 counts) -> None:
+    """Refuse a batch of jump skeletons, the b-th of them the counts[b]
+    entries of `times` and `xis` after those of the ones before; one
+    skeleton is a batch of one.  The first skeleton with a fault raises
+    ArithmeticError for a time <= 0 or times not strictly increasing (a
+    probability-zero collision in a draw), else ValueError for a time
+    after the horizon, else ValueError for a zero mark."""
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    heads = starts[counts > 0]  # each skeleton's first jump
+    degenerate = times <= 0.0
+    degenerate[1:] |= np.diff(times) <= 0.0
+    degenerate[heads] = times[heads] <= 0.0
+    late = times > horizon
+    bad = degenerate | late | (xis == 0.0)
+    if bad.any():
+        b = np.repeat(np.arange(counts.size), counts)[np.argmax(bad)]
+        own = slice(starts[b], starts[b] + counts[b])
+        if degenerate[own].any():
+            raise ArithmeticError("degenerate jump times drawn")
+        if late[own].any():
+            raise ValueError("jump times must lie in (0, horizon]")
+        raise ValueError("zero marks are not in the mark space")
 
 
 def sample_jump_skeleton(horizon: float, model: MarkModel,
-                         rng: np.random.Generator) -> JumpSkeleton:
-    """Draw the Poisson jump skeleton on (0, horizon].
-
-    Count ~ Poisson(horizon * intensity), times are sorted uniforms,
-    magnitudes i.i.d. from the model's law.
-    """
+                         rng: np.random.Generator) -> tuple:
+    """Draw the Poisson jump skeleton on (0, horizon]: the arrays (times,
+    xis), with count ~ Poisson(horizon * intensity), times sorted
+    uniforms and magnitudes i.i.d. from the model's law."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    return _skeleton(horizon, *_draw_jumps(horizon, model, rng))
+    times, xis = _draw_jumps(horizon, model, rng)
+    _check_jumps(horizon, times, xis, [times.size])
+    return times, xis
 
 
 def sample_jump_skeletons(horizon: float, model: MarkModel, global_seed: int,
                           indices) -> tuple:
-    """The jump skeletons of the samples `indices`, concatenated in order.
-
-    Returns (times, xis, counts): the b-th sample owns the counts[b]
-    entries after those of the samples before it, and they are the arrays
-    of `sample_jump_skeleton(horizon, model, stream(global_seed,
-    indices[b], PURPOSE_JUMPS))`.  One Philox generator is re-keyed to each
-    sample's stream instead of building a generator per sample.  The
-    skeleton checks run over the concatenation at once; the first sample
-    that fails one raises what it raises on its own.
+    """The batch (times, xis, counts) of the samples `indices`: the b-th
+    sample's arrays are those of `sample_jump_skeleton(horizon, model,
+    stream(global_seed, indices[b], PURPOSE_JUMPS))`.  One Philox generator
+    is re-keyed to each sample's stream instead of building a generator per
+    sample, and `_check_jumps` runs once over the batch, so the first sample
+    with a fault raises what it raises on its own.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -517,26 +503,24 @@ def sample_jump_skeletons(horizon: float, model: MarkModel, global_seed: int,
             xis_parts.append(x)
     times = np.concatenate(times_parts) if times_parts else np.empty(0)
     xis = np.concatenate(xis_parts) if xis_parts else np.empty(0)
-
-    starts = np.cumsum(counts) - counts
-    first = np.zeros(times.size, dtype=bool)
-    first[starts[counts > 0]] = True
-    bad = (times <= 0.0) | (times > horizon) | (xis == 0.0)
-    bad[1:] |= (np.diff(times) <= 0.0) & ~first[1:]
-    if bad.any():
-        # every flagged entry fails a check of its own sample's skeleton
-        b = np.repeat(np.arange(counts.size), counts)[np.argmax(bad)]
-        sl = slice(starts[b], starts[b] + counts[b])
-        _skeleton(horizon, times[sl], xis[sl])
+    _check_jumps(horizon, times, xis, counts)
     return times, xis, counts
+
+
+def step_count(horizon: float, dt: float, name: str) -> int:
+    """The whole number n >= 1 of steps of `dt`, called `name` in errors,
+    that make up horizon, to 1e-9 of a step; ValueError if there is none,
+    which an infinite or NaN horizon or dt never has."""
+    n = horizon / dt
+    if not math.isfinite(n) or abs(n - round(n)) > 1e-9 or round(n) < 1:
+        raise ValueError(f"horizon {horizon} is not an integer multiple of "
+                         f"{name} {dt}")
+    return int(round(n))
 
 
 def uniform_nodes(horizon: float, dt: float) -> np.ndarray:
     """The nodes k dt of [0, horizon], the last one set to the horizon."""
-    n_steps = horizon / dt
-    if abs(n_steps - round(n_steps)) > 1e-9 or round(n_steps) < 1:
-        raise ValueError(f"horizon must be an integer multiple of {dt}")
-    nodes = np.arange(int(round(n_steps)) + 1, dtype=np.float64) * dt
+    nodes = np.arange(step_count(horizon, dt, "dt") + 1, dtype=np.float64) * dt
     nodes[-1] = horizon  # guard the last node against accumulation error
     return nodes
 
@@ -544,15 +528,11 @@ def uniform_nodes(horizon: float, dt: float) -> np.ndarray:
 def dyadic_ratio(dt: float, dt_ref: float) -> int:
     """The power of two r with dt = r dt_ref exactly, so that every node of
     a dt grid is a node of the dt_ref grid; 0 if there is none."""
-    r = round(dt / dt_ref)
+    q = dt / dt_ref
+    r = round(q) if math.isfinite(q) else 0
     if r < 1 or r & (r - 1) or r * dt_ref != dt:
         return 0
     return r
-
-
-def _collisions(base: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Which jump times fall on a dt_ref node (probability zero)."""
-    return np.isin(times, base)
 
 
 def _micro_nodes(base: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -715,7 +695,7 @@ class PathStream:
         self.base = uniform_nodes(horizon, dt_ref)
         times, xis, counts = sample_jump_skeletons(horizon, model,
                                                    global_seed, indices)
-        hit = _collisions(self.base, times)
+        hit = np.isin(times, self.base)
         owner = np.repeat(np.arange(counts.size), counts)[hit]
         self.collisions = {}
         for s, t in zip(owner.tolist(), times[hit].tolist()):
@@ -851,17 +831,16 @@ def sample_path(horizon: float, dt_ref: float, n_ref: int, model: MarkModel,
     raises ArithmeticError.
     """
     jumps = stream(global_seed, sample_index, PURPOSE_JUMPS)
-    skel = sample_jump_skeleton(horizon, model, jumps)
+    times, xis = sample_jump_skeleton(horizon, model, jumps)
     base = uniform_nodes(horizon, dt_ref)
-    if _collisions(base, skel.times).any():
+    if np.isin(times, base).any():
         raise ArithmeticError("jump time collides with a grid node")
-    nodes = _micro_nodes(base, skel.times)
+    nodes = _micro_nodes(base, times)
     nodes.setflags(write=False)
     rng = stream(global_seed, sample_index, PURPOSE_WIENER)
     wiener = rng.standard_normal((nodes.size - 1, n_ref))
     _scale_rows(wiener, np.diff(nodes), dt_ref)
-    return PathChunk(dt_ref, [nodes], wiener, _starts([nodes]), [skel.times],
-                     [skel.xis])
+    return PathChunk(dt_ref, [nodes], wiener, _starts([nodes]), [times], [xis])
 
 
 def restrict_path(path: PathChunk, nodes, n_modes: int) -> PathChunk:
@@ -890,23 +869,24 @@ def restrict_path(path: PathChunk, nodes, n_modes: int) -> PathChunk:
 
 
 # ---------------------------------------------------------------------------
-# compensated jump convolution (used by the path-regularity study)
+# compensated jump convolution: the tests' reference for the Hölder norms
 
 
-def compensated_jump_convolution(skeleton: JumpSkeleton, model: MarkModel,
-                                 n_modes: int, t: float) -> SpectralState:
+def compensated_jump_convolution(horizon: float, times, xis,
+                                 model: MarkModel, n_modes: int,
+                                 t: float) -> SpectralState:
     """N(t) = sum_{sigma_j <= t} E(t - sigma_j) P_N(xi_j phi) - int_0^t E(t-s) ds mean_g.
 
     Exact evaluation of the stochastic convolution of the compensated jump
-    noise at time t, straight from the skeleton and the closed-form
-    compensator.
+    noise at time t, straight from the skeleton (times, xis) on (0,
+    horizon] and the closed-form compensator.
     """
-    if t < 0 or t > skeleton.horizon:
+    if t < 0 or t > horizon:
         raise ValueError("evaluation time outside the skeleton horizon")
     lam = eigenvalues(n_modes)
     phi = project(model.profile, n_modes).coeffs
     acc = np.zeros(n_modes)
-    for sigma, xi in zip(skeleton.times, skeleton.xis):
+    for sigma, xi in zip(times, xis):
         if sigma <= t:
             acc += xi * np.exp(-lam * (t - sigma)) * phi
     _, mean_g = compensator_coeffs(model, n_modes)

@@ -28,6 +28,7 @@ from .noise import (
     compensator_coeffs,
     dyadic_ratio,
     restrict_path,
+    step_count,
     uniform_nodes,
 )
 from .spectral import (
@@ -91,9 +92,7 @@ class SchemeConfig:
             raise TypeError("x0 must be a SpectralState")
         if self.horizon <= 0 or self.dt_nominal <= 0:
             raise ValueError("horizon and dt_nominal must be positive")
-        n = self.horizon / self.dt_nominal
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
-            raise ValueError("horizon must be an integer multiple of dt_nominal")
+        step_count(self.horizon, self.dt_nominal, "dt_nominal")
         if self.scheme == SCHEME_B and self.model.g1.bound > 0:
             warnings.warn(
                 "uniform-grid scheme with a multiplicative jump coefficient: "

@@ -43,7 +43,6 @@ from levyheat.experiments import (
 from levyheat.noise import (
     PURPOSE_JUMPS,
     G1Spec,
-    JumpSkeleton,
     MarkModel,
     TwoPointLaw,
     compensated_jump_convolution,
@@ -445,7 +444,7 @@ def test_jump_convolution_terminal_value_is_centred():
     m_samples = 20000
     for i in range(m_samples):
         sk = sample_jump_skeleton(1.0, model, stream(41, i, PURPOSE_JUMPS))
-        acc += compensated_jump_convolution(sk, model, 8, 0.75).coeffs
+        acc += compensated_jump_convolution(1.0, *sk, model, 8, 0.75).coeffs
     lam = eigenvalues(8)
     per_mode_var = (model.intensity * model.law.mean_square()
                     * model.profile.coeffs**2 * conv_variance(lam, 0.75))
@@ -465,8 +464,8 @@ def _closed_form_terminal(plan: StudyPlan, path) -> SpectralState:
     wiener = restrict_path(path, np.array([0.0, horizon]), plan.n_ref).wiener[0]
     return (semigroup_apply(plan.x0, horizon) + SpectralState(wiener)
             + compensated_jump_convolution(
-                JumpSkeleton(horizon, path.times[0], path.xis[0]), plan.model,
-                plan.n_ref, horizon))
+                horizon, path.times[0], path.xis[0], plan.model, plan.n_ref,
+                horizon))
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])

@@ -4,6 +4,7 @@ digest stability, output files, and exit codes."""
 import ast
 import copy
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -290,6 +291,32 @@ def test_execute_two_plans_writes_csvs_and_manifest(tmp_path):
     assert recorded["digest"] == config_digest(plans)
     assert [s["name"] for s in recorded["studies"]] == ["alpha", "beta"]
     assert all(s["aborts"] == 0 for s in recorded["studies"])
+
+
+# SHA-256 of the CSVs that `configs/example.json` gives, and the numpy
+# version and OpenBLAS kernel set they were taken with: the transforms'
+# last bits depend on both.  A change that moves these bytes on purpose
+# updates the digests and says why.
+EXAMPLE_CSV_STACK = ("2.4.6", "SkylakeX")
+EXAMPLE_CSV_SHA256 = {
+    "temporal_demo.csv":
+        "7704e98e596f9ff4ecfee8681862b89e5d74c7f373f3b2bb85f94f4180c28e04",
+    "spatial_demo.csv":
+        "9459d4cceea8d117daa3e0cf6cf62c46585662e9dd0aed853f1b4a12169ea276",
+}
+
+
+def test_example_config_csv_bytes_are_pinned(tmp_path):
+    stack = (np.__version__, cli._blas_core())
+    if stack != EXAMPLE_CSV_STACK:
+        pytest.skip(f"digests taken with numpy and OpenBLAS core "
+                    f"{EXAMPLE_CSV_STACK}, this is {stack}")
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    plans = parse_config(os.path.join(root, "configs", "example.json"))
+    assert execute(plans, tmp_path / "out").clean
+    got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
+           .hexdigest() for name in EXAMPLE_CSV_SHA256}
+    assert got == EXAMPLE_CSV_SHA256
 
 
 def test_execute_rerun_is_byte_identical(tmp_path):

@@ -7,6 +7,7 @@ closed-form second moments where those exist.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -317,6 +318,21 @@ def test_plan_rejects_horizon_off_a_temporal_level_naming_the_field():
         make_plan(levels=(0.5, 0.25), horizon=0.75)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("field, overrides", [
+    ("horizon", lambda v: dict(horizon=v)),
+    ("dt_ref", lambda v: dict(dt_ref=v)),
+    ("levels[1]", lambda v: dict(levels=(2.0**-2, v))),
+    ("levels[1]", lambda v: dict(axis="spatial", n_ref=4, levels=(2, v))),
+    ("levels[0]", lambda v: dict(axis="holder", levels=(v,))),
+], ids=["horizon", "dt_ref", "temporal", "spatial", "holder"])
+def test_plan_rejects_non_finite_numbers_naming_the_field(field, overrides,
+                                                         value):
+    # not an OverflowError or an unnamed ValueError from round() or int()
+    with pytest.raises(ValueError, match="^" + re.escape(field) + ": "):
+        make_plan(**overrides(value))
+
+
 def test_order_report_invariants():
     lv = np.array([0.5, 0.25, 0.125])
     err = np.array([1.0, 0.7, 0.5])
@@ -524,8 +540,10 @@ def test_holder_norms_match_per_sample_jump_convolutions():
                                   stream(plan.seed, i, PURPOSE_JUMPS))
         for j, h in enumerate(plan.levels):
             expect[i, j] = hnorm(
-                compensated_jump_convolution(sk, model, n, t + h)
-                - compensated_jump_convolution(sk, model, n, t))
+                compensated_jump_convolution(plan.horizon, *sk, model, n,
+                                             t + h)
+                - compensated_jump_convolution(plan.horizon, *sk, model, n,
+                                               t))
     assert np.allclose(norms, expect, rtol=1e-12, atol=0.0)
 
 

@@ -19,7 +19,6 @@ from levyheat.noise import (
     PURPOSE_WIENER,
     ExpShiftedLaw,
     G1Spec,
-    JumpSkeleton,
     MarkModel,
     PathChunk,
     PathStream,
@@ -29,14 +28,17 @@ from levyheat.noise import (
     compensator_coeffs,
     compose_convolution,
     conv_variance,
+    dyadic_ratio,
     power_profile,
     restrict_chunk,
     restrict_path,
     sample_jump_skeleton,
     sample_jump_skeletons,
     sample_path,
+    step_count,
     stream,
     truncate_levy,
+    uniform_nodes,
 )
 from levyheat.spectral import SpectralState, eigenvalues, hnorm
 
@@ -50,10 +52,10 @@ def two_point_model(n=8, intensity=2.0, g1=None):
     )
 
 
-def whole_path(nodes, dt_ref, wiener, skeleton):
+def whole_path(nodes, dt_ref, wiener, times, xis):
     """A whole path built by hand: the one-row chunk of a single stretch."""
     return PathChunk(dt_ref, [nodes], wiener, np.array([0, wiener.shape[0]]),
-                     [skeleton.times], [skeleton.xis])
+                     [times], [xis])
 
 
 # ---------------------------------------------------------------------------
@@ -381,30 +383,60 @@ def test_skeleton_sampling_statistics():
     counts = rng_counts.poisson(2.0 * 1.0, size=100000)
     se = math.sqrt(2.0 / 100000)
     assert abs(counts.mean() - 2.0) < 3 * se
-    sk = sample_jump_skeleton(1.0, model, stream(2024, 1, PURPOSE_JUMPS))
-    assert np.all(np.diff(sk.times) > 0)
-    assert np.all((sk.times > 0) & (sk.times <= 1.0))
-    assert set(np.unique(sk.xis)).issubset({2.0, -1.0})
+    times, xis = sample_jump_skeleton(1.0, model,
+                                      stream(2024, 1, PURPOSE_JUMPS))
+    assert np.all(np.diff(times) > 0)
+    assert np.all((times > 0) & (times <= 1.0))
+    assert set(np.unique(xis)).issubset({2.0, -1.0})
+
+
+def check_one(times, xis):
+    """`_check_jumps` on one skeleton on (0, 1], as a batch of one."""
+    times, xis = np.array(times, dtype=float), np.array(xis, dtype=float)
+    noise._check_jumps(1.0, times, xis, [times.size])
 
 
 def test_skeleton_validation():
-    with pytest.raises(ValueError):
-        JumpSkeleton(1.0, [0.2, 0.2], [1.0, 1.0])  # simultaneous jumps
-    with pytest.raises(ValueError):
-        JumpSkeleton(1.0, [0.0], [1.0])  # boundary time
-    with pytest.raises(ValueError):
-        JumpSkeleton(1.0, [0.5], [0.0])  # zero mark
-    with pytest.raises(ValueError):
-        JumpSkeleton(1.0, [1.5], [1.0])  # outside horizon
+    # a hand-built skeleton gets the errors of a drawn one
+    with pytest.raises(ArithmeticError, match="degenerate jump times"):
+        check_one([0.2, 0.2], [1.0, 1.0])  # simultaneous jumps
+    with pytest.raises(ArithmeticError, match="degenerate jump times"):
+        check_one([0.0], [1.0])  # boundary time
+    with pytest.raises(ValueError, match="zero marks"):
+        check_one([0.5], [0.0])  # zero mark
+    with pytest.raises(ValueError, match=r"lie in \(0, horizon\]"):
+        check_one([1.5], [1.0])  # outside horizon
+    check_one([], [])
+
+
+def test_batched_jump_checks_are_per_sample():
+    # a jump at the horizon is in (0, horizon], and equal times in two
+    # samples, an empty one between them or not, are two samples' jumps
+    check_one([0.25, 1.0], [1.0, -1.0])
+    times = np.array([0.3, 0.5, 0.5, 0.7])
+    for counts in ([2, 2], [2, 0, 2], [0, 2, 2, 0]):
+        noise._check_jumps(1.0, times, np.ones(4), counts)
+    # the same times within one sample are a collision
+    with pytest.raises(ArithmeticError):
+        noise._check_jumps(1.0, times, np.ones(4), [1, 3])
+    # the first sample with a fault raises, and for the first of its faults
+    xis = np.array([1.0, 0.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="zero marks"):
+        noise._check_jumps(1.0, np.array([0.3, 0.5, 0.7, 0.6]), xis, [2, 2])
+    with pytest.raises(ValueError, match="horizon"):
+        noise._check_jumps(1.0, np.array([0.3, 1.5]), np.zeros(2), [2])
+    with pytest.raises(ArithmeticError):
+        noise._check_jumps(1.0, np.array([0.6, 0.5, 1.5]), np.zeros(3), [3])
 
 
 def test_zero_intensity_skeleton_is_empty():
     model = MarkModel(0.0, TwoPointLaw(0.5, 1.0, -1.0), power_profile(1.0, 2.0, 4))
-    sk = sample_jump_skeleton(1.0, model, stream(1, 0, PURPOSE_JUMPS))
-    assert sk.count == 0
+    times, xis = sample_jump_skeleton(1.0, model,
+                                      stream(1, 0, PURPOSE_JUMPS))
+    assert times.size == xis.size == 0
 
 
-def _skeleton_models():
+def _jump_models():
     profile = power_profile(1.0, 2.0, 4)
     stable, _ = truncate_levy(0.5, 0.5, profile)
     return {
@@ -423,16 +455,17 @@ def _skeleton_models():
     (7, [5, 2**48 - 1, 0, 5]),
 ])
 def test_batched_skeletons_equal_per_sample_draws(law, seed, indices):
-    model = _skeleton_models()[law]
+    model = _jump_models()[law]
     times, xis, counts = sample_jump_skeletons(0.75, model, seed, indices)
     assert counts.size == len(indices) and counts.sum() == times.size
     if len(indices) >= 40:
         assert 0 in counts and counts.max() >= 3  # empty and crowded samples
     lo = 0
     for i, c in zip(indices, counts):
-        sk = sample_jump_skeleton(0.75, model, stream(seed, i, PURPOSE_JUMPS))
-        assert np.array_equal(times[lo:lo + c], sk.times)
-        assert np.array_equal(xis[lo:lo + c], sk.xis)
+        t, x = sample_jump_skeleton(0.75, model,
+                                    stream(seed, i, PURPOSE_JUMPS))
+        assert np.array_equal(times[lo:lo + c], t)
+        assert np.array_equal(xis[lo:lo + c], x)
         lo += c
 
 
@@ -506,21 +539,36 @@ def test_batched_skeletons_raise_the_first_failing_samples_error(
     sample_jump_skeletons(1.0, model, 4, range(first[0]))
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_grids_are_value_errors(value):
+    # an infinite or NaN horizon or step is no whole number of steps, not
+    # an OverflowError or an unnamed ValueError from round()
+    for horizon, dt in ((value, 0.25), (1.0, value), (value, value)):
+        with pytest.raises(ValueError, match="integer multiple of dt"):
+            uniform_nodes(horizon, dt)
+        with pytest.raises(ValueError, match="integer multiple of dt_ref"):
+            step_count(horizon, dt, "dt_ref")
+    assert dyadic_ratio(value, 2.0**-6) == 0
+    assert dyadic_ratio(0.25, value) == 0
+    assert step_count(1.0, 0.25, "dt") == 4
+    assert dyadic_ratio(0.25, 2.0**-6) == 16
+
+
 def test_micro_grid_construction(monkeypatch):
     # a path's micro nodes are the dt_ref grid merged with its jump times
     model = two_point_model()
     for times, nodes in (([0.3, 0.77], [0.0, 0.25, 0.3, 0.5, 0.75, 0.77, 1.0]),
                          ([], [0.0, 0.25, 0.5, 0.75, 1.0])):
-        sk = JumpSkeleton(1.0, times, np.ones(len(times)))
+        sk = np.array(times, dtype=float), np.ones(len(times))
         monkeypatch.setattr(noise, "sample_jump_skeleton",
                             lambda *args, sk=sk: sk)
         path = sample_path(1.0, 0.25, 4, model, 7, 3)
         assert np.array_equal(path.nodes[0], nodes) and path.dt_ref == 0.25
         assert not path.nodes[0].flags.writeable
-        assert path.times[0] is sk.times and path.xis[0] is sk.xis
+        assert path.times[0] is sk[0] and path.xis[0] is sk[1]
     with pytest.raises(ValueError):
         sample_path(1.0, 0.3, 4, model, 7, 3)  # horizon not a multiple
-    sk = JumpSkeleton(1.0, [0.25], [1.0])
+    sk = np.array([0.25]), np.array([1.0])
     monkeypatch.setattr(noise, "sample_jump_skeleton", lambda *args: sk)
     with pytest.raises(ArithmeticError):
         sample_path(1.0, 0.25, 4, model, 7, 3)  # node collision
@@ -529,19 +577,19 @@ def test_micro_grid_construction(monkeypatch):
 def test_coupled_path_checks_its_nodes():
     # restrict_path checks a whole path's one row before it folds it; a
     # path that does not span [0, 1] has no partition of [0, 1] to fold to
-    sk = JumpSkeleton(1.0, [0.3], [1.0])
+    sk = np.array([0.3]), np.array([1.0])
     good = np.array([0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
     part = np.arange(5) * 0.25
-    restrict_path(whole_path(good, 0.25, np.zeros((5, 2)), sk), part, 2)
+    restrict_path(whole_path(good, 0.25, np.zeros((5, 2)), *sk), part, 2)
     for nodes, match in ((good[[0, 2, 1, 3, 4, 5]], "strictly increasing"),
                          (good[1:], "not refined"), (good[:-1], "not refined"),
                          (np.append(good, 1.5), "span"),
                          (good[:1], "malformed")):
-        path = whole_path(nodes, 0.25, np.zeros((nodes.size - 1, 2)), sk)
+        path = whole_path(nodes, 0.25, np.zeros((nodes.size - 1, 2)), *sk)
         with pytest.raises(ValueError, match=match):
             restrict_path(path, part, 2)
     with pytest.raises(ValueError, match="wrong shape"):
-        restrict_path(whole_path(good, 0.25, np.zeros((4, 2)), sk), part, 2)
+        restrict_path(whole_path(good, 0.25, np.zeros((4, 2)), *sk), part, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -739,14 +787,15 @@ def test_restriction_variance_statistics():
 def test_restriction_jump_bookkeeping():
     # the restricted chunk carries the path's jumps on uniform and adapted
     # partitions, and a partition that ends before the last jump is refused
-    sk = JumpSkeleton(1.0, [0.1, 0.35, 0.40], [1.0, 2.0, -1.0])
-    micro = np.sort(np.concatenate([np.arange(17) * 2.0**-4, sk.times]))
-    path = whole_path(micro, 2.0**-4, np.zeros((micro.size - 1, 4)), sk)
+    times, xis = np.array([0.1, 0.35, 0.40]), np.array([1.0, 2.0, -1.0])
+    micro = np.sort(np.concatenate([np.arange(17) * 2.0**-4, times]))
+    path = whole_path(micro, 2.0**-4, np.zeros((micro.size - 1, 4)), times,
+                      xis)
     nodes = np.arange(5) * 0.25
-    anodes = np.sort(np.concatenate([nodes, sk.times]))
+    anodes = np.sort(np.concatenate([nodes, times]))
     for part in (nodes, anodes):
         chunk = restrict_path(path, part, 4)
-        assert chunk.times[0] is sk.times and chunk.xis[0] is sk.xis
+        assert chunk.times[0] is times and chunk.xis[0] is xis
         assert np.array_equal(chunk.nodes[0], part)
         assert chunk.wiener.shape == (part.size - 1, 4)
     with pytest.raises(ValueError, match="must span the stretch"):
@@ -832,8 +881,9 @@ def test_jump_convolution_martingale_and_isometry():
     acc = np.zeros(16)
     sq = np.empty(m_samples)
     for i in range(m_samples):
-        sk = sample_jump_skeleton(1.0, model, stream(99, i, PURPOSE_JUMPS))
-        v = compensated_jump_convolution(sk, model, 16, t).coeffs
+        times, xis = sample_jump_skeleton(1.0, model,
+                                          stream(99, i, PURPOSE_JUMPS))
+        v = compensated_jump_convolution(1.0, times, xis, model, 16, t).coeffs
         acc += v
         sq[i] = float(v @ v)
     se_sq = sq.std() / math.sqrt(m_samples)
@@ -845,6 +895,9 @@ def test_jump_convolution_martingale_and_isometry():
 
 def test_jump_convolution_rejects_bad_time():
     model = two_point_model()
-    sk = JumpSkeleton(1.0, [0.5], [1.0])
-    with pytest.raises(ValueError):
-        compensated_jump_convolution(sk, model, 8, 1.5)
+    times, xis = np.array([0.5]), np.array([1.0])
+    compensated_jump_convolution(1.0, times, xis, model, 8, 0.0)
+    compensated_jump_convolution(1.0, times, xis, model, 8, 1.0)
+    for t in (1.5, -0.25):
+        with pytest.raises(ValueError, match="outside the skeleton horizon"):
+            compensated_jump_convolution(1.0, times, xis, model, 8, t)

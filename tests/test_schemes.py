@@ -13,7 +13,6 @@ import pytest
 
 from levyheat.noise import (
     G1Spec,
-    JumpSkeleton,
     MarkModel,
     PathChunk,
     TwoPointLaw,
@@ -44,12 +43,13 @@ def zero_model(n=4):
     return MarkModel(0.0, TwoPointLaw(0.5, 1.0, -1.0), power_profile(1.0, 2.0, n))
 
 
-def silent_path(horizon, dt_ref, n, skeleton):
-    """A noise path with all Wiener draws fixed to zero."""
-    nodes = np.union1d(uniform_nodes(horizon, dt_ref), skeleton.times)
+def silent_path(horizon, dt_ref, n, times, xis):
+    """A noise path with jumps (times, xis) and all Wiener draws fixed to
+    zero."""
+    times, xis = np.asarray(times, dtype=float), np.asarray(xis, dtype=float)
+    nodes = np.union1d(uniform_nodes(horizon, dt_ref), times)
     return PathChunk(dt_ref, [nodes], np.zeros((nodes.size - 1, n)),
-                     np.array([0, nodes.size - 1]), [skeleton.times],
-                     [skeleton.xis])
+                     np.array([0, nodes.size - 1]), [times], [xis])
 
 
 def config(scheme, n, dt, model, f=None, x0=None, horizon=1.0):
@@ -105,10 +105,16 @@ def test_uniform_partition_basic():
         config(SCHEME_B, 2, 0.3, model)  # horizon not a multiple
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_refuses_a_non_finite_horizon_or_step(value):
+    for horizon, dt in ((value, 0.25), (1.0, value)):
+        with pytest.raises(ValueError, match="multiple of dt_nominal"):
+            config(SCHEME_A, 2, dt, zero_model(2), horizon=horizon)
+
+
 def test_adapted_partition_no_jumps():
-    sk = JumpSkeleton(1.0, np.empty(0), np.empty(0))
     part = path_nodes(config(SCHEME_A, 2, 0.25, zero_model(2)),
-                      silent_path(1.0, 2.0**-4, 2, sk))
+                      silent_path(1.0, 2.0**-4, 2, [], []))
     assert np.array_equal(part, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
@@ -123,9 +129,8 @@ def test_adapted_partition_merges_coincident_node():
 
 
 def test_adapted_partition_interleaves_jump():
-    sk = JumpSkeleton(1.0, np.array([0.3]), np.array([-1.0]))
     part = path_nodes(config(SCHEME_A, 2, 0.25, zero_model(2)),
-                      silent_path(1.0, 2.0**-4, 2, sk))
+                      silent_path(1.0, 2.0**-4, 2, [0.3], [-1.0]))
     assert np.array_equal(part, [0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
     assert np.max(np.diff(part)) <= 0.25
 
@@ -189,8 +194,7 @@ def test_scheme_config_validation():
 def one_step(cfg):
     """The final state of a one-step scheme-A run (horizon = dt) on a
     silent path without jumps."""
-    sk = JumpSkeleton(cfg.horizon, np.empty(0), np.empty(0))
-    path = silent_path(cfg.horizon, cfg.dt_nominal, cfg.n_modes, sk)
+    path = silent_path(cfg.horizon, cfg.dt_nominal, cfg.n_modes, [], [])
     assert path_nodes(cfg, path).size == 2
     return run_scheme_A(cfg, path)
 
@@ -233,10 +237,9 @@ def one_jump(profile, g1, x0):
     magnitude 1 at T = 1/2, no intensity, f zero and silent Wiener draws:
     the state just before the jump, E(1/2) x0, and the terminal state."""
     model = MarkModel(0.0, TwoPointLaw(0.5, 1.0, -1.0), profile, g1)
-    sk = JumpSkeleton(0.5, np.array([0.5]), np.array([1.0]))
     post = run_scheme_A(config(SCHEME_A, x0.dim, 0.5, model, x0=x0,
                                horizon=0.5),
-                        silent_path(0.5, 0.5, x0.dim, sk))
+                        silent_path(0.5, 0.5, x0.dim, [0.5], [1.0]))
     return np.exp(-eigenvalues(x0.dim) * 0.5) * x0.coeffs, post.coeffs
 
 
@@ -260,8 +263,7 @@ def test_jump_apply_examples():
 
 
 def test_run_A_pure_flow():
-    sk = JumpSkeleton(1.0, np.empty(0), np.empty(0))
-    path = silent_path(1.0, 2.0**-4, 4, sk)
+    path = silent_path(1.0, 2.0**-4, 4, [], [])
     x0 = SpectralState([1.0, -2.0, 0.5, 3.0])
     cfg = config(SCHEME_A, 4, 0.25, zero_model(), x0=x0)
     x = run_scheme_A(cfg, path)
@@ -274,10 +276,9 @@ def test_run_A_gamma_product_oracle():
     # reduces to the scalar product prod_i e^{-lam dt_i}(1 - dt_i nu beta)
     # over steps times (1 + beta) per jump, applied modewise
     beta, nu = 0.25, 2.0
-    sk = JumpSkeleton(1.0, np.array([0.33, 0.77]), np.array([1.5, -0.8]))
     model = MarkModel(nu, TwoPointLaw(0.5, 1.0, -1.0),
                       SpectralState(np.zeros(4)), G1Spec.constant(beta))
-    path = silent_path(1.0, 2.0**-5, 4, sk)
+    path = silent_path(1.0, 2.0**-5, 4, [0.33, 0.77], [1.5, -0.8])
     x0 = SpectralState([1.0, -1.0, 2.0, 0.5])
     cfg = config(SCHEME_A, 4, 0.25, model, x0=x0)
     x = run_scheme_A(cfg, path)
@@ -316,10 +317,9 @@ def test_run_B_single_step_unrolled():
 def test_superposition_linearity():
     # with f linear, g1 constant, centred law, zero mark profile and silent
     # Wiener draws, both schemes are linear in x0
-    sk = JumpSkeleton(1.0, np.array([0.3, 0.62]), np.array([1.0, -1.0]))
     model = MarkModel(1.5, TwoPointLaw(0.5, 1.0, -1.0),
                       SpectralState(np.zeros(4)), G1Spec.constant(0.4))
-    path = silent_path(1.0, 2.0**-5, 4, sk)
+    path = silent_path(1.0, 2.0**-5, 4, [0.3, 0.62], [1.0, -1.0])
     f = NonlinearitySpec.linear(0.8)
     xa = SpectralState([1.0, -0.5, 0.25, 2.0])
     xb = SpectralState([0.3, 1.1, -2.0, 0.9])

@@ -448,8 +448,9 @@ def _study_entry(plan: StudyPlan, result, csv_name, elapsed, error) -> dict:
                      effective_samples=0, fits=[])
         return entry
     fits = [
-        {"p": rep.p, "order": rep.order, "stderr": rep.stderr}
-        for rep in result.reports
+        {"p": rep.p, "order": rep.order, "stderr": rep.stderr,
+         "ess": ess}
+        for rep, ess in zip(result.reports, result.ess)
     ]
     entry.update(status="ok", csv=csv_name, aborts=result.aborts,
                  aborted=list(result.aborted),

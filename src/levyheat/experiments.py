@@ -67,6 +67,8 @@ AXES = ("temporal", "spatial", "holder")
 N_BOOTSTRAP = 1000
 # byte budget of the resample indices one chunk of bootstrap draws holds
 _BOOTSTRAP_BYTES = 2**20
+# the least positive normal double: an L^p mean below it has lost digits
+_TINY = np.finfo(np.float64).tiny
 # byte budget of the reference-resolution rows one block holds at once:
 # one stretch of time of each sample's path (see `_blocking`); a Hölder
 # study's chunk of samples holds its (samples, n_ref) arrays within it
@@ -244,13 +246,15 @@ class OrderReport:
 @dataclass(frozen=True)
 class StudyResult:
     """One executed plan: a report per p, the abort records of the samples
-    that diverged (see `_run_block`) and the seconds per phase (see
-    `_new_phases`)."""
+    that diverged (see `_run_block`), the seconds per phase (see
+    `_new_phases`) and, per report, the effective sample size of its
+    error at each level (see `_ess`)."""
 
     plan: StudyPlan
     reports: tuple
     aborted: list
     phases: dict
+    ess: tuple
 
     @property
     def aborts(self) -> int:
@@ -271,10 +275,26 @@ class StudyResult:
 # error estimation and order fitting
 
 
+@np.errstate(over="ignore")
 def _lp_point(norms: np.ndarray, p: float) -> float:
-    return float(np.mean(norms**p) ** (1.0 / p))
+    """mean(|e|^p)^(1/p), where that mean is a positive, normal, finite
+    double; else, where |e|^p underflows or overflows, the same norm as
+    m mean((|e|/m)^p)^(1/p), m the largest |e| (if positive and finite)."""
+    mean = np.mean(norms**p)
+    top = norms.max()
+    if _TINY <= mean < math.inf or not 0.0 < top < math.inf:
+        return float(mean ** (1.0 / p))
+    return float(top * np.mean((norms / top) ** p) ** (1.0 / p))
 
 
+def _ess(norms: np.ndarray, p: float) -> float:
+    """The effective sample size (sum w)^2 / sum w^2 of the weights
+    w = (|e| / max|e|)^p that the L^p error puts on the samples."""
+    w = (norms / norms.max()) ** p
+    return float(w.sum() ** 2 / (w @ w))
+
+
+@np.errstate(over="ignore")
 def _bootstrap_interval(norms: np.ndarray, p: float, rng) -> tuple:
     """The 2.5 and 97.5 percentiles of N_BOOTSTRAP resampled L^p points.
 
@@ -294,7 +314,11 @@ def _bootstrap_interval(norms: np.ndarray, p: float, rng) -> tuple:
         # without its per-call overhead; the division and the root stay
         # scalar operations, as the root of a whole array moves last digits
         for b, total in enumerate(sums, b0):
-            stats[b] = (total / m) ** (1.0 / p)
+            mean = total / m
+            if _TINY <= mean < math.inf:
+                stats[b] = mean ** (1.0 / p)
+            else:  # |e|^p under- or overflows: the resample's own scale
+                stats[b] = _lp_point(norms.take(idx[b - b0]), p)
     return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
 
 
@@ -682,5 +706,7 @@ def run_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     phases["bootstrap"] = time.perf_counter() - t0
     _log.info("%s: bootstrap of %d intervals, %.1f s", plan.name,
               len(plan.p_list) * len(plan.levels), phases["bootstrap"])
-    return StudyResult(plan, reports, aborted, phases)
+    ess = tuple([_ess(norms[:, j], p) for j in range(len(plan.levels))]
+                for p in plan.p_list)
+    return StudyResult(plan, reports, aborted, phases, ess)
 

@@ -577,71 +577,52 @@ _FOLD_ROWS = 1024
 
 
 def _fold(inc: np.ndarray, deltas: np.ndarray, dt_ref: float,
-          pos: np.ndarray, head=None) -> np.ndarray:
+          pos: np.ndarray, head: tuple) -> np.ndarray:
     """Left-to-right convolution folds of the micro rows between the
     micro indices `pos`: row i folds rows pos[i] .. pos[i+1] - 1.
 
-    A step's first row enters as it is, and every later row j scales the
-    sum so far by exp(-lam deltas[j]) before it is added.  With `head` =
-    (acc, after) each step continues a fold already begun: acc[i] is its
-    running sum over rows pos[i] .. after[i] - 1, and only the rows from
-    after[i] on are folded onto it, with the multiplies and adds that the
-    fold from its first row would make there.  A step with no row left to
-    fold (one micro row, or acc[i] over all of it) is copied straight
-    into the output.  The others fold together, one position at a time,
-    longest first, so that the steps still folding are a leading slice,
-    and at most _FOLD_ROWS steps at once, which keeps the working set far
-    below a whole path's output.  A position scales every step by the
-    dt_ref decay, and only the few steps whose row there is irregular
-    (shorter than dt_ref, beside a jump) by their own: each step gets the
-    multiplies and adds of its own sequential fold, in the same order.
+    `head` = (acc, after) holds each step's fold so far: acc[i] sums rows
+    pos[i] .. after[i] - 1, at least the first, in fresh rows folded on in
+    place and returned.  Every row j after those scales the sum by
+    exp(-lam deltas[j]) before it is added, as the sequential fold does.
+    The steps fold together one position at a time, longest first, so
+    that those still folding are a leading slice, at most _FOLD_ROWS at
+    once.  A position scales every step by the dt_ref decay, and the few
+    on a row beside a jump, found once per _FOLD_ROWS steps, by its own.
     """
+    out, last = head[0], head[1] - 1  # the last row each step has folded
     end = pos[1:]
-    if head is None:
-        last = pos[:-1]  # the last row each step has folded
-        out = inc[last]
-    else:
-        last = head[1] - 1
-        out = head[0].copy()
-    steps = np.nonzero(end - last > 1)[0]
-    if not steps.size:
-        return out
+    # the steps with rows left to fold, longest first
+    order = np.argsort(last - end, kind="stable")[:np.sum(end - last > 1)]
     lam = eigenvalues(inc.shape[1])
-    decay_ref = np.exp(-lam * dt_ref)
-    order = steps[np.argsort(last[steps] - end[steps], kind="stable")]
-    # the irregular rows still to fold: the step's place in `order`, the
-    # row's position after the step's last folded row and its decay
-    odd = np.nonzero(deltas != dt_ref)[0]
-    step = np.searchsorted(last, odd, side="right") - 1
-    inside = (step >= 0) & (odd > last[step]) & (odd < end[step])
-    odd, step = odd[inside], step[inside]
-    place = np.empty(last.size, dtype=np.intp)
-    place[order] = np.arange(order.size)
-    sizes, which = np.unique(deltas[odd], return_inverse=True)
-    decays = np.array([np.exp(-lam * d) for d in sizes]).reshape(
-        sizes.size, lam.size)
-    fixes = {}
-    for slot, q, code in zip(place[step].tolist(),
-                             (odd - last[step]).tolist(), which.tolist()):
-        fixes.setdefault((slot // _FOLD_ROWS, q), []).append(
-            (slot % _FOLD_ROWS, code))
+    decay = np.exp(-lam * dt_ref)
+    odd = np.nonzero(deltas != dt_ref)[0]  # the rows beside jumps
     for lo in range(0, order.size, _FOLD_ROWS):
         sel = order[lo:lo + _FOLD_ROWS]
         first = last[sel]
         length = end[sel] - first
         acc = out[sel]
         rows = np.empty_like(acc)
+        # the rows beside jumps still to fold, by position: those at
+        # position q are in the steps sel[at[cut[q]:cut[q + 1]]]
+        a = odd.searchsorted(first, side="right")
+        n = odd.searchsorted(end[sel]) - a
+        at = np.repeat(np.arange(sel.size), n)
+        row = odd[np.arange(at.size) + np.repeat(a - np.cumsum(n) + n, n)]
+        place = row - first[at]
+        by = np.argsort(place, kind="stable")
+        at, row = at[by], row[by]
+        cut = place[by].searchsorted(np.arange(length[0] + 1)).tolist()
+        own = np.exp(-lam * deltas[row, None])
         later = np.arange(1, length[0])  # the positions still to fold
         live = np.searchsorted(-length, -later, side="left").tolist()
-        for q, k in zip(later.tolist(), live):
+        for q, k, i, j in zip(later.tolist(), live, cut[1:], cut[2:]):
             part = acc[:k]
-            fix = fixes.get((lo // _FOLD_ROWS, q))
-            if fix is not None:
-                at, code = np.array(fix).T
-                kept = acc[at] * decays[code]
-            part *= decay_ref
-            if fix is not None:
-                acc[at] = kept
+            if i < j:
+                kept = acc[at[i:j]] * own[i:j]
+            part *= decay
+            if i < j:
+                acc[at[i:j]] = kept
             inc.take(first[:k] + q, axis=0, out=rows[:k], mode="clip")
             part += rows[:k]
         out[sel] = acc
@@ -746,6 +727,13 @@ def _starts(nodes) -> np.ndarray:
     return starts
 
 
+def _keyed(nodes) -> np.ndarray:
+    """Sample s's nodes t as the keys s + i t, exactly, all in order:
+    complex numbers sort by real part, then imaginary."""
+    return (np.repeat(np.arange(len(nodes)), [p.size for p in nodes])
+            + 1j * np.concatenate(nodes))
+
+
 def restrict_chunk(chunk: PathChunk, parts, n_modes: int,
                    finer: Optional[PathChunk] = None) -> PathChunk:
     """Exactly restrict a stretch to one partition per sample and a mode
@@ -757,63 +745,55 @@ def restrict_chunk(chunk: PathChunk, parts, n_modes: int,
     row starts[s] + i is the increment over parts[s][i] .. parts[s][i + 1],
     the left-to-right `compose_convolution` fold of the chunk's increments
     it contains, so the restriction is exact in distribution and
-    bit-for-bit reproducible.  All the samples' steps fold together
-    (`_fold`).  Where every partition is the chunk's own, the result's
-    increments are a view of its rows.
+    bit-for-bit reproducible.  Where every partition is the chunk's own,
+    the result's increments are a view of its rows.
 
-    `finer`, if given, is a restriction of this chunk to partitions that
-    refine `parts`, with at least n_modes modes.  A coarse step then
-    starts from the row of its first finer step, which is its running sum
-    over that step's micro rows, folded left to right as here, and folds
-    on over the micro rows after it alone: the same doubles for fewer
-    passes.  A coarse step that is one finer step is that row.
+    All the samples' steps fold together (`_fold`), on from the row of
+    their first step in `finer`, a restriction of this chunk to partitions
+    refining `parts` with at least n_modes modes: the doubles of the fold
+    from the micro rows, in fewer passes.  By default, the chunk itself.
     """
     if len(parts) != len(chunk.nodes):
         raise ValueError(f"{len(parts)} partitions for a chunk of "
                          f"{len(chunk.nodes)} rows")
-    if finer is not None and len(finer.nodes) != len(parts):
-        raise ValueError(f"a finer chunk of {len(finer.nodes)} rows for "
+    fine = chunk if finer is None else finer
+    if len(fine.nodes) != len(parts):
+        raise ValueError(f"a finer chunk of {len(fine.nodes)} rows for "
                          f"{len(parts)} partitions")
-    top = chunk.n_ref if finer is None else min(chunk.n_ref, finer.n_ref)
+    top = min(chunk.n_ref, fine.n_ref)
     if not 1 <= n_modes <= top:
         raise ValueError(f"mode count must lie in [1, {top}]")
     inc = chunk.wiener[:, :n_modes]
     if all(map(np.array_equal, parts, chunk.nodes)):
         return replace(chunk, wiener=inc)
-    if finer is not None and all(map(np.array_equal, finer.nodes,
-                                     chunk.nodes)):
-        finer = None  # its rows are the micro rows
-    # each sample's nodes located in its micro nodes, through those of its
-    # finer partition when there is one
-    pos, heads, after = [], [], []
-    for s, (p, m, a) in enumerate(zip(parts, chunk.nodes, chunk.starts)):
-        f = p if finer is None else finer.nodes[s]
-        at = m.searchsorted(f)
-        # a node past the last micro node is compared with that node
-        if (m.take(at, mode="clip") != f).any():
-            raise ValueError("partition is not refined by the micro grid")
-        if finer is not None:
-            k = f.searchsorted(p)
-            if (f.take(k, mode="clip") != p).any():
-                raise ValueError("partition is not refined by the finer "
-                                 "partition")
-            heads.append(k[:-1] + finer.starts[s])
-            after.append(at[k[:-1] + 1] + a)
-            at = at[k]
-        if at[0] != 0 or at[-1] != m.size - 1:
-            raise ValueError("a partition must span the stretch")
-        pos.append(at[:-1] + a)
-    pos.append(chunk.starts[-1:])
+    # every sample's nodes located at once by their keys: a node past a
+    # sample's last micro node is compared with the next sample's first
+    want, micro = _keyed(parts), _keyed(chunk.nodes)
+    fkeys = micro if finer is None else _keyed(finer.nodes)
+    at = micro.searchsorted(want)
+    if (micro.take(at, mode="clip") != want).any():
+        raise ValueError("partition is not refined by the micro grid")
+    starts = _starts(parts)
+    ends = starts + np.arange(starts.size)  # samples' first nodes, count
+    owner = want.real.astype(np.intp)
+    rows = at - owner  # the micro row each node starts, or the row count
+    if ((rows[ends[:-1]] != chunk.starts[:-1]).any()
+            or (rows[ends[1:] - 1] != chunk.starts[1:]).any()):
+        raise ValueError("a partition must span the stretch")
+    k = fkeys.searchsorted(want)
+    if (fkeys.take(k, mode="clip") != want).any():
+        raise ValueError("partition is not refined by the finer partition")
+    steps = np.delete(np.arange(want.size), ends[1:] - 1)  # a step's first
+    k, owner = k[steps], owner[steps]
     # the micro rows' lengths: the steps between the samples dropped
-    deltas = np.delete(np.diff(np.concatenate(chunk.nodes)),
+    deltas = np.delete(np.diff(micro.imag),
                        chunk.starts[1:-1] + np.arange(len(parts) - 1))
-    head = None
-    if finer is not None:
-        head = (finer.wiener[np.concatenate(heads), :n_modes],
-                np.concatenate(after))
-    wiener = _fold(inc, deltas, chunk.dt_ref, np.concatenate(pos), head)
-    return PathChunk(chunk.dt_ref, list(parts), wiener, _starts(parts),
-                     chunk.times, chunk.xis)
+    head = (fine.wiener[k - owner, :n_modes],
+            micro.searchsorted(fkeys[k + 1]) - owner)
+    wiener = _fold(inc, deltas, chunk.dt_ref,
+                   np.append(rows[steps], chunk.starts[-1]), head)
+    return PathChunk(chunk.dt_ref, list(parts), wiener, starts, chunk.times,
+                     chunk.xis)
 
 
 # ---------------------------------------------------------------------------

@@ -415,18 +415,31 @@ def test_execute_records_failed_study_and_keeps_going(tmp_path):
     assert recorded["studies"] == [dict(e) for e in manifest.studies]
 
 
-def test_an_underflowing_p_fails_naming_p_and_the_level(tmp_path):
+def test_an_underflowing_p_is_reported_at_every_level(tmp_path):
     # |e|^1000 underflows to zero for every sample, so the L^p error at
-    # p = 1000 is zero: the study fails naming p, the level and why
+    # p = 1000 is taken on the samples' own scale: the study reports a
+    # positive, finite error and interval at every level, and an order
     with pytest.warns(UserWarning, match="fewer than 100"):
         plans = parse_config(write_config(tmp_path, study_dict(
             samples=4, p_list=[2.0, 1000.0])))
     manifest = execute(plans, tmp_path / "out")
     (entry,) = manifest.studies
-    assert entry["status"] == "failed"
-    assert entry["error"].startswith("p = 1000, levels[0] = 0.25: L^p error "
-                                     "0.0 is not positive")
-    assert "underflowed" in entry["error"]
+    assert entry["status"] == "ok" and manifest.clean
+    text = (tmp_path / "out" / entry["csv"]).read_text()
+    rows = [line.split(",") for line in text.splitlines()]
+    levels = [[float(v) for v in r[1:]] for r in rows
+              if r[0] == "1000.0" and len(r) == 5]
+    assert [level for level, *_ in levels] == [0.25, 0.125, 0.0625]
+    for _, error, lo, hi in levels:
+        assert 0.0 < error < math.inf and 0.0 < lo <= hi < math.inf
+    assert [f["p"] for f in entry["fits"]] == [2.0, 1000.0]
+    assert all(f["order"] is not None for f in entry["fits"])
+    # the effective sample size of the L^p weights, per level: between one
+    # sample and all four, and about one at p = 1000
+    for fit in entry["fits"]:
+        assert len(fit["ess"]) == 3
+        assert all(1.0 <= ess <= 4.0 for ess in fit["ess"])
+    assert max(entry["fits"][1]["ess"]) < 1.01
 
 
 def test_manifest_records_provenance_and_aborted_samples(tmp_path):

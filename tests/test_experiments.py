@@ -196,6 +196,78 @@ def test_chunked_bootstrap_matches_one_resample_at_a_time(monkeypatch, m):
     assert ours.integers(0, 2**62) == oracle.integers(0, 2**62)
 
 
+def _extended_lp(norms, p):
+    """mean(|e|^p)^(1/p) in extended precision (the scaled form's oracle);
+    its range holds powers down to about 1e-4900."""
+    wide = np.asarray(norms, dtype=np.longdouble)
+    return float(np.mean(wide**p) ** (1 / np.longdouble(p)))
+
+
+needs_wide = pytest.mark.skipif(
+    np.finfo(np.longdouble).tiny >= np.finfo(np.float64).tiny,
+    reason="long double has the range of a double here")
+
+
+@needs_wide
+@pytest.mark.parametrize("p", [2.0, 8.0, 300.0, 1000.0])
+def test_scaled_lp_point_agrees_with_the_plain_form(p):
+    # where mean(|e|^p) is a normal double the plain doubles stand; the
+    # same norms scaled by 2^k (exactly) under- or overflow, and the scaled
+    # form gives the plain value times 2^k to a few ulps, as it gives the
+    # extended-precision norm
+    norms = np.random.default_rng(7).uniform(0.5, 1.5, 64)
+    plain = experiments._lp_point(norms, p)
+    assert plain == float(np.mean(norms**p) ** (1.0 / p))
+    for k in (-900, -200, 200, 900):
+        scaled = experiments._lp_point(norms * 2.0**k, p)
+        assert abs(scaled - plain * 2.0**k) <= 4 * np.spacing(scaled)
+        wide = _extended_lp(norms, p) * 2.0**k
+        assert abs(scaled - wide) <= 4 * np.spacing(scaled)
+    assert experiments._lp_point(np.zeros(5), p) == 0.0
+
+
+@needs_wide
+def test_bootstrap_scales_only_the_resamples_that_underflow(monkeypatch):
+    # one norm of order 1 among 19 of order 1e-3: at p = 300 a resample
+    # that misses it underflows (about a third of them) and takes the
+    # scaled form, the others keep their plain doubles
+    seen = []
+    percentile = np.percentile
+
+    def record(stats, q):
+        seen.append(stats.copy())
+        return percentile(stats, q)
+
+    monkeypatch.setattr(np, "percentile", record)
+    rng = np.random.default_rng(11)
+    norms = np.append(rng.uniform(1e-3, 2e-3, 19), 1.0)
+    p = 300.0
+    lo, hi = experiments._bootstrap_interval(
+        norms, p, stream(5, 0, noise.PURPOSE_BOOTSTRAP))
+    oracle = stream(5, 0, noise.PURPOSE_BOOTSTRAP)
+    plain = _bootstrap_per_resample(norms, p, oracle)
+    oracle = stream(5, 0, noise.PURPOSE_BOOTSTRAP)
+    draws = [oracle.integers(0, norms.size, norms.size)
+             for _ in range(experiments.N_BOOTSTRAP)]
+    under = plain == 0.0
+    assert 0 < under.sum() < under.size / 2
+    stats = seen[-1]
+    assert stats[~under].tobytes() == plain[~under].tobytes()
+    for b in np.nonzero(under)[0]:
+        wide = _extended_lp(norms[draws[b]], p)
+        assert 1e-3 <= stats[b] < 2e-3
+        assert abs(stats[b] - wide) <= 4 * np.spacing(wide)
+    assert 0.0 < lo < 2e-3 < hi < 1.0
+
+
+def test_effective_sample_size_of_the_lp_weights():
+    # M equal norms weigh the same: exactly M; one dominant norm: about 1
+    for p in (2.0, 8.0, 1000.0):
+        assert experiments._ess(np.full(40, 0.3), p) == 40.0
+        dominant = np.append(1.0, np.full(99, 1e-3))
+        assert 1.0 <= experiments._ess(dominant, p) < 1.001
+
+
 # ---------------------------------------------------------------------------
 # fit_order
 
@@ -591,9 +663,10 @@ def test_holder_norms_are_the_same_in_any_chunking(monkeypatch, chunk):
     n = 8
     model = MarkModel(3.0, TwoPointLaw(0.5, 2.0, -1.0),
                       power_profile(1.0, 2.0, n))
-    plan = make_plan(axis="holder", levels=(2.0**-10, 2.0**-6, 2.0**-2),
-                     n_ref=n, model=model, x0=unit_state(n), samples=40,
-                     horizon=1.0, dt_ref=2.0**-10)
+    with pytest.warns(UserWarning, match="fewer than 100"):
+        plan = make_plan(axis="holder", levels=(2.0**-10, 2.0**-6, 2.0**-2),
+                         n_ref=n, model=model, x0=unit_state(n), samples=40,
+                         horizon=1.0, dt_ref=2.0**-10)
     t, h = 0.5, 2.0**-6
     _force_jumps(monkeypatch, {
         0: [t],  # exactly at t: a pre-t jump without decay

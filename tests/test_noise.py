@@ -721,7 +721,8 @@ def test_fold_matches_a_sequential_fold_of_each_step(monkeypatch, fold_rows):
         np.arange(2, 59),
     ]
     for pos in partitions:
-        folded = noise._fold(inc[:, :4], deltas, dt, pos)
+        folded = noise._fold(inc[:, :4], deltas, dt, pos,
+                             (inc[pos[:-1], :4].copy(), pos[:-1] + 1))
         for i, (a, b) in enumerate(zip(pos[:-1], pos[1:])):
             expected = _sequential_fold(inc[:, :4], deltas, lam[:4], a, b)
             assert folded[i].tobytes() == expected.tobytes()
@@ -755,7 +756,8 @@ def test_fold_continues_from_head_rows_as_a_sequential_fold(monkeypatch,
         assert folded[i].tobytes() == expected.tobytes()
         if b == c:
             assert folded[i].tobytes() == acc[i].tobytes()
-    plain = noise._fold(inc[:, :4], deltas, dt, pos)
+    plain = noise._fold(inc[:, :4], deltas, dt, pos,
+                        (inc[pos[:-1], :4].copy(), pos[:-1] + 1))
     for i in np.nonzero(np.diff(pos) == 1)[0]:
         assert plain[i].tobytes() == inc[pos[i], :4].tobytes()
 

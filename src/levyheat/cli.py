@@ -45,6 +45,7 @@ import os
 import platform
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 
 from . import __version__
@@ -555,7 +556,9 @@ def main(argv=None) -> int:
     try:
         plans = parse_config(args.config)
         if args.seed is not None:
-            plans = [replace(p, seed=args.seed) for p in plans]
+            with warnings.catch_warnings():  # parse_config has warned
+                warnings.simplefilter("ignore", UserWarning)
+                plans = [replace(p, seed=args.seed) for p in plans]
         if args.threads < 1:
             raise ConfigError("thread count must be a positive integer")
     except (ConfigError, ValueError) as exc:

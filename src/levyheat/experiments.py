@@ -47,6 +47,7 @@ from .schemes import (
     SchemeConfig,
     run_block,
     stretch_nodes,
+    warn_multiplicative_B,
 )
 from .spectral import NonlinearitySpec, SpectralState, eigenvalues, project
 
@@ -191,6 +192,8 @@ class StudyPlan:
                 f"doubles beyond the {BLOCK_BYTES}-byte block budget")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        # once per plan, here: the configs `_run_block` steps do not warn
+        warn_multiplicative_B(self.scheme, self.model, 3)
 
 
 @dataclass(frozen=True)
@@ -464,9 +467,7 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
     resolution.  A sample whose run turns non-finite is NaN there and at
     every higher resolution, which it sits out; `aborted` records its
     index, the first resolution in plan order at which it diverged (its dt
-    or N), and the step and time there.  A sample with a jump time on a
-    dt_ref node is stepped at no resolution and recorded at the reference,
-    with the dt_ref step that ends on that node and the jump time.
+    or N), and the step and time there.
 
     The paths are drawn one stretch of time at a time (see `_blocking`),
     and each resolution steps through the stretch from where it stood at
@@ -486,23 +487,17 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
                        plan.seed, indices)
     total = paths.base.size - 1
     size = len(indices)
-    # sample -> (resolution, step, time) of its abort; a sample with a jump
-    # on a dt_ref node aborts at the reference before any step, at the
-    # dt_ref step that ends on that node
-    failed = {s: (0, *hit) for s, hit in paths.collisions.items()}
-    # the samples stepped, one row each at every resolution: their states
-    # and the steps they have taken
-    rows = np.setdiff1d(np.arange(size), list(failed))
-    states = [np.tile(project(plan.x0, n).coeffs, (rows.size, 1))
-              for _, n in res]
-    taken = [np.zeros(rows.size, dtype=np.int64) for _ in res]
+    failed = {}  # sample -> (resolution, step, time) of its abort
+    # one row per sample at every resolution: the states and the steps taken
+    states = [np.tile(project(plan.x0, n).coeffs, (size, 1)) for _, n in res]
+    taken = [np.zeros(size, dtype=np.int64) for _ in res]
     spent["draw"] += clock() - t0
     for k0 in range(0, total, stretch):
         k1 = min(k0 + stretch, total)
         if np.isnan(states[0]).all():  # every sample aborted at the reference
             break
         t0 = clock()
-        chunk = paths.draw(k0, k1, rows)
+        chunk = paths.draw(k0, k1)
         t1 = clock()
         spent["draw"] += t1 - t0
         # each time grid's partitions and folds at n_ref, by dt, the finest
@@ -530,7 +525,7 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
             # the sample sits out the higher resolutions, so a later
             # stretch reports it at a lower one: the first in plan order
             for k, (step, t) in diverged.items():
-                failed[rows[k]] = (j, int(taken[j][k]) + step, t)
+                failed[k] = (j, int(taken[j][k]) + step, t)
                 for later in states[j + 1:]:
                     later[k] = np.nan
             taken[j] += [p.size - 1 for p in folded[dt].nodes]
@@ -538,7 +533,7 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
         del chunk, folded
     terminals = np.zeros((size, len(res), plan.n_ref))
     for j, (_, n) in enumerate(res):
-        terminals[rows, j, :n] = states[j]
+        terminals[:, j, :n] = states[j]
     aborted = [{"index": indices[b],
                 "level": res[j][0] if plan.axis == "temporal" else res[j][1],
                 "step": step, "time": t}
@@ -547,13 +542,19 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
     return terminals, aborted
 
 
+@np.errstate(over="ignore")
 def _coupled_norms(terminals: np.ndarray) -> np.ndarray:
     """(samples, levels) H-norms of each level's terminal state against the
-    reference; row by row the same doubles as `hnorm` of one difference."""
+    reference; row by row the same doubles as `hnorm` of one difference,
+    except where its sum of squares overflows and the difference is finite:
+    there m sqrt(sum((d/m)^2)), m = max|d|."""
     norms = np.empty((terminals.shape[0], terminals.shape[1] - 1))
     for j in range(norms.shape[1]):
         diff = terminals[:, 0] - terminals[:, j + 1]
         norms[:, j] = np.sqrt(np.sum(diff**2, axis=1))
+        big = np.isinf(norms[:, j]) & np.isfinite(diff).all(axis=1)
+        top = np.abs(diff[big]).max(axis=1, keepdims=True)
+        norms[big, j] = top[:, 0] * np.sqrt(np.sum((diff[big] / top)**2, 1))
     return norms
 
 

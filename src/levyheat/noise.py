@@ -536,8 +536,9 @@ def dyadic_ratio(dt: float, dt_ref: float) -> int:
 
 
 def _micro_nodes(base: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The dt_ref nodes `base` merged with the jump times among them."""
-    return np.sort(np.concatenate([base, times])) if times.size else base
+    """The dt_ref nodes `base` merged with the jump times among them: a
+    jump on a dt_ref node adds no node."""
+    return np.union1d(base, times) if times.size else base
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +566,8 @@ def _scale_rows(wiener: np.ndarray, deltas: np.ndarray, dt_ref: float) -> None:
     lam = eigenvalues(wiener.shape[1])
     std = np.sqrt(conv_variance(lam, dt_ref))
     wiener *= std
-    for row in np.nonzero(deltas != dt_ref)[0]:
-        wiener[row] *= np.sqrt(conv_variance(lam, deltas[row])) / std
+    rows = np.nonzero(deltas != dt_ref)[0]
+    wiener[rows] *= np.sqrt(conv_variance(lam, deltas[rows, None])) / std
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +663,9 @@ class PathChunk:
 class PathStream:
     """The coupled noise paths of the samples `indices`, drawn through time.
 
-    The jump skeletons are drawn up front.  A sample with a jump time on a
-    dt_ref node (probability zero) is never drawn: `collisions` maps its
-    position in `indices` to the dt_ref step that ends on its first such
-    node and that node's time.  Each other sample's Wiener rows come from
-    its own stream stretch after stretch, so a sample's stretches join up
-    to the rows of `sample_path` for it, bit for bit.
+    The jump skeletons are drawn up front.  Each sample's Wiener rows come
+    from its own stream stretch after stretch, so a sample's stretches join
+    up to the rows of `sample_path` for it, bit for bit.
     """
 
     def __init__(self, horizon: float, dt_ref: float, n_ref: int,
@@ -676,36 +674,27 @@ class PathStream:
         self.base = uniform_nodes(horizon, dt_ref)
         times, xis, counts = sample_jump_skeletons(horizon, model,
                                                    global_seed, indices)
-        hit = np.isin(times, self.base)
-        owner = np.repeat(np.arange(counts.size), counts)[hit]
-        self.collisions = {}
-        for s, t in zip(owner.tolist(), times[hit].tolist()):
-            k = int(np.searchsorted(self.base, t))
-            self.collisions.setdefault(s, (k - 1, t))
         cuts = np.cumsum(counts)[:-1]
         self._times = np.split(times, cuts)
         self._xis = np.split(xis, cuts)
         self._rngs = [stream(global_seed, i, PURPOSE_WIENER) for i in indices]
-        self._at = [0] * len(self._rngs)  # the dt_ref node each stream is at
+        self._at = 0  # the dt_ref node the streams are at
         self._rows = np.empty((0, n_ref))  # reused from stretch to stretch
 
-    def draw(self, k0: int, k1: int, samples) -> PathChunk:
-        """The stretch from dt_ref node k0 to node k1 of the samples at the
-        positions `samples` of `indices`.  A sample's stretches must be
-        drawn in time order, each from where its last one ended.  The rows
-        of a stretch live in a buffer that the next draw overwrites."""
+    def draw(self, k0: int, k1: int) -> PathChunk:
+        """Every sample's stretch from dt_ref node k0 to node k1.  The
+        stretches must be drawn in time order, each from where the last one
+        ended.  The rows of a stretch live in a buffer that the next draw
+        overwrites."""
+        if self._at != k0:
+            raise ValueError("a path's stretches must be drawn in order")
+        self._at = k1
         base = self.base[k0:k1 + 1]
         nodes, times, xis = [], [], []
-        for s in samples:
-            if s in self.collisions:
-                raise ArithmeticError("jump time collides with a grid node")
-            if self._at[s] != k0:
-                raise ValueError("a path's stretches must be drawn in order")
-            self._at[s] = k1
-            t = self._times[s]
+        for t, x in zip(self._times, self._xis):
             lo, hi = np.searchsorted(t, (base[0], base[-1]), side="right")
             times.append(t[lo:hi])
-            xis.append(self._xis[s][lo:hi])
+            xis.append(x[lo:hi])
             nodes.append(_micro_nodes(base, t[lo:hi]))
         starts = _starts(nodes)
         if self._rows.shape[0] < starts[-1]:
@@ -713,8 +702,8 @@ class PathStream:
             self._rows = None  # freed before its successor is allocated
             self._rows = np.empty((starts[-1], n_ref))
         wiener = self._rows[:starts[-1]]
-        for s, a, b in zip(samples, starts[:-1], starts[1:]):
-            self._rngs[s].standard_normal(out=wiener[a:b])
+        for rng, a, b in zip(self._rngs, starts[:-1], starts[1:]):
+            rng.standard_normal(out=wiener[a:b])
         _scale_rows(wiener, np.concatenate([np.diff(m) for m in nodes]),
                     self.dt_ref)
         return PathChunk(self.dt_ref, nodes, wiener, starts, times, xis)
@@ -807,15 +796,11 @@ def sample_path(horizon: float, dt_ref: float, n_ref: int, model: MarkModel,
     The path is the one-row `PathChunk` of the single stretch [0, horizon]:
     its nodes, read-only, are the dt_ref grid merged with its jump times,
     and its micro nodes and row scaling are those of `PathStream`, so its
-    rows are the stream's bit for bit.  A jump time on a dt_ref node
-    raises ArithmeticError.
+    rows are the stream's bit for bit.
     """
     jumps = stream(global_seed, sample_index, PURPOSE_JUMPS)
     times, xis = sample_jump_skeleton(horizon, model, jumps)
-    base = uniform_nodes(horizon, dt_ref)
-    if np.isin(times, base).any():
-        raise ArithmeticError("jump time collides with a grid node")
-    nodes = _micro_nodes(base, times)
+    nodes = _micro_nodes(uniform_nodes(horizon, dt_ref), times)
     nodes.setflags(write=False)
     rng = stream(global_seed, sample_index, PURPOSE_WIENER)
     wiener = rng.standard_normal((nodes.size - 1, n_ref))

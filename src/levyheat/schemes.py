@@ -48,6 +48,7 @@ __all__ = [
     "run_scheme_B",
     "stretch_nodes",
     "run_block",
+    "warn_multiplicative_B",
 ]
 
 SCHEME_A = "jump_adapted_A"
@@ -93,13 +94,19 @@ class SchemeConfig:
         if self.horizon <= 0 or self.dt_nominal <= 0:
             raise ValueError("horizon and dt_nominal must be positive")
         step_count(self.horizon, self.dt_nominal, "dt_nominal")
-        if self.scheme == SCHEME_B and self.model.g1.bound > 0:
-            warnings.warn(
-                "uniform-grid scheme with a multiplicative jump coefficient: "
-                "the strong-order guarantee covers additive jumps only",
-                UserWarning,
-                stacklevel=3,
-            )
+
+
+def warn_multiplicative_B(scheme: str, model: MarkModel,
+                          stacklevel: int) -> None:
+    """Warn a plan or run of the uniform scheme with g1 > 0 that its strong
+    order covers additive jumps only; `stacklevel` counts from the caller."""
+    if scheme == SCHEME_B and model.g1.bound > 0:
+        warnings.warn(
+            "uniform-grid scheme with a multiplicative jump coefficient: "
+            "the strong-order guarantee covers additive jumps only",
+            UserWarning,
+            stacklevel=stacklevel + 1,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -290,4 +297,5 @@ def run_scheme_B(cfg: SchemeConfig, path: PathChunk) -> SpectralState:
     """The uniform-grid scheme's terminal state on one noise path."""
     if cfg.scheme != SCHEME_B:
         raise ValueError("configuration does not select the uniform scheme")
+    warn_multiplicative_B(cfg.scheme, cfg.model, 2)
     return _run_one(cfg, path)

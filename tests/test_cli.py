@@ -13,6 +13,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -380,8 +381,8 @@ def test_execute_records_failed_study_and_keeps_going(tmp_path):
                        nonlinearity={"kind": "zero"})
     empty["model"] = dict(empty["model"], intensity=0.0)
     # marks of +-1.2e308 on a one-mode profile: the samples with a jump
-    # abort, the others have infinite norms, so the report fails after the
-    # aborts, and the failed entry still lists them
+    # abort, and the others' norms, whose squares overflow, are taken on
+    # their own scale, so the study reports and lists its aborts
     late = study_dict(name="late", n_ref=1, samples=24)
     late["model"] = dict(late["model"], intensity=4.0, law={
         "kind": "two_point", "p_plus": 0.5, "v_plus": 1.2e308,
@@ -404,8 +405,8 @@ def test_execute_records_failed_study_and_keeps_going(tmp_path):
     assert "vanish" in entries["jumpless"]["error"]
     assert entries["jumpless"]["aborts"] == 0
     assert entries["jumpless"]["aborted"] == []
-    assert entries["late"]["status"] == "failed"
-    assert "not finite" in entries["late"]["error"]
+    assert entries["late"]["status"] == "ok"
+    assert (out / "late.csv").exists()
     assert entries["late"]["aborts"] == 11
     assert entries["late"]["aborted"] == lost
     assert entries["sound"]["status"] == "ok"
@@ -838,9 +839,36 @@ def test_a_study_whose_every_sample_aborts(tmp_path, capsys):
     assert f"{study['name']}: FAILED" in capsys.readouterr().err
 
 
-def test_overflowing_estimate_fails_the_study(tmp_path, capsys):
+def test_a_multiplicative_uniform_plan_warns_once_at_parse(tmp_path):
+    # scheme B with g1 > 0 warns when its plan is built, so that parsing
+    # and --dry-run (with or without a seed override) show it once, and the
+    # study's blocks and resolutions warn no more
+    study = study_dict(scheme="uniform_B")
+    study["model"] = dict(study["model"],
+                          g1={"kind": "constant", "value": 0.3})
+    cfg = write_config(tmp_path, study)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        (plan,) = parse_config(cfg)
+    assert [str(w.message).split(":")[0] for w in seen] == [
+        "uniform-grid scheme with a multiplicative jump coefficient"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_study(plan)
+    for extra in ([], ["--seed", "5"]):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg), "--out", str(tmp_path / "o"),
+                         "--dry-run", *extra]) == 0
+        assert len(seen) == 1
+
+
+def test_overflowing_norms_are_reported_on_their_own_scale(tmp_path, capsys):
     # a strong linear drift drives the terminal states to about 1e298
-    # without an abort, and the squared norms and the L^p errors overflow
+    # without an abort: the squared norms overflow, so each norm and each
+    # L^p error is taken on its own scale, and the study reports finite
+    # errors of about 1.09e299 at p = 2, the same at every level (the
+    # reference's own error dominates), with order 0
     study = study_dict(
         name="temporal_a", levels=[2.0**-k for k in range(4, 9)], n_ref=64,
         dt_ref=2.0**-12, p_list=[2.0, 4.0, 8.0], samples=8, horizon=1.0,
@@ -852,10 +880,20 @@ def test_overflowing_estimate_fails_the_study(tmp_path, capsys):
     out = tmp_path / "out"
     with pytest.warns(UserWarning, match="fewer than 100"), \
             np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert "temporal_a: FAILED p = 2, levels[0] = 0.0625: " in \
-        capsys.readouterr().err
-    assert not (out / "temporal_a.csv").exists()
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert "temporal_a: ok aborts=0 p=2:order=0.0000 p=4:order=0.0000 " \
+        "p=8:order=0.0000" in capsys.readouterr().out
+    rows = [line.split(",") for line in
+            (out / "temporal_a.csv").read_text().splitlines()]
+    errors = {}
+    for r in rows:
+        if len(r) == 5 and r[0] != "p":
+            p, _, error, lo, hi = map(float, r)
+            assert 0.0 < lo <= error <= hi < math.inf
+            errors.setdefault(p, []).append(error)
+    assert sorted(errors) == [2.0, 4.0, 8.0]
+    assert all(len(set(e)) == 1 and len(e) == 5 for e in errors.values())
+    assert 1.08e299 < errors[2.0][0] < 1.10e299
 
     def refuse(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -863,8 +901,8 @@ def test_overflowing_estimate_fails_the_study(tmp_path, capsys):
     recorded = json.loads((out / "manifest.json").read_text(),
                           parse_constant=refuse)
     entry = recorded["studies"][0]
-    assert entry["status"] == "failed" and entry["csv"] is None
-    assert entry["error"].startswith("p = 2, levels[0] = 0.0625: ")
+    assert entry["status"] == "ok" and entry["aborts"] == 0
+    assert [f["order"] for f in entry["fits"]] == [0.0, 0.0, 0.0]
 
 
 def test_main_success_and_seed_override(tmp_path, capsys):

@@ -344,17 +344,23 @@ def test_plan_small_sample_warning():
 
 
 def test_warnings_name_the_line_that_builds_the_plan_or_config():
-    # not the dataclass-generated __init__ that runs __post_init__
+    # not the dataclass-generated __init__ that runs __post_init__, nor the
+    # runner; a config of the uniform scheme with g1 > 0 does not warn, a
+    # plan or a whole-path run of it does
+    multiplicative = tiny_model(4, g1=G1Spec("constant", 0.3))
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         make_plan(samples=50)
-        SchemeConfig(SCHEME_B, 4, 0.25, 0.5, NonlinearitySpec.zero(),
-                     tiny_model(4, g1=G1Spec("constant", 0.3)),
-                     unit_state(4))
-    assert len(seen) == 2
+        make_plan(scheme=SCHEME_B, model=multiplicative)
+        cfg = SchemeConfig(SCHEME_B, 4, 0.25, 0.5, NonlinearitySpec.zero(),
+                           multiplicative, unit_state(4))
+        assert len(seen) == 2
+        run_scheme_B(cfg, sample_path(0.5, 2.0**-4, 4, multiplicative, 3, 0))
+    assert len(seen) == 3
     assert str(seen[0].message).startswith("fewer than 100 samples")
+    assert str(seen[1].message) == str(seen[2].message)
     assert str(seen[1].message).startswith("uniform-grid scheme")
-    assert [w.filename for w in seen] == [__file__, __file__]
+    assert [w.filename for w in seen] == [__file__] * 3
 
 
 def test_plan_rejects_misc_bad_fields():
@@ -776,16 +782,28 @@ def _alone(plan, index):
                        plan.seed, index)
     finals = []
     for dt, n in _resolutions(plan):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            cfg = SchemeConfig(plan.scheme, n, dt, plan.horizon,
-                               plan.nonlinearity, plan.model, plan.x0)
+        cfg = SchemeConfig(plan.scheme, n, dt, plan.horizon,
+                           plan.nonlinearity, plan.model, plan.x0)
         try:
-            finals.append(run(cfg, path))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                finals.append(run(cfg, path))
         except DivergenceError as exc:
             level = dt if plan.axis == "temporal" else n
             return finals, (level, exc.step, exc.time)
     return finals, None
+
+
+def _coupled_norm(ref, level):
+    """hnorm of the difference, or, where its sum of squares overflows and
+    the difference is finite, the same norm on the difference's own scale
+    (m hnorm(d / m), m = max|d|)."""
+    d = (ref - level).coeffs
+    norm = hnorm(SpectralState(d))
+    if math.isinf(norm) and np.isfinite(d).all():
+        top = np.abs(d).max()
+        norm = top * hnorm(SpectralState(d / top))
+    return norm
 
 
 def _block_plan(scheme, axis, **overrides):
@@ -802,7 +820,6 @@ def _block_plan(scheme, axis, **overrides):
         return make_plan(**base)
 
 
-@pytest.mark.filterwarnings("ignore:uniform-grid scheme")
 @pytest.mark.parametrize("axis, overrides", [
     pytest.param("temporal", {}, id="temporal"),
     pytest.param("spatial", {}, id="spatial"),
@@ -883,21 +900,19 @@ def test_aborted_samples_are_recorded_and_leave_companions_intact(scheme,
         for i in range(plan.samples):
             finals, diverged = _alone(plan, i)
             if diverged is None:
-                expected_norms.append([hnorm(finals[0] - f)
+                expected_norms.append([_coupled_norm(finals[0], f)
                                        for f in finals[1:]])
             else:
                 level, step, t = diverged
                 expected_aborts.append(
                     {"index": i, "level": level, "step": step, "time": t})
         norms, aborted = _collect_norms(plan, workers=1)
-        if np.isfinite(norms).all():
-            result = run_study(plan)
-            assert result.aborts == len(expected_aborts)
-            assert result.aborted == expected_aborts
-        else:
-            # a companion's norm overflows, and so does the L^p error
-            with pytest.raises(ValueError, match=r"p = 2, levels\[0\]"):
-                run_study(plan)
+        # a companion's norm near 1e308 is taken on its own scale, and so
+        # is its L^p error: the study reports
+        result = run_study(plan)
+    assert np.isfinite(norms).all()
+    assert result.aborts == len(expected_aborts)
+    assert result.aborted == expected_aborts
     assert 0 < len(expected_aborts) < plan.samples
     assert aborted == expected_aborts
     assert norms.tobytes() == np.array(expected_norms).tobytes()
@@ -937,11 +952,8 @@ def _streamed(plan, stretch):
     """Per sample and resolution: the partition nodes and the increments of
     the streamed restriction, its stretches joined up."""
     res = _resolutions(plan)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        cfgs = [SchemeConfig(plan.scheme, n, dt, plan.horizon,
-                             plan.nonlinearity, plan.model, plan.x0)
-                for dt, n in res]
+    cfgs = [SchemeConfig(plan.scheme, n, dt, plan.horizon, plan.nonlinearity,
+                         plan.model, plan.x0) for dt, n in res]
     paths = PathStream(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
                        plan.seed, range(plan.samples))
     total = paths.base.size - 1
@@ -949,7 +961,7 @@ def _streamed(plan, stretch):
     incs = {key: [] for key in nodes}
     for k0 in range(0, total, stretch):
         k1 = min(k0 + stretch, total)
-        chunk = paths.draw(k0, k1, range(plan.samples))
+        chunk = paths.draw(k0, k1)
         for j, ((dt, n), cfg) in enumerate(zip(res, cfgs)):
             r = round(dt / plan.dt_ref)
             level = uniform_nodes(plan.horizon, dt)[k0 // r:k1 // r + 1]
@@ -969,10 +981,8 @@ def _check_streamed(plan, stretch):
         path = sample_path(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
                            plan.seed, s)
         for j, (dt, n) in enumerate(res):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                cfg = SchemeConfig(plan.scheme, n, dt, plan.horizon,
-                                   plan.nonlinearity, plan.model, plan.x0)
+            cfg = SchemeConfig(plan.scheme, n, dt, plan.horizon,
+                               plan.nonlinearity, plan.model, plan.x0)
             part = stretch_nodes(cfg, uniform_nodes(plan.horizon, dt),
                                  path.times[0])
             oracle = restrict_path(path, part, n)
@@ -982,7 +992,6 @@ def _check_streamed(plan, stretch):
             assert streamed.tobytes() == oracle.wiener.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:uniform-grid scheme")
 @pytest.mark.parametrize("axis", ["temporal", "spatial"])
 @pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
 def test_streamed_folds_match_restrict_path(monkeypatch, scheme, axis):
@@ -1020,7 +1029,7 @@ def test_wiener_rows_match_a_literal_scaling_oracle(monkeypatch):
     total = paths.base.size - 1
     streamed = {s: [] for s in range(4)}
     for k0 in range(0, total, stretch):
-        chunk = paths.draw(k0, min(k0 + stretch, total), range(4))
+        chunk = paths.draw(k0, min(k0 + stretch, total))
         for s in range(4):
             streamed[s].append(
                 chunk.wiener[chunk.starts[s]:chunk.starts[s + 1]].copy())
@@ -1030,7 +1039,7 @@ def test_wiener_rows_match_a_literal_scaling_oracle(monkeypatch):
         path = sample_path(plan.horizon, dt, plan.n_ref, plan.model,
                            plan.seed, s)
         whole = PathStream(plan.horizon, dt, plan.n_ref, plan.model,
-                           plan.seed, [s]).draw(0, total, [0])
+                           plan.seed, [s]).draw(0, total)
         assert path.dt_ref == whole.dt_ref
         assert path.starts.tobytes() == whole.starts.tobytes()
         for field in ("nodes", "times", "xis"):
@@ -1052,45 +1061,73 @@ def test_wiener_rows_match_a_literal_scaling_oracle(monkeypatch):
         assert np.concatenate(streamed[s]).tobytes() == expected.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:uniform-grid scheme")
 @pytest.mark.parametrize("axis", ["temporal", "spatial"])
 @pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
-def test_a_jump_on_a_reference_node_aborts_its_sample_alone(monkeypatch,
-                                                            scheme, axis):
-    # a jump time on a dt_ref node (probability zero) aborts its sample at
-    # the reference, at the dt_ref step that ends on its first such node,
-    # and the study goes on with the other samples' doubles
+def test_a_jump_on_a_reference_node_is_an_ordinary_jump(monkeypatch, scheme,
+                                                        axis):
+    # a jump time on a dt_ref node adds no micro node: the adapted scheme
+    # applies it at that node, the uniform one aggregates it into the step
+    # that ends there.  Such a sample is stepped at every resolution, on a
+    # node inside a stretch, on a level node, on a stretch's last node and
+    # at the horizon, with the doubles of the whole-path runners, and the
+    # other samples keep theirs
     plan = _block_plan(scheme, axis)
+    stretch = 16 if axis == "temporal" else 5
+    _budget_for(monkeypatch, plan, stretch)
     clean, aborted = _collect_norms(plan, workers=1)
     assert aborted == []
-    dt, victim = plan.dt_ref, 3
-    draw = noise.sample_jump_skeletons
-
-    def stub(horizon, model, global_seed, indices):
-        times, xis, counts = draw(horizon, model, global_seed, indices)
-        cuts = np.cumsum(counts)[:-1]
-        times, xis = np.split(times, cuts), np.split(xis, cuts)
-        for b, i in enumerate(indices):
-            if i == victim:
-                times[b] = np.array([0.3 * dt, 5 * dt, 9 * dt])
-                xis[b] = np.array([1.0, -1.0, 1.0])
-        counts = np.array([t.size for t in times])
-        return np.concatenate(times), np.concatenate(xis), counts
-
-    monkeypatch.setattr(noise, "sample_jump_skeletons", stub)
-    record = {"index": victim,
-              "level": dt if axis == "temporal" else plan.n_ref,
-              "step": 4, "time": 5 * dt}
+    dt = plan.dt_ref
+    # 3 dt is on no temporal level's grid, 8 dt on that of 2^-3 and 2^-4
+    forced = {3: sorted([0.3 * dt, 3 * dt, 8 * dt, stretch * dt]),
+              5: [plan.horizon - 0.5 * dt, plan.horizon]}
+    assert stretch * dt < plan.horizon
+    _force_jumps(monkeypatch, forced)
+    terminals, aborted = _run_block(plan, range(plan.samples))
+    assert aborted == []
+    for i, times in forced.items():
+        path = sample_path(plan.horizon, dt, plan.n_ref, plan.model,
+                           plan.seed, i)
+        grid = uniform_nodes(plan.horizon, dt)
+        assert path.nodes[0].tobytes() == np.union1d(grid, times).tobytes()
+        assert path.nodes[0].size == grid.size + 1  # one jump off the grid
+        finals, diverged = _alone(plan, i)
+        assert diverged is None
+        for j, final in enumerate(finals):
+            assert terminals[i, j, :final.dim].tobytes() == \
+                final.coeffs.tobytes()
     norms, aborted = _collect_norms(plan, workers=1)
-    assert aborted == [record]
-    assert norms.tobytes() == np.delete(clean, victim, axis=0).tobytes()
-    result = run_study(plan)
-    assert result.aborts == 1 and result.aborted == [record]
-    paths = PathStream(plan.horizon, dt, plan.n_ref, plan.model, plan.seed,
-                       [victim])
-    assert paths.collisions == {0: (4, 5 * dt)}
-    with pytest.raises(ArithmeticError, match="collides"):
-        paths.draw(0, 1, [0])
+    assert aborted == []
+    others = [i for i in range(plan.samples) if i not in forced]
+    assert norms[others].tobytes() == clean[others].tobytes()
+    assert np.isfinite(norms).all() and norms[list(forced)].all()
+    assert run_study(plan).aborts == 0
+
+
+def test_an_infinite_difference_fails_the_study_naming_p_and_the_level(
+        monkeypatch):
+    # finite terminal states whose difference overflows have no norm, so
+    # the study fails once its blocks have run, naming p and the level, and
+    # keeps the abort records; a difference whose squares overflow alone is
+    # taken on its own scale
+    terminals = np.zeros((4, 4, 4))  # samples, resolutions, modes
+    terminals[0, :, 0] = [0.5, 0.25, 0.375, 0.4375]
+    terminals[1, 0, 0], terminals[1, 1:, 0] = 1e308, -1e308
+    terminals[2, 0] = 1e200
+    terminals[3] = np.nan  # aborted
+    norms = _coupled_norms(terminals[:3])
+    assert norms[0].tolist() == [0.25, 0.125, 0.0625]
+    assert np.isinf(norms[1]).all()
+    assert norms[2].tolist() == [2e200] * 3
+    record = {"index": 3, "level": 2.0**-6, "step": 1, "time": 2.0**-6}
+    monkeypatch.setattr(experiments, "_run_block",
+                        lambda plan, indices, phases: (terminals, [record]))
+    with pytest.warns(UserWarning, match="fewer than 100"):
+        plan = make_plan(samples=4)
+    with pytest.raises(ValueError, match=r"^p = 2, levels\[0\] = 0.25: "
+                       r"L\^p error inf") as caught, \
+            np.errstate(invalid="ignore"):
+        run_study(plan)
+    assert caught.value.aborted == [record]
 
 
 def test_restrict_chunk_locates_every_samples_nodes(monkeypatch):
@@ -1101,12 +1138,10 @@ def test_restrict_chunk_locates_every_samples_nodes(monkeypatch):
     dt = plan.dt_ref
     _force_jumps(monkeypatch, {
         0: [0.3 * dt], 1: [2.1 * dt, 2.1 * dt + 1e-4, 7.5 * dt], 2: []})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        cfg = SchemeConfig(plan.scheme, plan.n_ref, 2 * dt, plan.horizon,
-                           plan.nonlinearity, plan.model, plan.x0)
+    cfg = SchemeConfig(plan.scheme, plan.n_ref, 2 * dt, plan.horizon,
+                       plan.nonlinearity, plan.model, plan.x0)
     chunk = PathStream(plan.horizon, dt, plan.n_ref, plan.model, plan.seed,
-                       range(4)).draw(0, 8, range(4))
+                       range(4)).draw(0, 8)
     level = uniform_nodes(plan.horizon, 2 * dt)[:5]
     parts = [stretch_nodes(cfg, level, t) for t in chunk.times]
     expected = np.concatenate(
@@ -1142,7 +1177,6 @@ def test_restrict_chunk_locates_every_samples_nodes(monkeypatch):
                 restrict_chunk(chunk, bad, plan.n_ref)
 
 
-@pytest.mark.filterwarnings("ignore:uniform-grid scheme")
 def test_spatial_levels_step_on_the_reference_fold(monkeypatch):
     # scheme B folds every stretch once, at n_ref, and each spatial level
     # steps on its leading columns: the doubles of a restriction at N
@@ -1179,7 +1213,6 @@ def test_spatial_levels_step_on_the_reference_fold(monkeypatch):
                 oracle.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:uniform-grid scheme")
 @pytest.mark.parametrize("levels", [(2.0**-2, 2.0**-5),
                                     (2.0**-5, 2.0**-3, 2.0**-2)])
 @pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
@@ -1230,7 +1263,6 @@ def test_temporal_levels_step_on_folds_from_the_next_finer_level(
             assert np.concatenate(incs).tobytes() == oracle.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:uniform-grid scheme")
 @pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
 def test_a_coarsest_level_of_the_horizon_streams_in_one_stretch(scheme):
     plan = _block_plan(scheme, "temporal", levels=(0.5, 2.0**-3), samples=6)
@@ -1239,7 +1271,6 @@ def test_a_coarsest_level_of_the_horizon_streams_in_one_stretch(scheme):
     _check_streamed(plan, steps)
 
 
-@pytest.mark.filterwarnings("ignore:uniform-grid scheme")
 @pytest.mark.parametrize("axis", ["temporal", "spatial"])
 @pytest.mark.parametrize("scheme", [SCHEME_A, SCHEME_B])
 def test_samples_stepped_in_stretches_match_runs_alone(monkeypatch, scheme,
@@ -1267,7 +1298,7 @@ def test_aborts_in_later_stretches_keep_their_step_and_time(monkeypatch,
         for i in range(plan.samples):
             finals, diverged = _alone(plan, i)
             if diverged is None:
-                expected_norms.append([hnorm(finals[0] - f)
+                expected_norms.append([_coupled_norm(finals[0], f)
                                        for f in finals[1:]])
             else:
                 level, step, t = diverged

@@ -568,10 +568,12 @@ def test_micro_grid_construction(monkeypatch):
         assert path.times[0] is sk[0] and path.xis[0] is sk[1]
     with pytest.raises(ValueError):
         sample_path(1.0, 0.3, 4, model, 7, 3)  # horizon not a multiple
-    sk = np.array([0.25]), np.array([1.0])
+    # a jump on a dt_ref node, or at the horizon, adds no node
+    sk = np.array([0.25, 1.0]), np.array([1.0, -1.0])
     monkeypatch.setattr(noise, "sample_jump_skeleton", lambda *args: sk)
-    with pytest.raises(ArithmeticError):
-        sample_path(1.0, 0.25, 4, model, 7, 3)  # node collision
+    path = sample_path(1.0, 0.25, 4, model, 7, 3)
+    assert path.nodes[0].tobytes() == uniform_nodes(1.0, 0.25).tobytes()
+    assert path.wiener.shape == (4, 4) and path.times[0] is sk[0]
 
 
 def test_coupled_path_checks_its_nodes():
@@ -826,8 +828,7 @@ def test_restriction_rejects_unrefined_partitions():
         restrict_path(path, off, 4)
     # one partition per row of a chunk, neither fewer nor more, and a
     # whole path is one row
-    chunk = PathStream(1.0, 2.0**-4, 8, model, 7, range(3)).draw(0, 16,
-                                                                 range(3))
+    chunk = PathStream(1.0, 2.0**-4, 8, model, 7, range(3)).draw(0, 16)
     grid = np.arange(5) * 0.25
     for parts in ([grid], [grid] * 4):
         with pytest.raises(ValueError, match=f"^{len(parts)} partitions for "

@@ -119,7 +119,8 @@ def test_adapted_partition_no_jumps():
 
 
 def test_adapted_partition_merges_coincident_node():
-    # a stretch's level node that is also a jump time is one node
+    # a stretch's level node that is also a jump time is one node: a drawn
+    # path may hold such a jump, and the adapted scheme applies it there
     cfg = config(SCHEME_A, 2, 0.25, zero_model(2))
     level = np.arange(5) * 0.25
     nodes = stretch_nodes(cfg, level, np.array([0.5]))
@@ -178,13 +179,17 @@ def test_scheme_config_validation():
         config(SCHEME_A, 0, 0.25, zero_model(), x0=SpectralState([1.0]))
     with pytest.raises(ValueError):
         config(SCHEME_A, 4, 0.3, zero_model())  # horizon not a multiple
+    # a config does not warn; a whole-path run of the uniform scheme with
+    # multiplicative jumps does, and one of the adapted scheme does not
     multiplicative = MarkModel(1.0, TwoPointLaw(0.5, 1.0, -1.0),
                                power_profile(1.0, 2.0, 4), G1Spec.constant(0.2))
-    with pytest.warns(UserWarning, match="additive"):
-        config(SCHEME_B, 4, 0.25, multiplicative)
+    path = silent_path(1.0, 0.25, 4, [0.3], [1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        config(SCHEME_A, 4, 0.25, multiplicative)  # adapted scheme: no flag
+        uniform = config(SCHEME_B, 4, 0.25, multiplicative)
+        run_scheme_A(config(SCHEME_A, 4, 0.25, multiplicative), path)
+    with pytest.warns(UserWarning, match="additive"):
+        run_scheme_B(uniform, path)
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +379,12 @@ def test_one_step_composition_matches_runners():
     assert times.size > 0  # the fixture must exercise jumps
 
     for scheme, run in ((SCHEME_A, run_scheme_A), (SCHEME_B, run_scheme_B)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            cfg = config(scheme, 6, 2.0**-4, model, f=f, x0=x0)
+        cfg = config(scheme, 6, 2.0**-4, model, f=f, x0=x0)
         states = stepwise(cfg, path)
-        assert states[-1].tobytes() == run(cfg, path).coeffs.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # B with g1 > 0
+            terminal = run(cfg, path)
+        assert states[-1].tobytes() == terminal.coeffs.tobytes()
         nodes = path_nodes(cfg, path)
         wiener = restrict_path(path, nodes, 6).wiener
         for i in range(1, nodes.size - 1):
@@ -497,14 +503,14 @@ def test_single_mode_runs_match_scalar_oracle():
         fspec = {"zero": NonlinearitySpec.zero(),
                  "linear": NonlinearitySpec.linear(f_coef),
                  "sine": NonlinearitySpec.sine(f_coef)}[f_kind]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            cfg_a = config(SCHEME_A, 1, dt, model, f=fspec,
-                           x0=SpectralState([x0]), horizon=horizon)
-            cfg_b = config(SCHEME_B, 1, dt, model, f=fspec,
-                           x0=SpectralState([x0]), horizon=horizon)
+        cfg_a = config(SCHEME_A, 1, dt, model, f=fspec,
+                       x0=SpectralState([x0]), horizon=horizon)
+        cfg_b = config(SCHEME_B, 1, dt, model, f=fspec,
+                       x0=SpectralState([x0]), horizon=horizon)
         got_a = float(run_scheme_A(cfg_a, path).coeffs[0])
-        got_b = float(run_scheme_B(cfg_b, path).coeffs[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # B with g1 > 0
+            got_b = float(run_scheme_B(cfg_b, path).coeffs[0])
 
         args = (lam, x0, horizon, dt, f_kind, f_coef, intensity,
                 law.mean(), g1_const, phi_c,

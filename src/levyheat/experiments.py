@@ -39,7 +39,6 @@ from .noise import (  # sample_path: bench/test_bench.py looks it up here
     sample_path,
     step_count,
     stream,
-    uniform_nodes,
 )
 from .schemes import (
     SCHEME_A,
@@ -177,6 +176,9 @@ class StudyPlan:
         object.__setattr__(self, "p_list", p_list)
         if self.samples < 1:
             raise ValueError("sample count must be positive")
+        if self.samples > 2**48:  # sample s's streams take s in 48 bits
+            raise ValueError(f"samples: {self.samples} exceeds 2**48, the "
+                             "sample indices a 48-bit stream key holds")
         if self.samples < 100:
             warnings.warn(
                 "fewer than 100 samples: bootstrap uncertainty will dominate",
@@ -480,7 +482,6 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
     res = _resolutions(plan)
     cfgs = [SchemeConfig(plan.scheme, n, dt, plan.horizon, plan.nonlinearity,
                          plan.model, plan.x0) for dt, n in res]
-    grids = [uniform_nodes(plan.horizon, dt) for dt, _ in res]
     ratios = [dyadic_ratio(dt, plan.dt_ref) for dt, _ in res]
     _, stretch = _blocking(plan)
     paths = PathStream(plan.horizon, plan.dt_ref, plan.n_ref, plan.model,
@@ -511,7 +512,7 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
             if dt in folded:
                 continue
             t0 = clock()
-            level = grids[j][k0 // r:k1 // r + 1]
+            level = paths.base[k0:k1 + 1:r]  # the doubles of its dt grid
             parts = [stretch_nodes(cfgs[j], level, t) for t in chunk.times]
             finer = folded[dt] = restrict_chunk(chunk, parts, plan.n_ref,
                                                 finer)

@@ -57,6 +57,7 @@ __all__ = [
     "step_count",
     "uniform_nodes",
     "dyadic_ratio",
+    "merge_jumps",
     "conv_variance",
     "compose_convolution",
     "sample_path",
@@ -535,10 +536,10 @@ def dyadic_ratio(dt: float, dt_ref: float) -> int:
     return r
 
 
-def _micro_nodes(base: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The dt_ref nodes `base` merged with the jump times among them: a
-    jump on a dt_ref node adds no node."""
-    return np.union1d(base, times) if times.size else base
+def merge_jumps(grid: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The nodes `grid` merged with the jump times among them, the one rule
+    for every partition that holds jumps: a jump on a node adds no node."""
+    return np.union1d(grid, times) if times.size else grid
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +696,7 @@ class PathStream:
             lo, hi = np.searchsorted(t, (base[0], base[-1]), side="right")
             times.append(t[lo:hi])
             xis.append(x[lo:hi])
-            nodes.append(_micro_nodes(base, t[lo:hi]))
+            nodes.append(merge_jumps(base, t[lo:hi]))
         starts = _starts(nodes)
         if self._rows.shape[0] < starts[-1]:
             n_ref = self._rows.shape[1]
@@ -800,7 +801,7 @@ def sample_path(horizon: float, dt_ref: float, n_ref: int, model: MarkModel,
     """
     jumps = stream(global_seed, sample_index, PURPOSE_JUMPS)
     times, xis = sample_jump_skeleton(horizon, model, jumps)
-    nodes = _micro_nodes(uniform_nodes(horizon, dt_ref), times)
+    nodes = merge_jumps(uniform_nodes(horizon, dt_ref), times)
     nodes.setflags(write=False)
     rng = stream(global_seed, sample_index, PURPOSE_WIENER)
     wiener = rng.standard_normal((nodes.size - 1, n_ref))

@@ -1,16 +1,15 @@
 """Fully discrete time-stepping schemes for the jump-driven heat equation.
 
-Both schemes share one one-step map: semigroup decay of the current state,
-an exponential-integrator drift increment with the nonlinearity frozen at the
-left node, the exact Wiener convolution increment, and a jump term multiplied
-by the full-step semigroup (the jump term is frozen at the left node on
-purpose; the Wiener term alone uses the in-step convolution weights).
-
-Scheme A steps on the jump-adapted partition (uniform nodes merged with the
-realized jump times).  Between jumps the jump term is the compensator alone,
-and each realized jump is applied at its node to the pre-jump state.  Scheme B
-steps on the plain uniform grid and aggregates the jumps of each step into the
-frozen jump term.
+One update, written once in `run_block`, makes both schemes: semigroup decay
+of the current state, an exponential-integrator drift increment with the
+nonlinearity frozen at the left node, the exact Wiener convolution increment,
+and a jump term multiplied by the full-step semigroup (frozen at the left node
+on purpose; the Wiener term alone uses the in-step convolution weights).  The
+frozen jump term runs on every step.  Scheme A steps on the jump-adapted
+partition (the uniform nodes and the jump times, `noise.merge_jumps`): its
+frozen jump term is the compensator alone, and each realized jump is applied
+at its node to the pre-jump state.  Scheme B steps on the uniform grid and
+freezes the jumps of each step into its jump term.
 
 `run_block` steps a block of rows through a stretch and returns the state
 each row ends on; `run_scheme_A` and `run_scheme_B` run it on one whole path
@@ -27,6 +26,7 @@ from .noise import (
     PathChunk,
     compensator_coeffs,
     dyadic_ratio,
+    merge_jumps,
     restrict_path,
     step_count,
     uniform_nodes,
@@ -110,26 +110,6 @@ def warn_multiplicative_B(scheme: str, model: MarkModel,
 
 
 # ---------------------------------------------------------------------------
-# the one-step map
-
-
-def _apply_step(x, fv, wiener, e_vec, p_vec, jump_coeff, jump_shift):
-    # y = E(dt) x + phi1(dt) F_N(x) + WienerConvIncrement + E(dt) JumpTerm
-    # with JumpTerm = jump_coeff * x + jump_shift, for every row of a
-    # `run_block` step at once
-    y = e_vec * x
-    if fv is not None:
-        y += p_vec * fv
-    y += wiener
-    if jump_shift is not None:
-        jv = jump_coeff * x
-        jv += jump_shift
-        jv *= e_vec
-        y += jv
-    return y
-
-
-# ---------------------------------------------------------------------------
 # scheme drivers
 
 
@@ -137,19 +117,21 @@ def stretch_nodes(cfg: SchemeConfig, level: np.ndarray,
                   times: np.ndarray) -> np.ndarray:
     """The scheme's partition over a stretch: its uniform nodes `level`,
     merged with the jump times inside it on the adapted partition."""
-    if cfg.scheme == SCHEME_A and times.size:
-        return np.union1d(level, times)
+    if cfg.scheme == SCHEME_A:
+        return merge_jumps(level, times)
     return level
 
 
 def run_block(cfg: SchemeConfig, chunk: PathChunk, state) -> tuple:
     """Run the configured scheme over a stretch for each row of `chunk`,
-    all rows through one loop of the one-step map.
+    all rows through one loop of the scheme update, written once here.
 
     Row r steps between the times chunk.nodes[r] on the leading n_modes
     columns of its increment rows.  A jump at sigma is in the step
-    t_i < sigma <= t_(i+1): on the adapted partition it is applied at that
-    step's end node, on the uniform grid its step aggregates it.  The state
+    t_i < sigma <= t_(i+1).  The frozen jump term runs on every step: the
+    compensator, plus on the uniform grid the step's jumps.  On the adapted
+    partition each jump is then applied at its step's end node, which
+    scales a row without one by 1 and shifts it by 0.  The state
     has shape (rows, n) and starts from `state`, the rows' states at the
     stretch's first nodes (x0 at the first stretch), which is not written
     to; every row has its own step sizes, increments and jumps, so a
@@ -176,14 +158,8 @@ def run_block(cfg: SchemeConfig, chunk: PathChunk, state) -> tuple:
     phi_vec = project(model.profile, n).coeffs
     rows = len(chunk.nodes)
     wiener = chunk.wiener[:, :n]
-    # the frozen jump term runs whenever the compensator is non-trivial or
-    # (uniform scheme) realized jumps need aggregating
-    live = model.intensity > 0 or (
-        not adapted and any(x.size for x in chunk.xis))
-    mean_g1, mean_g_vec = 0.0, np.zeros(n)
-    if model.intensity > 0:
-        mean_g1, mg = compensator_coeffs(model, n)
-        mean_g_vec = mg.coeffs
+    mean_g1, mean_g = compensator_coeffs(model, n)
+    mean_g_vec = mean_g.coeffs
 
     # per row and step: an index into a table of the distinct step sizes,
     # the increment row, and the g1 and magnitude sums of the step's jumps
@@ -223,31 +199,33 @@ def run_block(cfg: SchemeConfig, chunk: PathChunk, state) -> tuple:
 
     x = np.asarray(state, dtype=np.float64)
     gone = ~np.isfinite(x).all(axis=1)
-    if gone.any():
-        x = np.where(gone[:, None], np.nan, x)
+    x = np.where(gone[:, None], np.nan, x)
     finals = np.full((rows, n), np.nan)
     diverged = {}
-    for i in range(0 if gone.all() else width):
+    for i in range(width):
         if shared[i]:
             e_vec, p_vec, shift, coeff = tables[first[i]]
         else:
             col = which[:, i]
             e_vec, p_vec, shift = e_tab[col], p_tab[col], s_tab[col]
             coeff = c_tab[col, None]
-        fv = kernel(x) if kernel is not None else None
-        if jumped[i]:
-            hit = sum_xi[:, i] != 0.0
-        if not live:
-            coeff = shift = None
-        elif not adapted:
+        if not adapted:
             coeff = coeff + sum_g1[:, i, None]
             if jumped[i]:
-                shift = np.broadcast_to(shift, x.shape).copy()
-                shift[hit] = sum_xi[hit, i, None] * phi_vec + shift[hit]
-        y = _apply_step(x, fv, wiener[src[i]], e_vec, p_vec, coeff, shift)
+                shift = sum_xi[:, i, None] * phi_vec + shift
+        # y = E(dt) x + phi1(dt) F_N(x) + WienerConvIncrement + E(dt) JumpTerm
+        # with JumpTerm = coeff * x + shift
+        y = e_vec * x
+        if kernel is not None:
+            y += p_vec * kernel(x)
+        y += wiener[src[i]]
+        jv = coeff * x
+        jv += shift
+        jv *= e_vec
+        y += jv
         if adapted and jumped[i]:
-            y[hit] *= 1.0 + sum_g1[hit, i, None]
-            y[hit] += sum_xi[hit, i, None] * phi_vec
+            y *= 1.0 + sum_g1[:, i, None]
+            y += sum_xi[:, i, None] * phi_vec
         x = y
         done = ends.get(i)
         if np.isfinite(y).all() and done is None:

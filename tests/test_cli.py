@@ -102,6 +102,15 @@ def test_unknown_keys_rejected_with_field_names(tmp_path):
         parse_config(path2)
 
 
+def test_sample_count_must_fit_the_stream_keys(tmp_path):
+    # sample s's streams key s in 48 bits, so 2**48 samples is the most
+    plan, = parse_config(write_config(tmp_path, study_dict(samples=2**48)))
+    assert plan.samples == 2**48
+    cfg = write_config(tmp_path, study_dict(samples=2**48 + 1))
+    with pytest.raises(ConfigError, match=r"studies\[0\]: samples: .*48"):
+        parse_config(cfg)
+
+
 def test_non_dyadic_level_rejected_naming_level(tmp_path):
     path = write_config(tmp_path, study_dict(levels=[0.1875]))
     with pytest.raises(ConfigError, match="0.1875"):
@@ -780,6 +789,8 @@ def test_main_dry_run_creates_nothing(tmp_path, capsys):
                 "profile": {"c": 1.0, "r": 2.0},
                 "g1": {"kind": "zero", "value": 7.5}}}, "model.g1"),
     ({"nonlinearity": {"kind": "zero", "coef": -2.0}}, "nonlinearity"),
+    # a sample index past 48 bits has no stream key
+    ({"samples": 2**48 + 5}, "samples"),
 ])
 def test_dry_run_rejects_unrunnable_plans(tmp_path, capsys, overrides,
                                           field):

@@ -574,6 +574,14 @@ def test_micro_grid_construction(monkeypatch):
     path = sample_path(1.0, 0.25, 4, model, 7, 3)
     assert path.nodes[0].tobytes() == uniform_nodes(1.0, 0.25).tobytes()
     assert path.wiener.shape == (4, 4) and path.times[0] is sk[0]
+    # a level's nodes are every r-th dt_ref node, the same doubles as its
+    # own grid's
+    for horizon in (1.0, 0.5, 0.3):
+        for k in range(11):
+            dt_ref = horizon / 2**k
+            for r in (2**j for j in range(k + 1)):
+                assert (uniform_nodes(horizon, dt_ref)[::r].tobytes()
+                        == uniform_nodes(horizon, r * dt_ref).tobytes())
 
 
 def test_coupled_path_checks_its_nodes():

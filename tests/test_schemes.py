@@ -482,6 +482,7 @@ def test_single_mode_runs_match_scalar_oracle():
     rng = np.random.default_rng(2718)
     lam = float(eigenvalues(1)[0])
     horizon = 0.5
+    cases = []  # (dt, f_kind, f_coef, intensity, g1, phi_c, law, x0, path)
     for case in range(100):
         j = int(rng.integers(2, 5))
         dt = horizon / 2**j
@@ -500,6 +501,21 @@ def test_single_mode_runs_match_scalar_oracle():
         law = TwoPointLaw(p_plus, v_plus, v_minus)
         model = MarkModel(intensity, law, power_profile(phi_c, 2.0, 1), g1)
         path = sample_path(horizon, dt_ref, 1, model, 97, case)
+        cases.append((dt, f_kind, f_coef, intensity, g1_const, phi_c, law,
+                      x0, path))
+    # hand-built: one uniform_B step holding marks +1 and -1, which sum to
+    # exactly 0 while their g1 values sum to 0.6; and a jump on a nu = 0
+    # model, whose compensator is zero
+    law = TwoPointLaw(0.5, 1.0, -1.0)
+    cases.append((0.125, "sine", 0.8, 2.0, 0.3, 0.9, law, 1.2,
+                  silent_path(horizon, 2.0**-5, 1, [0.15, 0.2], [1.0, -1.0])))
+    cases.append((0.125, "linear", -0.6, 0.0, 0.0, 1.1, law, -0.7,
+                  silent_path(horizon, 2.0**-5, 1, [0.3], [1.0])))
+
+    for (dt, f_kind, f_coef, intensity, g1_const, phi_c, law, x0,
+         path) in cases:
+        g1 = G1Spec.constant(g1_const) if g1_const else G1Spec.zero()
+        model = MarkModel(intensity, law, power_profile(phi_c, 2.0, 1), g1)
         fspec = {"zero": NonlinearitySpec.zero(),
                  "linear": NonlinearitySpec.linear(f_coef),
                  "sine": NonlinearitySpec.sine(f_coef)}[f_kind]

@@ -72,7 +72,7 @@ _TINY = np.finfo(np.float64).tiny
 # byte budget of the reference-resolution rows one block holds at once:
 # one stretch of time of each sample's path (see `_blocking`); a Hölder
 # study's chunk of samples holds its (samples, n_ref) arrays within it
-# (see `_holder_chunk`)
+# (see `block_size`)
 BLOCK_BYTES = 8 * 2**20
 MAX_BLOCK = 32
 
@@ -416,25 +416,20 @@ def _blocking(plan: StudyPlan) -> tuple:
     return max(1, min(MAX_BLOCK, size)), stretch
 
 
-def _holder_chunk(plan: StudyPlan) -> int:
-    """Samples a Hölder block draws and evaluates at once, so that the
-    block's rows of n_ref doubles fit BLOCK_BYTES.  A sample holds two rows
-    (its old-jump profile and its increment), and two more (a decay row and
-    its temporary) for each jump it expects before t, rounded up and at
-    least one: 4,096 samples at n_ref = 64, intensity 2 and horizon 1."""
-    old = max(1, math.ceil(plan.model.intensity * plan.horizon / 2.0))
-    return max(1, BLOCK_BYTES // ((2 + 2 * old) * plan.n_ref * 8))
-
-
 def block_size(plan: StudyPlan) -> int:
     """Samples in one block: stepped together on a temporal or spatial
     study, drawn and evaluated together on a Hölder study.
 
     Fixed by the plan alone, so the blocks [kB, (k+1)B) and the results do
-    not depend on the worker count.
+    not depend on the worker count.  A Hölder chunk fits BLOCK_BYTES: a
+    sample holds two rows of n_ref doubles (its old-jump profile and its
+    increment) and one decay row per jump before t.  The budget counts two
+    rows per jump it expects before t, rounded up and at least one, as room
+    for more jumps: 4,096 samples at n_ref = 64, intensity 2 and horizon 1.
     """
     if plan.axis == "holder":
-        return _holder_chunk(plan)
+        old = max(1, math.ceil(plan.model.intensity * plan.horizon / 2.0))
+        return max(1, BLOCK_BYTES // ((2 + 2 * old) * plan.n_ref * 8))
     return _blocking(plan)[0]
 
 
@@ -586,23 +581,23 @@ def _increment_norms(plan: StudyPlan, indices, phases: dict) -> np.ndarray:
 
     # per-sample profile of the pre-t jumps: S[i, k] = sum_j xi_j e^{-lam_k (t - sigma_j)}
     old = times <= t
+    decay = -lam * (t - times[old, None])
+    np.exp(decay, out=decay)
+    decay *= xis[old, None]
     s_old = np.zeros((m_samples, n))
-    decay = xis[old, None] * np.exp(-lam[None, :] * (t - times[old, None]))
     np.add.at(s_old, owner[old], decay)
+    del decay
     s_old *= phi
 
     norms = np.empty((m_samples, len(plan.levels)))
+    delta = np.empty_like(s_old)
     for j, h in enumerate(plan.levels):
-        delta = s_old * np.expm1(-lam * h)
+        np.multiply(s_old, np.expm1(-lam * h), out=delta)
         fresh = (t < times) & (times <= t + h)
-        if np.any(fresh):
-            rows = xis[fresh, None] * np.exp(
-                -lam[None, :] * (t + h - times[fresh, None])
-            ) * phi
-            np.add.at(delta, owner[fresh], rows)
+        np.add.at(delta, owner[fresh], xis[fresh, None] * np.exp(
+            -lam * (t + h - times[fresh, None])) * phi)
         # compensator part of the increment: -(phi1(t+h) - phi1(t)) mean_g
-        comp = (np.expm1(-lam * (t + h)) - np.expm1(-lam * t)) / lam * mg
-        delta += comp
+        delta += (np.expm1(-lam * (t + h)) - np.expm1(-lam * t)) / lam * mg
         norms[:, j] = np.sqrt(np.einsum("ij,ij->i", delta, delta))
     phases["norms"] += time.perf_counter() - t1
     return norms

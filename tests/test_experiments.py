@@ -715,6 +715,8 @@ def test_holder_memory_does_not_grow_with_samples(intensity, chunk):
         finally:
             tracemalloc.stop()
     norms_bytes = chunk * len(plan.levels) * 8
+    # one chunk's working set, beside the norms it fills, is within budget
+    assert peaks[0] - norms_bytes <= experiments.BLOCK_BYTES
     assert peaks[1] - peaks[0] < norms_bytes + 2**20
     assert peaks[1] < 1.25 * experiments.BLOCK_BYTES + 2 * norms_bytes
     assert block_size(plan) == chunk
@@ -875,8 +877,10 @@ def test_block_size_from_the_byte_budget():
                             levels=(1.0, 2.0**-4), horizon=1.0,
                             model=tiny_model(64), x0=unit_state(64))
         assert _blocking(whole) == (size, 4096)
+    # a Hölder chunk at n_ref = 4, intensity 1 and horizon 0.5: two rows a
+    # sample, and two for each jump it expects before t (0.25, rounded up)
     holder = make_plan(axis="holder", levels=(2.0**-4,))
-    assert block_size(holder) == experiments._holder_chunk(holder)
+    assert block_size(holder) == 8 * 2**20 // (4 * 4 * 8) == 65536
 
 
 def _diverging_plan(scheme, axis):

@@ -37,7 +37,6 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure (including
 studies that finished with aborted samples).
 """
 
-import argparse
 import hashlib
 import json
 import logging
@@ -448,11 +447,8 @@ def _study_entry(plan: StudyPlan, result, csv_name, elapsed, error) -> dict:
                      aborts=len(aborted), aborted=aborted,
                      effective_samples=0, fits=[])
         return entry
-    fits = [
-        {"p": rep.p, "order": rep.order, "stderr": rep.stderr,
-         "ess": ess}
-        for rep, ess in zip(result.reports, result.ess)
-    ]
+    fits = [{"p": rep.p, "order": rep.order, "stderr": rep.stderr,
+             "ess": rep.ess.tolist()} for rep in result.reports]
     entry.update(status="ok", csv=csv_name, aborts=result.aborts,
                  aborted=list(result.aborted),
                  effective_samples=result.effective_samples,
@@ -536,6 +532,8 @@ def execute(plans, out_dir, threads: int = 1,
 
 
 def main(argv=None) -> int:
+    import argparse  # with gettext, some 5 ms that a library import skips
+
     parser = argparse.ArgumentParser(
         prog="levyheat",
         description="Run convergence studies from a JSON configuration.",

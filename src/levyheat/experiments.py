@@ -2,10 +2,12 @@
 
 A study draws M independent reference-resolution noise paths, runs the scheme
 at the reference resolution and at every coarse level on restrictions of the
-same path, and turns the per-sample coupled errors into L^p error estimates
-with bootstrap intervals and a fitted order (log-log least squares).  The
-Hölder study skips the schemes entirely and evaluates the compensated jump
-convolution straight from the skeletons.
+same path, and turns the per-sample coupled errors into a report per p.  One
+estimator, `_lp_level`, gives each level's L^p error, its bootstrap interval
+and its effective sample size from one reduction of |e|^p, and `fit_order`
+fits the order (log-log least squares).  The Hölder study skips the schemes
+entirely and evaluates the compensated jump convolution straight from the
+skeletons.
 
 Samples are keyed by (seed, sample index) counter streams, so the same plan
 always produces the same report no matter how samples are scheduled across
@@ -68,7 +70,7 @@ N_BOOTSTRAP = 1000
 # byte budget of the resample indices one chunk of bootstrap draws holds
 _BOOTSTRAP_BYTES = 2**20
 # the least positive normal double: an L^p mean below it has lost digits
-_TINY = np.finfo(np.float64).tiny
+_TINY = float(np.finfo(np.float64).tiny)
 # byte budget of the reference-resolution rows one block holds at once:
 # one stretch of time of each sample's path (see `_blocking`); a Hölder
 # study's chunk of samples holds its (samples, n_ref) arrays within it
@@ -162,7 +164,11 @@ class StudyPlan:
             if self.model.g1.bound > 0:
                 raise ValueError(
                     "model.g1: the regularity study needs additive jumps")
-        # three or more levels are fitted (`_ols`), which needs log-levels
+            if self.model.intensity == 0:
+                raise ValueError(
+                    "model.intensity: with no jumps every increment of the "
+                    "regularity study vanishes")
+        # three or more levels are fitted (`fit_order`), which needs log-levels
         # that are not all one number
         logs = np.log(np.asarray(levels, dtype=np.float64))
         if len(levels) >= 3 and np.all(logs == logs.mean()):
@@ -173,6 +179,10 @@ class StudyPlan:
         p_list = tuple(float(p) for p in self.p_list)
         if not p_list or any(not 2 <= p < math.inf for p in p_list):
             raise ValueError("p values must be finite reals >= 2")
+        for j, p in enumerate(p_list):
+            if p in p_list[:j]:
+                raise ValueError(f"p_list[{j}]: p = {p:g} is named twice; "
+                                 "a study reports each p once")
         object.__setattr__(self, "p_list", p_list)
         if self.samples < 1:
             raise ValueError("sample count must be positive")
@@ -200,7 +210,8 @@ class StudyPlan:
 
 @dataclass(frozen=True)
 class OrderReport:
-    """Per-level L^p errors with bootstrap intervals and the fitted order.
+    """Per-level L^p errors with bootstrap intervals, the effective sample
+    size of each error (see `_lp_level`) and the fitted order.
 
     `order` is the log-log slope against the level values, except for the
     spatial axis where the sign is flipped so that positive orders mean
@@ -214,16 +225,16 @@ class OrderReport:
     errors: np.ndarray
     ci_lo: np.ndarray
     ci_hi: np.ndarray
+    ess: np.ndarray
     order: float = None
     stderr: float = None
 
     def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=np.float64)
-        errors = np.asarray(self.errors, dtype=np.float64)
-        lo = np.asarray(self.ci_lo, dtype=np.float64)
-        hi = np.asarray(self.ci_hi, dtype=np.float64)
-        if not (levels.shape == errors.shape == lo.shape == hi.shape):
+        names = ("levels", "errors", "ci_lo", "ci_hi", "ess")
+        cols = [np.asarray(getattr(self, n), dtype=np.float64) for n in names]
+        if len({col.shape for col in cols}) > 1:
             raise ValueError("per-level columns must align")
+        levels, errors, lo, hi, _ = cols
         for j in range(levels.size):
             if not np.isfinite([errors[j], lo[j], hi[j]]).all():
                 raise ValueError(
@@ -236,12 +247,9 @@ class OrderReport:
                     "underflowed to zero at this p")
         if np.any(hi < lo):
             raise ValueError("interval bounds are reversed")
-        for arr in (levels, errors, lo, hi):
-            arr.setflags(write=False)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "errors", errors)
-        object.__setattr__(self, "ci_lo", lo)
-        object.__setattr__(self, "ci_hi", hi)
+        for name, col in zip(names, cols):
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
 
     @property
     def half_widths(self) -> np.ndarray:
@@ -251,15 +259,13 @@ class OrderReport:
 @dataclass(frozen=True)
 class StudyResult:
     """One executed plan: a report per p, the abort records of the samples
-    that diverged (see `_run_block`), the seconds per phase (see
-    `_new_phases`) and, per report, the effective sample size of its
-    error at each level (see `_ess`)."""
+    that diverged (see `_run_block`) and the seconds per phase (see
+    `_new_phases`)."""
 
     plan: StudyPlan
     reports: tuple
     aborted: list
     phases: dict
-    ess: tuple
 
     @property
     def aborts(self) -> int:
@@ -280,28 +286,28 @@ class StudyResult:
 # error estimation and order fitting
 
 
-@np.errstate(over="ignore")
-def _lp_point(norms: np.ndarray, p: float) -> float:
-    """mean(|e|^p)^(1/p), where that mean is a positive, normal, finite
-    double; else, where |e|^p underflows or overflows, the same norm as
-    m mean((|e|/m)^p)^(1/p), m the largest |e| (if positive and finite)."""
-    mean = np.mean(norms**p)
-    top = norms.max()
-    if _TINY <= mean < math.inf or not 0.0 < top < math.inf:
-        return float(mean ** (1.0 / p))
-    return float(top * np.mean((norms / top) ** p) ** (1.0 / p))
-
-
-def _ess(norms: np.ndarray, p: float) -> float:
-    """The effective sample size (sum w)^2 / sum w^2 of the weights
-    w = (|e| / max|e|)^p that the L^p error puts on the samples."""
-    w = (norms / norms.max()) ** p
-    return float(w.sum() ** 2 / (w @ w))
+def _root(mean, p: float, norms: np.ndarray, idx=slice(None)) -> float:
+    """mean^(1/p), where `mean`, the mean of |e|^p over norms[idx], is a
+    positive, normal, finite double; else, where |e|^p underflows or
+    overflows, the same norm as m mean((|e|/m)^p)^(1/p), m the largest |e|
+    (if positive and finite)."""
+    if not _TINY <= mean < math.inf:
+        norms = norms[idx]
+        top = norms.max()
+        if 0.0 < top < math.inf:
+            return top * np.mean((norms / top) ** p) ** (1.0 / p)
+    return mean ** (1.0 / p)
 
 
 @np.errstate(over="ignore")
-def _bootstrap_interval(norms: np.ndarray, p: float, rng) -> tuple:
-    """The 2.5 and 97.5 percentiles of N_BOOTSTRAP resampled L^p points.
+def _lp_level(norms: np.ndarray, p: float, rng) -> tuple:
+    """(error, ci_lo, ci_hi, ess) of one level's norms at one p.
+
+    The error is the L^p norm mean(|e|^p)^(1/p); [ci_lo, ci_hi] are the 2.5
+    and 97.5 percentiles of N_BOOTSTRAP resampled errors, drawn from `rng`;
+    ess is the effective sample size (sum w)^2 / sum w^2 of the weights
+    w = (|e| / max|e|)^p that the error puts on the samples.  |e|^p is
+    taken once; the error and every resample take their root by `_root`.
 
     The resamples are drawn in chunks of up to _BOOTSTRAP_BYTES of indices,
     one draw and one sum per row for a whole chunk: the Philox stream gives
@@ -310,35 +316,22 @@ def _bootstrap_interval(norms: np.ndarray, p: float, rng) -> tuple:
     """
     m = norms.size
     powers = norms**p
+    error = float(_root(np.mean(powers), p, norms))
     stats = np.empty(N_BOOTSTRAP)
     chunk = min(N_BOOTSTRAP, max(1, _BOOTSTRAP_BYTES // (8 * m)))
     for b0 in range(0, N_BOOTSTRAP, chunk):
         idx = rng.integers(0, m, (min(chunk, N_BOOTSTRAP - b0), m))
-        sums = np.add.reduce(powers.take(idx), axis=1)
         # np.mean's own doubles (a sum by add.reduce, then one division)
-        # without its per-call overhead; the division and the root stay
-        # scalar operations, as the root of a whole array moves last digits
-        for b, total in enumerate(sums, b0):
-            mean = total / m
-            if _TINY <= mean < math.inf:
-                stats[b] = mean ** (1.0 / p)
-            else:  # |e|^p under- or overflows: the resample's own scale
-                stats[b] = _lp_point(norms.take(idx[b - b0]), p)
-    return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
-
-
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple:
-    xm, ym = x.mean(), y.mean()
-    dx = x - xm
-    sxx = float(dx @ dx)
-    if sxx == 0.0:
-        raise ValueError("levels are all identical; no order to fit")
-    slope = float(dx @ (y - ym)) / sxx
-    intercept = ym - slope * xm
-    resid = y - (intercept + slope * x)
-    dof = x.size - 2
-    stderr = math.sqrt(float(resid @ resid) / dof / sxx) if dof > 0 else 0.0
-    return slope, stderr
+        # without its per-call overhead; the root stays a scalar operation
+        # per resample, as the root of a whole array moves last digits
+        means = np.add.reduce(powers.take(idx), axis=1) / m
+        for b, mean in enumerate(means.tolist()):
+            stats[b0 + b] = _root(mean, p, norms, idx[b])
+    with np.errstate(invalid="ignore"):  # no weights if max|e| is 0 or inf
+        w = (norms / norms.max()) ** p
+        ess = float(w.sum() ** 2 / (w @ w))
+    return (error, float(np.percentile(stats, 2.5)),
+            float(np.percentile(stats, 97.5)), ess)
 
 
 def fit_order(levels, errors) -> tuple:
@@ -353,7 +346,15 @@ def fit_order(levels, errors) -> tuple:
         raise ValueError("order fitting needs at least three levels")
     if np.any(errors <= 0) or np.any(levels <= 0):
         raise ValueError("levels and errors must be strictly positive")
-    return _ols(np.log(levels), np.log(errors))
+    x, y = np.log(levels), np.log(errors)
+    xm, ym = x.mean(), y.mean()
+    dx = x - xm
+    sxx = float(dx @ dx)
+    if sxx == 0.0:
+        raise ValueError("levels are all identical; no order to fit")
+    slope = float(dx @ (y - ym)) / sxx
+    resid = y - ((ym - slope * xm) + slope * x)
+    return slope, math.sqrt(float(resid @ resid) / (x.size - 2) / sxx)
 
 
 def _build_reports(plan: StudyPlan, norms: np.ndarray,
@@ -363,20 +364,16 @@ def _build_reports(plan: StudyPlan, norms: np.ndarray,
     levels = np.asarray(plan.levels, dtype=np.float64)
     reports = []
     for p in plan.p_list:
-        errors = np.empty(levels.size)
-        lo = np.empty(levels.size)
-        hi = np.empty(levels.size)
-        for j in range(levels.size):
-            errors[j] = _lp_point(norms[:, j], p)
-            lo[j], hi[j] = _bootstrap_interval(norms[:, j], p, rng)
+        errors, lo, hi, ess = np.array(
+            [_lp_level(norms[:, j], p, rng) for j in range(levels.size)]).T
         order = stderr = None
         # a non-finite or underflowed error is not fitted: OrderReport
         # refuses it
-        if levels.size >= 3 and np.isfinite(errors).all() and \
-                (errors > 0).all():
-            slope, stderr = _ols(np.log(levels), np.log(errors))
-            order = -slope if negate_order else slope
-        reports.append(OrderReport(p, levels, errors, lo, hi, order, stderr))
+        if levels.size >= 3 and ((0 < errors) & (errors < math.inf)).all():
+            order, stderr = fit_order(levels, errors)
+            order = -order if negate_order else order
+        reports.append(OrderReport(p, levels, errors, lo, hi, ess, order,
+                                   stderr))
     return tuple(reports)
 
 
@@ -703,7 +700,5 @@ def run_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
     phases["bootstrap"] = time.perf_counter() - t0
     _log.info("%s: bootstrap of %d intervals, %.1f s", plan.name,
               len(plan.p_list) * len(plan.levels), phases["bootstrap"])
-    ess = tuple([_ess(norms[:, j], p) for j in range(len(plan.levels))]
-                for p in plan.p_list)
-    return StudyResult(plan, reports, aborted, phases, ess)
+    return StudyResult(plan, reports, aborted, phases)
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import levyheat
-from levyheat import cli
+from levyheat import cli, experiments
 from levyheat.cli import (
     ConfigError,
     config_digest,
@@ -314,19 +314,50 @@ EXAMPLE_CSV_SHA256 = {
     "spatial_demo.csv":
         "9459d4cceea8d117daa3e0cf6cf62c46585662e9dd0aed853f1b4a12169ea276",
 }
+# SHA-256 of the canonical JSON (sorted keys, no spaces) of the manifest
+# `fits` of `configs/example.json`, one list per study: order, stderr and
+# the per-level `ess` of every p
+EXAMPLE_FITS_SHA256 = (
+    "3b757a7219b0aa80d6edccd2e3e9f8321ee366d4d7fc0520484f91d21bba7d9b")
+# a small Hölder study and the SHA-256 of its CSV, on the same stack
+HOLDER_PIN_STUDY = study_dict(
+    name="holder_pin", axis="holder", n_ref=16, p_list=[2.0, 8.0],
+    levels=[2.0**-k for k in range(7, 2, -1)], samples=4096,
+    nonlinearity={"kind": "zero"})
+HOLDER_PIN_STUDY["model"] = dict(
+    HOLDER_PIN_STUDY["model"], intensity=2.0, law={
+        "kind": "two_point", "p_plus": 0.5, "v_plus": 2.0, "v_minus": -1.0})
+HOLDER_CSV_SHA256 = (
+    "c608d7f655033bc3ffe496af6fe7eb007ba5522e4f90ad955929358678681d90")
 
 
-def test_example_config_csv_bytes_are_pinned(tmp_path):
+def skip_off_the_pinned_stack():
     stack = (np.__version__, cli._blas_core())
     if stack != EXAMPLE_CSV_STACK:
         pytest.skip(f"digests taken with numpy and OpenBLAS core "
                     f"{EXAMPLE_CSV_STACK}, this is {stack}")
+
+
+def test_example_config_csv_bytes_are_pinned(tmp_path):
+    skip_off_the_pinned_stack()
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     plans = parse_config(os.path.join(root, "configs", "example.json"))
     assert execute(plans, tmp_path / "out").clean
     got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
            .hexdigest() for name in EXAMPLE_CSV_SHA256}
     assert got == EXAMPLE_CSV_SHA256
+    recorded = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    fits = json.dumps([s["fits"] for s in recorded["studies"]],
+                      sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(fits.encode()).hexdigest() == EXAMPLE_FITS_SHA256
+
+
+def test_holder_csv_bytes_are_pinned(tmp_path):
+    skip_off_the_pinned_stack()
+    plans = parse_config(write_config(tmp_path, HOLDER_PIN_STUDY))
+    assert execute(plans, tmp_path / "out").clean
+    got = (tmp_path / "out" / "holder_pin.csv").read_bytes()
+    assert hashlib.sha256(got).hexdigest() == HOLDER_CSV_SHA256
 
 
 def test_execute_rerun_is_byte_identical(tmp_path):
@@ -380,15 +411,24 @@ def test_execute_rejects_a_worker_count_below_one(tmp_path):
     assert not out.exists()
 
 
-def test_execute_records_failed_study_and_keeps_going(tmp_path):
+def test_execute_records_failed_study_and_keeps_going(tmp_path,
+                                                     monkeypatch):
     bad = study_dict(name="divergent",
                      nonlinearity={"kind": "linear", "coef": 1e25},
                      levels=[0.25])
-    # no jumps: every increment vanishes, so the study fails with no sample
-    # aborted
-    empty = study_dict(name="jumpless", axis="holder", levels=[0.125],
-                       nonlinearity={"kind": "zero"})
-    empty["model"] = dict(empty["model"], intensity=0.0)
+    # finite terminal states whose difference overflows: the study fails
+    # once its samples have run, with no sample aborted
+    overflowing = study_dict(name="overflowing", samples=4)
+    run_block = experiments._run_block
+
+    def overflow(plan, indices, phases):
+        if plan.name != "overflowing":
+            return run_block(plan, indices, phases)
+        terminals = np.zeros((len(indices), len(plan.levels) + 1, plan.n_ref))
+        terminals[0, 0, 0], terminals[0, 1:, 0] = 1e308, -1e308
+        return terminals, []
+
+    monkeypatch.setattr(experiments, "_run_block", overflow)
     # marks of +-1.2e308 on a one-mode profile: the samples with a jump
     # abort, and the others' norms, whose squares overflow, are taken on
     # their own scale, so the study reports and lists its aborts
@@ -398,7 +438,8 @@ def test_execute_records_failed_study_and_keeps_going(tmp_path):
         "v_minus": -1.2e308})
     good = study_dict(name="sound")
     with pytest.warns(UserWarning, match="fewer than 100"):
-        plans = parse_config(write_config(tmp_path, bad, empty, late, good))
+        plans = parse_config(write_config(tmp_path, bad, overflowing, late,
+                                          good))
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
         manifest = execute(plans, out)
@@ -410,10 +451,11 @@ def test_execute_records_failed_study_and_keeps_going(tmp_path):
     assert entries["divergent"]["aborts"] == 100
     assert [a["index"] for a in entries["divergent"]["aborted"]] == \
         list(range(100))
-    assert entries["jumpless"]["status"] == "failed"
-    assert "vanish" in entries["jumpless"]["error"]
-    assert entries["jumpless"]["aborts"] == 0
-    assert entries["jumpless"]["aborted"] == []
+    assert entries["overflowing"]["status"] == "failed"
+    assert entries["overflowing"]["error"].startswith(
+        "p = 2, levels[0] = 0.25: L^p error inf")
+    assert entries["overflowing"]["aborts"] == 0
+    assert entries["overflowing"]["aborted"] == []
     assert entries["late"]["status"] == "ok"
     assert (out / "late.csv").exists()
     assert entries["late"]["aborts"] == 11
@@ -655,6 +697,18 @@ def test_two_point_config_never_loads_scipy_integrate(tmp_path):
     assert out.stdout.split() == ["False", "False"]
 
 
+def test_importing_the_cli_loads_no_argparse(tmp_path):
+    # only `main` reads a command line: importing the CLI and parsing a
+    # config leave argparse, and the gettext it loads, unloaded
+    path = write_config(tmp_path, study_dict())
+    out = _run_python("import sys\n"
+                      "from levyheat import cli\n"
+                      f"cli.parse_config({str(path)!r})\n"
+                      "print('argparse' in sys.modules)\n"
+                      "print('gettext' in sys.modules)\n")
+    assert out.stdout.split() == ["False", "False"]
+
+
 def test_two_point_run_never_imports_scipy_yet_names_its_version(tmp_path):
     # running plans on all three laws leaves scipy unloaded; the manifest
     # names the versions of the code that ran, the package and numpy, and
@@ -791,6 +845,15 @@ def test_main_dry_run_creates_nothing(tmp_path, capsys):
     ({"nonlinearity": {"kind": "zero", "coef": -2.0}}, "nonlinearity"),
     # a sample index past 48 bits has no stream key
     ({"samples": 2**48 + 5}, "samples"),
+    # a p named twice would get two reports, each with its own interval
+    ({"p_list": [2.0, 4.0, 2]}, "p_list[2]"),
+    # no jumps: every increment of the regularity study vanishes
+    ({"axis": "holder", "levels": [0.125, 0.0625], "nonlinearity": {
+        "kind": "zero"}, "model": {
+        "intensity": 0.0,
+        "law": {"kind": "two_point", "p_plus": 0.5, "v_plus": 1.0,
+                "v_minus": -1.0},
+        "profile": {"c": 1.0, "r": 2.0}}}, "model.intensity"),
 ])
 def test_dry_run_rejects_unrunnable_plans(tmp_path, capsys, overrides,
                                           field):

@@ -114,8 +114,15 @@ def lp_error(ref, coarse, p, seed=0):
                          axis=1)
     norms = _coupled_norms(terminals)[:, 0]
     rng = stream(seed, 0, noise.PURPOSE_BOOTSTRAP)
-    lo, hi = experiments._bootstrap_interval(norms, p, rng)
-    return experiments._lp_point(norms, p), (hi - lo) / 2.0
+    err, lo, hi, _ = experiments._lp_level(norms, p, rng)
+    return err, (hi - lo) / 2.0
+
+
+def lp_point(norms, p):
+    """The L^p error alone of `_lp_level` (the seed moves only its
+    interval)."""
+    return experiments._lp_level(norms, p,
+                                 stream(0, 0, noise.PURPOSE_BOOTSTRAP))[0]
 
 
 def test_lp_error_identical_samples_is_zero():
@@ -188,7 +195,7 @@ def test_chunked_bootstrap_matches_one_resample_at_a_time(monkeypatch, m):
     for p in (2.0, 4.0, 8.0):
         # two successive intervals from one stream, as reports draw them
         for _ in range(2):
-            lo, hi = experiments._bootstrap_interval(norms, p, ours)
+            _, lo, hi, _ = experiments._lp_level(norms, p, ours)
             stats = _bootstrap_per_resample(norms, p, oracle)
             assert seen[-1].tobytes() == stats.tobytes()
             assert (lo, hi) == (float(percentile(stats, 2.5)),
@@ -216,14 +223,14 @@ def test_scaled_lp_point_agrees_with_the_plain_form(p):
     # form gives the plain value times 2^k to a few ulps, as it gives the
     # extended-precision norm
     norms = np.random.default_rng(7).uniform(0.5, 1.5, 64)
-    plain = experiments._lp_point(norms, p)
+    plain = lp_point(norms, p)
     assert plain == float(np.mean(norms**p) ** (1.0 / p))
     for k in (-900, -200, 200, 900):
-        scaled = experiments._lp_point(norms * 2.0**k, p)
+        scaled = lp_point(norms * 2.0**k, p)
         assert abs(scaled - plain * 2.0**k) <= 4 * np.spacing(scaled)
         wide = _extended_lp(norms, p) * 2.0**k
         assert abs(scaled - wide) <= 4 * np.spacing(scaled)
-    assert experiments._lp_point(np.zeros(5), p) == 0.0
+    assert lp_point(np.zeros(5), p) == 0.0
 
 
 @needs_wide
@@ -242,7 +249,7 @@ def test_bootstrap_scales_only_the_resamples_that_underflow(monkeypatch):
     rng = np.random.default_rng(11)
     norms = np.append(rng.uniform(1e-3, 2e-3, 19), 1.0)
     p = 300.0
-    lo, hi = experiments._bootstrap_interval(
+    _, lo, hi, _ = experiments._lp_level(
         norms, p, stream(5, 0, noise.PURPOSE_BOOTSTRAP))
     oracle = stream(5, 0, noise.PURPOSE_BOOTSTRAP)
     plain = _bootstrap_per_resample(norms, p, oracle)
@@ -262,10 +269,14 @@ def test_bootstrap_scales_only_the_resamples_that_underflow(monkeypatch):
 
 def test_effective_sample_size_of_the_lp_weights():
     # M equal norms weigh the same: exactly M; one dominant norm: about 1
+    def ess(norms, p):
+        rng = stream(0, 0, noise.PURPOSE_BOOTSTRAP)
+        return experiments._lp_level(norms, p, rng)[3]
+
     for p in (2.0, 8.0, 1000.0):
-        assert experiments._ess(np.full(40, 0.3), p) == 40.0
+        assert ess(np.full(40, 0.3), p) == 40.0
         dominant = np.append(1.0, np.full(99, 1e-3))
-        assert 1.0 <= experiments._ess(dominant, p) < 1.001
+        assert 1.0 <= ess(dominant, p) < 1.001
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +386,14 @@ def test_plan_rejects_misc_bad_fields():
     for p in (1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="p values"):
             make_plan(p_list=(2.0, p))
+    # a p named twice would get two reports, each with its own interval
+    with pytest.raises(ValueError, match=r"^p_list\[2\]: p = 2 is named "
+                       "twice"):
+        make_plan(p_list=(2.0, 4.0, 2))
+    # three or more levels are fitted, and equal ones have no slope
+    with pytest.raises(ValueError, match="^levels: all 3 levels are 0.125, "
+                       "so no order can be fitted$"):
+        make_plan(levels=(2.0**-3,) * 3)
     with pytest.raises(ValueError):
         make_plan(samples=0)
 
@@ -414,21 +433,25 @@ def test_plan_rejects_non_finite_numbers_naming_the_field(field, overrides,
 def test_order_report_invariants():
     lv = np.array([0.5, 0.25, 0.125])
     err = np.array([1.0, 0.7, 0.5])
-    rep = OrderReport(2.0, lv, err, err * 0.9, err * 1.1, 0.5, 0.01)
+    ess = np.array([90.0, 80.0, 70.0])
+    rep = OrderReport(2.0, lv, err, err * 0.9, err * 1.1, ess, 0.5, 0.01)
     assert np.allclose(rep.half_widths, err * 0.1)
+    assert not rep.ess.flags.writeable
     with pytest.raises(ValueError, match=r"p = 2, levels\[1\] = 0.25: L\^p "
                        r"error 0.0 is not positive: .*underflowed"):
-        OrderReport(2.0, lv, np.array([1.0, 0.0, 0.5]), err, err)
+        OrderReport(2.0, lv, np.array([1.0, 0.0, 0.5]), err, err, ess)
     with pytest.raises(ValueError, match="reversed"):
-        OrderReport(2.0, lv, err, err * 1.1, err * 0.9)
+        OrderReport(2.0, lv, err, err * 1.1, err * 0.9, ess)
     with pytest.raises(ValueError, match="align"):
-        OrderReport(2.0, lv, err[:2], err[:2], err[:2])
+        OrderReport(2.0, lv, err[:2], err[:2], err[:2], ess[:2])
+    with pytest.raises(ValueError, match="align"):
+        OrderReport(2.0, lv, err, err, err, ess[:2])
     # an overflowing estimate is refused, naming p and the level
     big = np.array([1.0, np.inf, 0.5])
     with pytest.raises(ValueError, match=r"p = 4, levels\[1\] = 0.25: .*inf"):
-        OrderReport(4.0, lv, big, err, big)
+        OrderReport(4.0, lv, big, err, big, ess)
     with pytest.raises(ValueError, match=r"levels\[2\] = 0.125: .*nan"):
-        OrderReport(2.0, lv, err, err * np.array([1, 1, np.nan]), err)
+        OrderReport(2.0, lv, err, err * np.array([1, 1, np.nan]), err, ess)
 
 
 # ---------------------------------------------------------------------------
@@ -746,13 +769,14 @@ def test_holder_worker_pool_matches_serial(monkeypatch):
 
 
 def test_holder_study_zero_jump_model_rejected():
-    plan = make_plan(
-        axis="holder",
-        levels=(2.0**-4,),
-        model=tiny_model(4, intensity=0.0),
-    )
-    with pytest.raises(ValueError, match="vanish"):
-        run_study(plan)
+    # every increment of a jumpless model vanishes: refused at the plan,
+    # before any sample is drawn
+    with pytest.raises(ValueError, match="^model.intensity: .*vanishes"):
+        make_plan(
+            axis="holder",
+            levels=(2.0**-4,),
+            model=tiny_model(4, intensity=0.0),
+        )
 
 
 def test_study_result_report_lookup():

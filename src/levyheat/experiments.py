@@ -137,6 +137,17 @@ class StudyPlan:
                         f"levels[{j}]: horizon {self.horizon} is not an "
                         f"integer multiple of temporal level {dt}"
                     )
+            # with F = 0 and g1 = 0 both schemes are exact without jumps,
+            # scheme A with centred ones too: a study would fit rounding
+            m = self.model
+            if self.nonlinearity.lipschitz == 0 == m.g1.bound and (
+                    m.intensity == 0
+                    or self.scheme == SCHEME_A and m.law.mean() == 0):
+                field = "model.intensity" if m.intensity == 0 else "model.law"
+                raise ValueError(
+                    f"{field}: with a zero nonlinearity and a zero model.g1, "
+                    f"scheme {self.scheme} is exact at every level, so each "
+                    "coupled error would be rounding")
         elif self.axis == "spatial":
             coerced = []
             for j, v in enumerate(levels):
@@ -504,10 +515,9 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
             if dt in folded:
                 continue
             t0 = clock()
-            level = paths.base[k0:k1 + 1:r]  # the doubles of its dt grid
-            parts = [stretch_nodes(cfgs[j], level, t) for t in chunk.times]
-            finer = folded[dt] = restrict_chunk(chunk, parts, plan.n_ref,
-                                                finer)
+            # the level's nodes: the doubles of its dt grid
+            parts = stretch_nodes(cfgs[j], paths.base[k0:k1 + 1:r], chunk)
+            finer = folded[dt] = restrict_chunk(chunk, parts, plan.n_ref, finer)
             spent["restrict"][j] += clock() - t0
         for j, cfg in enumerate(cfgs):
             t0 = clock()
@@ -521,7 +531,7 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
                 failed[k] = (j, int(taken[j][k]) + step, t)
                 for later in states[j + 1:]:
                     later[k] = np.nan
-            taken[j] += [p.size - 1 for p in folded[dt].nodes]
+            taken[j] += np.diff(folded[dt].starts)
         # one stretch at a time: drop it before the next one is drawn
         del chunk, folded
     terminals = np.zeros((size, len(res), plan.n_ref))

@@ -13,21 +13,22 @@ The driving noise has two independent parts:
 * A compound Poisson jump part.  Marks are rank one, z = xi * phi, with a
   scalar magnitude xi drawn from a configurable law and a fixed smooth
   profile phi.  The jump skeleton, shared across resolutions as well, is
-  two plain arrays from draw to step: a sample's (times, xis), and a
-  batch's (times, xis, counts), the samples' arrays concatenated in order,
-  as `sample_jump_skeletons` returns them.  `_check_jumps` alone decides
+  plain arrays: a sample's (times, xis), and a batch's (times, xis,
+  counts), the samples' arrays concatenated in order, as
+  `sample_jump_skeletons` returns them.  `_check_jumps` alone decides
   whether a batch, or one skeleton as a batch of one, is valid.
 
 Randomness comes from counter-based Philox streams keyed by
 (global seed, sample index, purpose), so each sample is reproducible in
 isolation and independent of how work is scheduled across processes.
 Paths are drawn one stretch of time at a time, and one record holds a
-stretch from draw to step: a `PathChunk` of per-sample nodes, increment
-rows and jumps.  `PathStream.draw` returns it on the micro nodes,
-`restrict_chunk` folds it to coarse partitions, and the schemes'
-`run_block` steps it.  A whole path is the one-row chunk of [0, horizon]
-that `sample_path` draws with the stream's micro nodes and row scaling
-(`_scale_rows`), and `restrict_path` is `restrict_chunk` on its one row.
+stretch from draw to step: a `PathChunk` of flat keyed nodes, increment
+rows and jumps, one row per sample.  `PathStream.draw` returns it on the
+micro nodes, `restrict_chunk` folds it to coarse partitions, and the
+schemes' `run_block` steps it, each stage on the whole block at once.  A
+whole path is the one-row chunk of [0, horizon] that `sample_path` draws
+with the stream's micro nodes and row scaling (`_scale_rows`), and
+`restrict_path` is `restrict_chunk` on its one row.
 """
 
 from __future__ import annotations
@@ -536,10 +537,15 @@ def dyadic_ratio(dt: float, dt_ref: float) -> int:
     return r
 
 
-def merge_jumps(grid: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The nodes `grid` merged with the jump times among them, the one rule
-    for every partition that holds jumps: a jump on a node adds no node."""
-    return np.union1d(grid, times) if times.size else grid
+def merge_jumps(grid: np.ndarray, jumps: np.ndarray, rows: int) -> np.ndarray:
+    """The keyed nodes (see `PathChunk`) of `rows` rows, each the nodes
+    `grid` merged with its jumps among the keys `jumps`, in order and
+    inside the grid: the one rule for every partition that holds jumps, in
+    which a jump on a node adds no node."""
+    keys = (np.arange(rows)[:, None] + 1j * grid).ravel()
+    at = keys.searchsorted(jumps)
+    new = keys.take(at, mode="clip") != jumps
+    return np.insert(keys, at[new], jumps[new])
 
 
 # ---------------------------------------------------------------------------
@@ -642,23 +648,42 @@ class PathChunk:
     `sample_path` for the one row of a whole path), restricted to coarse
     partitions (`restrict_chunk`) and stepped (`schemes.run_block`).
 
-    Sample s's nodes in the stretch are nodes[s], from one node of the
-    dt_ref grid to another.  Its exact convolution increments over them are
-    the rows starts[s] .. starts[s + 1] - 1 of `wiener` (`starts` has one
-    more entry than `nodes`), and its jumps inside the stretch are at
-    times[s] with magnitudes xis[s].
+    The rows are flat.  Node t of row s is the key s + i t, both doubles
+    exact, and `nodes` holds every row's nodes in one sorted array (complex
+    numbers sort by real, then imaginary part), each row's from one dt_ref
+    node to another.  Row s's exact convolution increments over them are
+    the rows starts[s] .. starts[s + 1] - 1 of `wiener` (starts[0] = 0),
+    so its nodes are nodes[starts[s] + s .. starts[s + 1] + s].  Its jumps
+    in the stretch are keyed the same way in `jumps`, magnitudes in `xis`.
     """
 
     dt_ref: float
-    nodes: list
+    nodes: np.ndarray
     wiener: np.ndarray
     starts: np.ndarray
-    times: list
-    xis: list
+    jumps: np.ndarray
+    xis: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return self.starts.size - 1
+
+    @property
+    def deltas(self) -> np.ndarray:
+        """Each increment row's step: the differences of the nodes but
+        those from one row's last node to the next row's first."""
+        return np.delete(np.diff(self.nodes.imag),
+                         self.starts[1:-1] + np.arange(self.rows - 1))
 
     @property
     def n_ref(self) -> int:
         return self.wiener.shape[1]
+
+
+def _starts(nodes: np.ndarray, rows: int) -> np.ndarray:
+    """Each of `rows` rows' first increment row, then the row count."""
+    first = np.arange(rows + 1)
+    return nodes.real.searchsorted(first) - first
 
 
 class PathStream:
@@ -673,11 +698,9 @@ class PathStream:
                  model: MarkModel, global_seed: int, indices):
         self.dt_ref = dt_ref
         self.base = uniform_nodes(horizon, dt_ref)
-        times, xis, counts = sample_jump_skeletons(horizon, model,
-                                                   global_seed, indices)
-        cuts = np.cumsum(counts)[:-1]
-        self._times = np.split(times, cuts)
-        self._xis = np.split(xis, cuts)
+        times, self._xis, counts = sample_jump_skeletons(
+            horizon, model, global_seed, indices)
+        self._jumps = np.repeat(np.arange(counts.size), counts) + 1j * times
         self._rngs = [stream(global_seed, i, PURPOSE_WIENER) for i in indices]
         self._at = 0  # the dt_ref node the streams are at
         self._rows = np.empty((0, n_ref))  # reused from stretch to stretch
@@ -691,13 +714,10 @@ class PathStream:
             raise ValueError("a path's stretches must be drawn in order")
         self._at = k1
         base = self.base[k0:k1 + 1]
-        nodes, times, xis = [], [], []
-        for t, x in zip(self._times, self._xis):
-            lo, hi = np.searchsorted(t, (base[0], base[-1]), side="right")
-            times.append(t[lo:hi])
-            xis.append(x[lo:hi])
-            nodes.append(merge_jumps(base, t[lo:hi]))
-        starts = _starts(nodes)
+        inside = (base[0] < self._jumps.imag) & (self._jumps.imag <= base[-1])
+        jumps = self._jumps[inside]
+        nodes = merge_jumps(base, jumps, len(self._rngs))
+        starts = _starts(nodes, len(self._rngs))
         if self._rows.shape[0] < starts[-1]:
             n_ref = self._rows.shape[1]
             self._rows = None  # freed before its successor is allocated
@@ -705,84 +725,68 @@ class PathStream:
         wiener = self._rows[:starts[-1]]
         for rng, a, b in zip(self._rngs, starts[:-1], starts[1:]):
             rng.standard_normal(out=wiener[a:b])
-        _scale_rows(wiener, np.concatenate([np.diff(m) for m in nodes]),
-                    self.dt_ref)
-        return PathChunk(self.dt_ref, nodes, wiener, starts, times, xis)
+        chunk = PathChunk(self.dt_ref, nodes, wiener, starts, jumps,
+                          self._xis[inside])
+        _scale_rows(wiener, chunk.deltas, self.dt_ref)
+        return chunk
 
 
-def _starts(nodes) -> np.ndarray:
-    """The first row of each sample's increments, then the row count."""
-    starts = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum([p.size - 1 for p in nodes], out=starts[1:])
-    return starts
-
-
-def _keyed(nodes) -> np.ndarray:
-    """Sample s's nodes t as the keys s + i t, exactly, all in order:
-    complex numbers sort by real part, then imaginary."""
-    return (np.repeat(np.arange(len(nodes)), [p.size for p in nodes])
-            + 1j * np.concatenate(nodes))
-
-
-def restrict_chunk(chunk: PathChunk, parts, n_modes: int,
+def restrict_chunk(chunk: PathChunk, parts: np.ndarray, n_modes: int,
                    finer: Optional[PathChunk] = None) -> PathChunk:
-    """Exactly restrict a stretch to one partition per sample and a mode
+    """Exactly restrict a stretch to one partition per row and a mode
     count; every restriction of a path, whole or streamed, is made here.
 
-    `parts` holds one partition per row: parts[s] is sample s's partition
-    nodes in the stretch, nodes of the chunk, the stretch's first and last
-    among them.  Returns the chunk on `parts`, with the same jumps: its
-    row starts[s] + i is the increment over parts[s][i] .. parts[s][i + 1],
-    the left-to-right `compose_convolution` fold of the chunk's increments
-    it contains, so the restriction is exact in distribution and
-    bit-for-bit reproducible.  Where every partition is the chunk's own,
-    the result's increments are a view of its rows.
+    `parts` holds the keyed nodes (see `PathChunk`) of one partition per
+    row, nodes of the chunk, each row's first and last among them.
+    Returns the chunk on `parts`, with the same jumps: its row starts[s] +
+    i is the increment over row s's partition nodes i and i + 1, the
+    left-to-right `compose_convolution` fold of the chunk's increments it
+    contains, so the restriction is exact in distribution and bit-for-bit
+    reproducible.  Where every partition is the chunk's own, the result's
+    increments are a view of its rows.
 
-    All the samples' steps fold together (`_fold`), on from the row of
-    their first step in `finer`, a restriction of this chunk to partitions
+    All the rows' steps fold together (`_fold`), on from the row of their
+    first step in `finer`, a restriction of this chunk to partitions
     refining `parts` with at least n_modes modes: the doubles of the fold
     from the micro rows, in fewer passes.  By default, the chunk itself.
     """
-    if len(parts) != len(chunk.nodes):
-        raise ValueError(f"{len(parts)} partitions for a chunk of "
-                         f"{len(chunk.nodes)} rows")
+    count = int(parts[-1].real) + 1 if parts.size else 0
+    if count != chunk.rows:
+        raise ValueError(f"{count} partitions for a chunk of {chunk.rows} "
+                         "rows")
     fine = chunk if finer is None else finer
-    if len(fine.nodes) != len(parts):
-        raise ValueError(f"a finer chunk of {len(fine.nodes)} rows for "
-                         f"{len(parts)} partitions")
+    if fine.rows != count:
+        raise ValueError(f"a finer chunk of {fine.rows} rows for {count} "
+                         "partitions")
     top = min(chunk.n_ref, fine.n_ref)
     if not 1 <= n_modes <= top:
         raise ValueError(f"mode count must lie in [1, {top}]")
     inc = chunk.wiener[:, :n_modes]
-    if all(map(np.array_equal, parts, chunk.nodes)):
+    if np.array_equal(parts, chunk.nodes):
         return replace(chunk, wiener=inc)
-    # every sample's nodes located at once by their keys: a node past a
-    # sample's last micro node is compared with the next sample's first
-    want, micro = _keyed(parts), _keyed(chunk.nodes)
-    fkeys = micro if finer is None else _keyed(finer.nodes)
-    at = micro.searchsorted(want)
-    if (micro.take(at, mode="clip") != want).any():
+    # every row's nodes located at once by their keys: a node past a row's
+    # last micro node is compared with the next row's first
+    micro = chunk.nodes
+    at = micro.searchsorted(parts)
+    if (micro.take(at, mode="clip") != parts).any():
         raise ValueError("partition is not refined by the micro grid")
-    starts = _starts(parts)
-    ends = starts + np.arange(starts.size)  # samples' first nodes, count
-    owner = want.real.astype(np.intp)
+    starts = _starts(parts, count)
+    ends = starts + np.arange(starts.size)  # rows' first nodes, count
+    owner = parts.real.astype(np.intp)
     rows = at - owner  # the micro row each node starts, or the row count
     if ((rows[ends[:-1]] != chunk.starts[:-1]).any()
             or (rows[ends[1:] - 1] != chunk.starts[1:]).any()):
         raise ValueError("a partition must span the stretch")
-    k = fkeys.searchsorted(want)
-    if (fkeys.take(k, mode="clip") != want).any():
+    k = fine.nodes.searchsorted(parts)
+    if (fine.nodes.take(k, mode="clip") != parts).any():
         raise ValueError("partition is not refined by the finer partition")
-    steps = np.delete(np.arange(want.size), ends[1:] - 1)  # a step's first
+    steps = np.delete(np.arange(parts.size), ends[1:] - 1)  # a step's first
     k, owner = k[steps], owner[steps]
-    # the micro rows' lengths: the steps between the samples dropped
-    deltas = np.delete(np.diff(micro.imag),
-                       chunk.starts[1:-1] + np.arange(len(parts) - 1))
     head = (fine.wiener[k - owner, :n_modes],
-            micro.searchsorted(fkeys[k + 1]) - owner)
-    wiener = _fold(inc, deltas, chunk.dt_ref,
+            micro.searchsorted(fine.nodes[k + 1]) - owner)
+    wiener = _fold(inc, chunk.deltas, chunk.dt_ref,
                    np.append(rows[steps], chunk.starts[-1]), head)
-    return PathChunk(chunk.dt_ref, list(parts), wiener, starts, chunk.times,
+    return PathChunk(chunk.dt_ref, parts, wiener, starts, chunk.jumps,
                      chunk.xis)
 
 
@@ -799,29 +803,30 @@ def sample_path(horizon: float, dt_ref: float, n_ref: int, model: MarkModel,
     and its micro nodes and row scaling are those of `PathStream`, so its
     rows are the stream's bit for bit.
     """
-    jumps = stream(global_seed, sample_index, PURPOSE_JUMPS)
-    times, xis = sample_jump_skeleton(horizon, model, jumps)
-    nodes = merge_jumps(uniform_nodes(horizon, dt_ref), times)
+    rng = stream(global_seed, sample_index, PURPOSE_JUMPS)
+    times, xis = sample_jump_skeleton(horizon, model, rng)
+    jumps = 1j * times
+    nodes = merge_jumps(uniform_nodes(horizon, dt_ref), jumps, 1)
     nodes.setflags(write=False)
     rng = stream(global_seed, sample_index, PURPOSE_WIENER)
     wiener = rng.standard_normal((nodes.size - 1, n_ref))
-    _scale_rows(wiener, np.diff(nodes), dt_ref)
-    return PathChunk(dt_ref, [nodes], wiener, _starts([nodes]), [times], [xis])
+    _scale_rows(wiener, np.diff(nodes.imag), dt_ref)
+    return PathChunk(dt_ref, nodes, wiener, np.array([0, nodes.size - 1]),
+                     jumps, xis)
 
 
 def restrict_path(path: PathChunk, nodes, n_modes: int) -> PathChunk:
     """Exactly restrict a whole path to a coarse partition and mode count.
 
-    `path` is the one-row chunk of `sample_path`, whose nodes must be a
-    strictly increasing 1-d array of at least two values with one
-    increment row per step; `nodes` is a 1-d array of at least two of
-    them, its first and last among them.  Returns `restrict_chunk` of the
-    path on `[nodes]`; on the path's own nodes its increments are a view
-    of the path's rows, not a copy.
+    `path` is the one-row chunk of `sample_path`: at least two strictly
+    increasing node times, one increment row per step.  `nodes` is a 1-d
+    array of at least two of them, its first and last among them.  Returns
+    `restrict_chunk` of the path on `nodes`; on the path's own nodes its
+    increments are a view of the path's rows, not a copy.
     """
-    if len(path.nodes) != 1:
-        raise ValueError(f"a whole path is one row, got {len(path.nodes)}")
-    micro = path.nodes[0]
+    if path.rows != 1:
+        raise ValueError(f"a whole path is one row, got {path.rows}")
+    micro = path.nodes.imag
     if micro.ndim != 1 or micro.size < 2:
         raise ValueError("grid nodes malformed")
     if np.any(np.diff(micro) <= 0.0):
@@ -831,7 +836,7 @@ def restrict_path(path: PathChunk, nodes, n_modes: int) -> PathChunk:
     nodes = np.asarray(nodes, dtype=np.float64)
     if nodes.ndim != 1 or nodes.size < 2:
         raise ValueError("partition must contain at least one step")
-    return restrict_chunk(path, [nodes], n_modes)
+    return restrict_chunk(path, 1j * nodes, n_modes)
 
 
 # ---------------------------------------------------------------------------

@@ -114,20 +114,20 @@ def warn_multiplicative_B(scheme: str, model: MarkModel,
 
 
 def stretch_nodes(cfg: SchemeConfig, level: np.ndarray,
-                  times: np.ndarray) -> np.ndarray:
-    """The scheme's partition over a stretch: its uniform nodes `level`,
-    merged with the jump times inside it on the adapted partition."""
-    if cfg.scheme == SCHEME_A:
-        return merge_jumps(level, times)
-    return level
+                  chunk: PathChunk) -> np.ndarray:
+    """The scheme's partition of every row of a stretch, keyed as the
+    chunk's nodes are: its uniform nodes `level`, merged with the row's
+    jumps inside the stretch on the adapted partition."""
+    jumps = chunk.jumps if cfg.scheme == SCHEME_A else chunk.jumps[:0]
+    return merge_jumps(level, jumps, chunk.rows)
 
 
 def run_block(cfg: SchemeConfig, chunk: PathChunk, state) -> tuple:
     """Run the configured scheme over a stretch for each row of `chunk`,
     all rows through one loop of the scheme update, written once here.
 
-    Row r steps between the times chunk.nodes[r] on the leading n_modes
-    columns of its increment rows.  A jump at sigma is in the step
+    Row r steps between its node times (see `PathChunk`) on the leading
+    n_modes columns of its increment rows.  A jump at sigma is in the step
     t_i < sigma <= t_(i+1).  The frozen jump term runs on every step: the
     compensator, plus on the uniform grid the step's jumps.  On the adapted
     partition each jump is then applied at its step's end node, which
@@ -156,46 +156,36 @@ def run_block(cfg: SchemeConfig, chunk: PathChunk, state) -> tuple:
     if cfg.nonlinearity.kind != "zero":
         kernel = NemytskiiKernel(cfg.nonlinearity, n, n)
     phi_vec = project(model.profile, n).coeffs
-    rows = len(chunk.nodes)
+    rows = chunk.rows
     wiener = chunk.wiener[:, :n]
     mean_g1, mean_g = compensator_coeffs(model, n)
     mean_g_vec = mean_g.coeffs
 
-    # per row and step: an index into a table of the distinct step sizes,
-    # the increment row, and the g1 and magnitude sums of the step's jumps
-    # (on the adapted partition at most one, at its end node); a row past
-    # its last step repeats its last size and increment, with no jumps
-    steps = np.array([p.size - 1 for p in chunk.nodes])
+    # per step and row: the increment row, an index into a table of the
+    # distinct step sizes, and the g1 and magnitude sums of the step's
+    # jumps in time order (on the adapted partition at most one); a row
+    # past its last step repeats its last size and increment, no jumps
+    starts = chunk.starts
+    steps = np.diff(starts)
     width = int(steps.max())
-    dts = np.empty((rows, width))
-    for r, p in enumerate(chunk.nodes):
-        dts[r, :steps[r]] = np.diff(p)
-        dts[r, steps[r]:] = dts[r, steps[r] - 1]
-    starts = chunk.starts[:-1]
-    src = np.minimum(starts + np.arange(width)[:, None], starts + steps - 1)
-    sum_g1 = np.zeros((rows, width))
-    sum_xi = np.zeros((rows, width))
-    for r, (p, times, xis) in enumerate(zip(chunk.nodes, chunk.times,
-                                            chunk.xis)):
-        if times.size:
-            in_step = np.searchsorted(p, times) - 1
-            sum_g1[r, :steps[r]] = np.bincount(
-                in_step, weights=model.g1_values(xis), minlength=steps[r])
-            sum_xi[r, :steps[r]] = np.bincount(in_step, weights=xis,
-                                               minlength=steps[r])
-    jumped = (sum_xi != 0.0).any(axis=0).tolist()  # marks are never zero
-    ends = {}  # step -> the rows whose last step it is
-    for r, s in enumerate(steps.tolist()):
-        ends.setdefault(s - 1, []).append(r)
+    src = np.minimum(starts[:-1] + np.arange(width)[:, None], starts[1:] - 1)
+    dts = chunk.deltas[src]
+    owner = chunk.jumps.real.astype(np.intp)
+    step = chunk.nodes.searchsorted(chunk.jumps) - 1 - owner - starts[owner]
+    cell = step * rows + owner
+    sum_g1, sum_xi = (np.bincount(cell, w, width * rows).reshape(width, rows)
+                      for w in (model.g1_values(chunk.xis), chunk.xis))
+    jumped = (sum_xi != 0.0).any(axis=1).tolist()  # marks are never zero
+    last = set((steps - 1).tolist())  # the steps that end some row
     sizes, which = np.unique(dts.ravel(), return_inverse=True)
-    which = which.reshape(rows, width)
+    which = which.reshape(width, rows)
     e_tab = np.array([np.exp(-lam * dt) for dt in sizes])
     p_tab = np.array([-np.expm1(-lam * dt) / lam for dt in sizes])
     s_tab = np.array([-dt * mean_g_vec for dt in sizes])
     c_tab = -sizes * mean_g1
     tables = list(zip(e_tab, p_tab, s_tab, c_tab))  # per size, for shared steps
-    shared = (which == which[:1]).all(axis=0).tolist()
-    first = which[0].tolist()
+    shared = (which == which[:, :1]).all(axis=1).tolist()
+    first = which[:, 0].tolist()
 
     x = np.asarray(state, dtype=np.float64)
     gone = ~np.isfinite(x).all(axis=1)
@@ -206,13 +196,13 @@ def run_block(cfg: SchemeConfig, chunk: PathChunk, state) -> tuple:
         if shared[i]:
             e_vec, p_vec, shift, coeff = tables[first[i]]
         else:
-            col = which[:, i]
+            col = which[i]
             e_vec, p_vec, shift = e_tab[col], p_tab[col], s_tab[col]
             coeff = c_tab[col, None]
         if not adapted:
-            coeff = coeff + sum_g1[:, i, None]
+            coeff = coeff + sum_g1[i, :, None]
             if jumped[i]:
-                shift = sum_xi[:, i, None] * phi_vec + shift
+                shift = sum_xi[i, :, None] * phi_vec + shift
         # y = E(dt) x + phi1(dt) F_N(x) + WienerConvIncrement + E(dt) JumpTerm
         # with JumpTerm = coeff * x + shift
         y = e_vec * x
@@ -224,18 +214,18 @@ def run_block(cfg: SchemeConfig, chunk: PathChunk, state) -> tuple:
         jv *= e_vec
         y += jv
         if adapted and jumped[i]:
-            y *= 1.0 + sum_g1[:, i, None]
-            y += sum_xi[:, i, None] * phi_vec
+            y *= 1.0 + sum_g1[i, :, None]
+            y += sum_xi[i, :, None] * phi_vec
         x = y
-        done = ends.get(i)
-        if np.isfinite(y).all() and done is None:
+        if np.isfinite(y).all() and i not in last:
             continue
         fresh = ~np.isfinite(y).all(axis=1) & ~gone
         y[fresh] = np.nan
         gone |= fresh
         for r in np.nonzero(fresh & (steps > i))[0].tolist():
-            diverged[r] = (i, float(chunk.nodes[r][i + 1]))
-        if done is not None:
+            diverged[r] = (i, float(chunk.nodes[starts[r] + r + i + 1].imag))
+        if i in last:
+            done = steps == i + 1
             finals[done] = y[done]
         if (gone | (steps <= i + 1)).all():
             break
@@ -247,7 +237,7 @@ def _run_one(cfg: SchemeConfig, path: PathChunk) -> SpectralState:
     one-row chunk): `run_block` from x0 on the chunk that `restrict_path`
     makes on the scheme's partition of [0, T] (see `stretch_nodes`).
     Raises DivergenceError if the state turns non-finite."""
-    if path.nodes[0][-1] != cfg.horizon:
+    if path.nodes[-1].imag != cfg.horizon:
         raise ValueError("path horizon does not match the configuration")
     # exactly: the partition's nodes are micro nodes of the path
     if not dyadic_ratio(cfg.dt_nominal, path.dt_ref):
@@ -255,8 +245,8 @@ def _run_one(cfg: SchemeConfig, path: PathChunk) -> SpectralState:
             "dt_nominal must be the reference step times a power of two"
         )
     nodes = stretch_nodes(cfg, uniform_nodes(cfg.horizon, cfg.dt_nominal),
-                          path.times[0])
-    chunk = restrict_path(path, nodes, cfg.n_modes)
+                          path)
+    chunk = restrict_path(path, nodes.imag, cfg.n_modes)
     x0 = project(cfg.x0, cfg.n_modes).coeffs[None]
     finals, diverged = run_block(cfg, chunk, x0)
     if diverged:

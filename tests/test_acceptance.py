@@ -276,7 +276,7 @@ def test_criterion_01_unit_property_invariants():
     ok &= path.wiener.tobytes() == again.wiener.tobytes()
     jumpy = sample_path(1.0, 2.0**-6, 8, model, 7, 3)
     jumpy2 = sample_path(1.0, 2.0**-6, 8, model, 7, 3)
-    ok &= jumpy.times[0].tobytes() == jumpy2.times[0].tobytes()
+    ok &= jumpy.jumps.tobytes() == jumpy2.jumps.tobytes()
     ok &= jumpy.wiener.tobytes() == jumpy2.wiener.tobytes()
 
     assert record("criterion 1 unit/property invariants", bool(ok),
@@ -464,7 +464,7 @@ def _closed_form_terminal(plan: StudyPlan, path) -> SpectralState:
     wiener = restrict_path(path, np.array([0.0, horizon]), plan.n_ref).wiener[0]
     return (semigroup_apply(plan.x0, horizon) + SpectralState(wiener)
             + compensated_jump_convolution(
-                horizon, path.times[0], path.xis[0], plan.model, plan.n_ref,
+                horizon, path.jumps.imag, path.xis, plan.model, plan.n_ref,
                 horizon))
 
 

@@ -854,6 +854,15 @@ def test_main_dry_run_creates_nothing(tmp_path, capsys):
         "law": {"kind": "two_point", "p_plus": 0.5, "v_plus": 1.0,
                 "v_minus": -1.0},
         "profile": {"c": 1.0, "r": 2.0}}}, "model.intensity"),
+    # F = 0 and g1 = 0: without jumps, or with centred ones on scheme A,
+    # the temporal schemes are exact and each coupled error is rounding
+    ({"nonlinearity": {"kind": "zero"}}, "model.law"),
+    ({"nonlinearity": {"kind": "linear", "coef": 0.0}}, "model.law"),
+    ({"scheme": "uniform_B", "nonlinearity": {"kind": "zero"},
+      "model": {"intensity": 0.0,
+                "law": {"kind": "two_point", "p_plus": 0.5, "v_plus": 1.0,
+                        "v_minus": -1.0},
+                "profile": {"c": 1.0, "r": 2.0}}}, "model.intensity"),
 ])
 def test_dry_run_rejects_unrunnable_plans(tmp_path, capsys, overrides,
                                           field):

@@ -7,7 +7,10 @@ closed-form second moments where those exist.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -47,6 +50,7 @@ from levyheat.noise import (
     sample_jump_skeletons,
     sample_path,
     stream,
+    truncate_levy,
     uniform_nodes,
 )
 from levyheat.schemes import (
@@ -396,6 +400,43 @@ def test_plan_rejects_misc_bad_fields():
         make_plan(levels=(2.0**-3,) * 3)
     with pytest.raises(ValueError):
         make_plan(samples=0)
+
+
+@pytest.mark.parametrize("scheme, model, nonlinearity, field", [
+    (SCHEME_A, tiny_model(4), NonlinearitySpec.zero(), "model.law"),
+    (SCHEME_A, tiny_model(4), NonlinearitySpec.linear(0.0), "model.law"),
+    (SCHEME_A, truncate_levy(0.5, 0.5, power_profile(1.0, 2.0, 4))[0],
+     NonlinearitySpec.zero(), "model.law"),
+    (SCHEME_A, tiny_model(4, intensity=0.0), NonlinearitySpec.zero(),
+     "model.intensity"),
+    (SCHEME_B, tiny_model(4, intensity=0.0), NonlinearitySpec.zero(),
+     "model.intensity"),
+    (SCHEME_B, tiny_model(4, intensity=0.0), NonlinearitySpec.linear(0.0),
+     "model.intensity"),
+])
+def test_plan_refuses_a_temporal_plan_exact_at_every_level(scheme, model,
+                                                           nonlinearity,
+                                                           field):
+    # F = 0, g1 = 0, and no jumps, or centred ones on the adapted scheme:
+    # every coupled error is rounding (about 1e-16), so no order exists
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)}: with .*"
+                       r"zero nonlinearity and a zero model\.g1"):
+        make_plan(scheme=scheme, model=model, nonlinearity=nonlinearity)
+
+
+def test_plan_keeps_temporal_plans_whose_coupled_error_is_not_rounding():
+    # F = 0 and g1 = 0 with non-centred jumps on scheme A (the closed-form
+    # truth test's case, E[xi] = 0.5) or centred ones on scheme B: each
+    # level has a discretisation error far above rounding
+    skewed = MarkModel(1.0, TwoPointLaw(0.5, 2.0, -1.0),
+                       power_profile(1.0, 2.0, 4))
+    assert skewed.law.mean() == 0.5
+    for scheme, model, low in ((SCHEME_A, skewed, 0.005),
+                               (SCHEME_B, tiny_model(4), 0.03)):
+        plan = make_plan(scheme=scheme, model=model,
+                         nonlinearity=NonlinearitySpec.zero())
+        errors = run_study(plan).reports[0].errors
+        assert (errors > low).all() and errors[0] > 2 * errors[-1]
 
 
 def test_plan_rejects_level_at_dt_ref_naming_the_field():
@@ -969,11 +1010,59 @@ def _force_jumps(monkeypatch, forced):
     monkeypatch.setattr(noise, "_draw_jumps", stub)
 
 
+def test_temporal_study_blocks_leave_numpy_ma_unimported():
+    # numpy.ma costs about 10 ms to import, and np.union1d's np.unique
+    # imported it inside a study's first stretch; drawing, restricting and
+    # stepping the blocks need none of it (the bootstrap's np.percentile,
+    # which calls np.unique as well, still imports it)
+    src = os.path.dirname(experiments.__file__)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(src))
+    check = "import sys; print('numpy.ma' in sys.modules)"
+
+    def imports_ma(code):
+        run = subprocess.run([sys.executable, "-c", f"{code}\n{check}"],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        return run.stdout.split()[-1] == "True"
+
+    if imports_ma("import numpy"):
+        pytest.skip("importing numpy alone imports numpy.ma here")
+    assert not imports_ma(
+        "from levyheat.experiments import StudyPlan, _collect_norms\n"
+        "from levyheat.noise import MarkModel, TwoPointLaw, power_profile\n"
+        "from levyheat.spectral import NonlinearitySpec, SpectralState\n"
+        "model = MarkModel(2.0, TwoPointLaw(0.5, 2.0, -1.0),\n"
+        "                  power_profile(1.0, 2.0, 4))\n"
+        "plan = StudyPlan('unit', 'temporal', (0.25, 0.125, 0.0625), 4,\n"
+        "                 2.0**-6, (2.0,), 100, 'jump_adapted_A', 0.5,\n"
+        "                 NonlinearitySpec.sine(1.0), model,\n"
+        "                 SpectralState([1.0]), 11)\n"
+        "norms, aborted = _collect_norms(plan, 1)\n"
+        "assert norms.shape == (100, 3) and norms.all() and not aborted")
+
+
 def _budget_for(monkeypatch, plan, stretch):
     """Set the byte budget so that a block's stretch is `stretch` steps."""
     rows = plan.n_ref * 8 * (2 if plan.scheme == SCHEME_B else 1)
     monkeypatch.setattr(experiments, "BLOCK_BYTES", stretch * MAX_BLOCK * rows)
     assert _blocking(plan) == (MAX_BLOCK, stretch)
+
+
+def _times(keys, s):
+    """Row s's times among keyed nodes or jumps."""
+    return keys[keys.real == s].imag
+
+
+def _row(chunk, s):
+    """Row s of a chunk: its node times and its increment rows."""
+    times = _times(chunk.nodes, s)
+    a = chunk.starts[s]
+    return times, chunk.wiener[a:a + times.size - 1]
+
+
+def _keyed(parts):
+    """Per-row partition times, keyed as in a chunk."""
+    return np.concatenate([s + 1j * p for s, p in enumerate(parts)])
 
 
 def _streamed(plan, stretch):
@@ -993,12 +1082,12 @@ def _streamed(plan, stretch):
         for j, ((dt, n), cfg) in enumerate(zip(res, cfgs)):
             r = round(dt / plan.dt_ref)
             level = uniform_nodes(plan.horizon, dt)[k0 // r:k1 // r + 1]
-            parts = [stretch_nodes(cfg, level, t) for t in chunk.times]
-            folded = restrict_chunk(chunk, parts, n)
+            folded = restrict_chunk(chunk, stretch_nodes(cfg, level, chunk),
+                                    n)
             for s in range(plan.samples):
-                nodes[s, j].append(folded.nodes[s][:-1])
-                incs[s, j].append(folded.wiener[
-                    folded.starts[s]:folded.starts[s + 1]].copy())
+                times, rows = _row(folded, s)
+                nodes[s, j].append(times[:-1])
+                incs[s, j].append(rows.copy())
     return nodes, incs
 
 
@@ -1012,7 +1101,7 @@ def _check_streamed(plan, stretch):
             cfg = SchemeConfig(plan.scheme, n, dt, plan.horizon,
                                plan.nonlinearity, plan.model, plan.x0)
             part = stretch_nodes(cfg, uniform_nodes(plan.horizon, dt),
-                                 path.times[0])
+                                 path).imag
             oracle = restrict_path(path, part, n)
             joined = np.concatenate(nodes[s, j] + [part[-1:]])
             assert joined.tobytes() == part.tobytes()
@@ -1059,8 +1148,7 @@ def test_wiener_rows_match_a_literal_scaling_oracle(monkeypatch):
     for k0 in range(0, total, stretch):
         chunk = paths.draw(k0, min(k0 + stretch, total))
         for s in range(4):
-            streamed[s].append(
-                chunk.wiener[chunk.starts[s]:chunk.starts[s + 1]].copy())
+            streamed[s].append(_row(chunk, s)[1].copy())
     lam = eigenvalues(plan.n_ref)
     std = np.sqrt(conv_variance(lam, dt))
     for s in range(4):
@@ -1070,12 +1158,12 @@ def test_wiener_rows_match_a_literal_scaling_oracle(monkeypatch):
                            plan.seed, [s]).draw(0, total)
         assert path.dt_ref == whole.dt_ref
         assert path.starts.tobytes() == whole.starts.tobytes()
-        for field in ("nodes", "times", "xis"):
+        assert path.rows == whole.rows == 1
+        for field in ("nodes", "jumps", "xis"):
             mine, theirs = getattr(path, field), getattr(whole, field)
-            assert len(mine) == len(theirs) == 1
-            assert mine[0].tobytes() == theirs[0].tobytes()
+            assert mine.tobytes() == theirs.tobytes()
         assert path.wiener.tobytes() == whole.wiener.tobytes()
-        deltas = np.diff(path.nodes[0])
+        deltas = np.diff(path.nodes.imag)
         z = stream(plan.seed, s, PURPOSE_WIENER).standard_normal(
             (deltas.size, plan.n_ref))
         expected = []
@@ -1116,8 +1204,8 @@ def test_a_jump_on_a_reference_node_is_an_ordinary_jump(monkeypatch, scheme,
         path = sample_path(plan.horizon, dt, plan.n_ref, plan.model,
                            plan.seed, i)
         grid = uniform_nodes(plan.horizon, dt)
-        assert path.nodes[0].tobytes() == np.union1d(grid, times).tobytes()
-        assert path.nodes[0].size == grid.size + 1  # one jump off the grid
+        assert path.nodes.imag.tobytes() == np.union1d(grid, times).tobytes()
+        assert path.nodes.size == grid.size + 1  # one jump off the grid
         finals, diverged = _alone(plan, i)
         assert diverged is None
         for j, final in enumerate(finals):
@@ -1171,11 +1259,11 @@ def test_restrict_chunk_locates_every_samples_nodes(monkeypatch):
     chunk = PathStream(plan.horizon, dt, plan.n_ref, plan.model, plan.seed,
                        range(4)).draw(0, 8)
     level = uniform_nodes(plan.horizon, 2 * dt)[:5]
-    parts = [stretch_nodes(cfg, level, t) for t in chunk.times]
+    keys = stretch_nodes(cfg, level, chunk)
+    parts = [_times(keys, s) for s in range(4)]
     expected = np.concatenate(
-        [np.searchsorted(m, p)[:-1] + a
-         for p, m, a in zip(parts, chunk.nodes, chunk.starts)]
-        + [chunk.starts[-1:]])
+        [np.searchsorted(_row(chunk, s)[0], p)[:-1] + chunk.starts[s]
+         for s, p in enumerate(parts)] + [chunk.starts[-1:]])
     seen = []
     fold = noise._fold
 
@@ -1184,13 +1272,13 @@ def test_restrict_chunk_locates_every_samples_nodes(monkeypatch):
         return fold(inc, deltas, dt_ref, pos, head)
 
     monkeypatch.setattr(noise, "_fold", spy)
-    restrict_chunk(chunk, parts, plan.n_ref)
+    restrict_chunk(chunk, keys, plan.n_ref)
     assert seen[0].dtype == expected.dtype
     assert seen[0].tobytes() == expected.tobytes()
 
     def with_node(s, t):
-        return [np.sort(np.append(p, t)) if i == s else p
-                for i, p in enumerate(parts)]
+        return _keyed([np.sort(np.append(p, t)) if i == s else p
+                       for i, p in enumerate(parts)])
 
     # a node off every micro grid, sample 0's jump time in sample 1's
     # partition, and a node past the stretch, beyond every micro node
@@ -1200,7 +1288,8 @@ def test_restrict_chunk_locates_every_samples_nodes(monkeypatch):
             restrict_chunk(chunk, bad, plan.n_ref)
     for s in range(4):
         for cut in (slice(1, None), slice(None, -1)):
-            bad = [p[cut] if i == s else p for i, p in enumerate(parts)]
+            bad = _keyed([p[cut] if i == s else p
+                          for i, p in enumerate(parts)])
             with pytest.raises(ValueError, match="must span the stretch"):
                 restrict_chunk(chunk, bad, plan.n_ref)
 
@@ -1223,9 +1312,9 @@ def test_spatial_levels_step_on_the_reference_fold(monkeypatch):
     real = experiments.run_block
 
     def spy(cfg, chunk, state):
-        for s, (nodes, a) in enumerate(zip(chunk.nodes, chunk.starts)):
+        for s in range(chunk.rows):
             stepped.setdefault((cfg.n_modes, s), []).append(
-                chunk.wiener[a:a + nodes.size - 1, :cfg.n_modes].copy())
+                _row(chunk, s)[1][:, :cfg.n_modes].copy())
         return real(cfg, chunk, state)
 
     monkeypatch.setattr(experiments, "run_block", spy)
@@ -1267,10 +1356,11 @@ def test_temporal_levels_step_on_folds_from_the_next_finer_level(
     real = experiments.run_block
 
     def spy(cfg, chunk, state):
-        for s, (nodes, a) in enumerate(zip(chunk.nodes, chunk.starts)):
+        for s in range(chunk.rows):
+            nodes, rows = _row(chunk, s)
             seen = stepped.setdefault((cfg.dt_nominal, s), ([], []))
             seen[0].append(nodes[:-1])
-            seen[1].append(chunk.wiener[a:a + nodes.size - 1].copy())
+            seen[1].append(rows.copy())
         return real(cfg, chunk, state)
 
     monkeypatch.setattr(experiments, "run_block", spy)
@@ -1283,7 +1373,7 @@ def test_temporal_levels_step_on_folds_from_the_next_finer_level(
             cfg = SchemeConfig(scheme, n, level, plan.horizon,
                                plan.nonlinearity, plan.model, plan.x0)
             part = stretch_nodes(cfg, uniform_nodes(plan.horizon, level),
-                                 path.times[0])
+                                 path).imag
             oracle = restrict_path(path, part, n).wiener
             nodes, incs = stepped[level, s]
             assert np.concatenate(nodes + [part[-1:]]).tobytes() == \

@@ -29,6 +29,7 @@ from levyheat.noise import (
     compose_convolution,
     conv_variance,
     dyadic_ratio,
+    merge_jumps,
     power_profile,
     restrict_chunk,
     restrict_path,
@@ -54,8 +55,14 @@ def two_point_model(n=8, intensity=2.0, g1=None):
 
 def whole_path(nodes, dt_ref, wiener, times, xis):
     """A whole path built by hand: the one-row chunk of a single stretch."""
-    return PathChunk(dt_ref, [nodes], wiener, np.array([0, wiener.shape[0]]),
-                     [times], [xis])
+    return PathChunk(dt_ref, 1j * np.asarray(nodes), wiener,
+                     np.array([0, wiener.shape[0]]), 1j * np.asarray(times),
+                     xis)
+
+
+def keyed(grid, rows):
+    """The nodes `grid` for each of `rows` rows, keyed as in a chunk."""
+    return (np.arange(rows)[:, None] + 1j * np.asarray(grid)).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -563,17 +570,21 @@ def test_micro_grid_construction(monkeypatch):
         monkeypatch.setattr(noise, "sample_jump_skeleton",
                             lambda *args, sk=sk: sk)
         path = sample_path(1.0, 0.25, 4, model, 7, 3)
-        assert np.array_equal(path.nodes[0], nodes) and path.dt_ref == 0.25
-        assert not path.nodes[0].flags.writeable
-        assert path.times[0] is sk[0] and path.xis[0] is sk[1]
+        assert path.nodes.tobytes() == keyed(nodes, 1).tobytes()
+        assert path.dt_ref == 0.25
+        assert not path.nodes.flags.writeable
+        assert path.jumps.tobytes() == keyed(sk[0], 1).tobytes()
+        assert path.xis is sk[1]
     with pytest.raises(ValueError):
         sample_path(1.0, 0.3, 4, model, 7, 3)  # horizon not a multiple
     # a jump on a dt_ref node, or at the horizon, adds no node
     sk = np.array([0.25, 1.0]), np.array([1.0, -1.0])
     monkeypatch.setattr(noise, "sample_jump_skeleton", lambda *args: sk)
     path = sample_path(1.0, 0.25, 4, model, 7, 3)
-    assert path.nodes[0].tobytes() == uniform_nodes(1.0, 0.25).tobytes()
-    assert path.wiener.shape == (4, 4) and path.times[0] is sk[0]
+    assert path.nodes.tobytes() == keyed(uniform_nodes(1.0, 0.25),
+                                         1).tobytes()
+    assert path.wiener.shape == (4, 4)
+    assert path.jumps.tobytes() == keyed(sk[0], 1).tobytes()
     # a level's nodes are every r-th dt_ref node, the same doubles as its
     # own grid's
     for horizon in (1.0, 0.5, 0.3):
@@ -582,6 +593,36 @@ def test_micro_grid_construction(monkeypatch):
             for r in (2**j for j in range(k + 1)):
                 assert (uniform_nodes(horizon, dt_ref)[::r].tobytes()
                         == uniform_nodes(horizon, r * dt_ref).tobytes())
+
+
+def test_merge_jumps_is_a_union_of_each_rows_grid_and_jumps():
+    # every row's nodes are np.union1d of the grid and its jumps, a jump on
+    # a node or on the last node adding none, and the rows keep their order
+    rng = np.random.default_rng(31)
+    on_nodes = on_last = 0
+    for case in range(200):
+        grid = np.unique(rng.uniform(0.0, 1.0, int(rng.integers(2, 12))))
+        if grid.size < 2:
+            continue
+        rows = int(rng.integers(1, 5))
+        times = []
+        for r in range(rows):
+            own = rng.uniform(grid[0], grid[-1], int(rng.integers(0, 5)))
+            # on a node, on the last node, or on none
+            on = grid[rng.integers(1, grid.size, int(rng.integers(0, 3)))]
+            picks = [own, on] + ([grid[-1:]] if case % 3 == 0 else [])
+            times.append(np.unique(np.concatenate(picks)))
+            times[-1] = times[-1][times[-1] > grid[0]]
+        on_nodes += sum(np.isin(t, grid).sum() for t in times)
+        on_last += sum(t[-1:].tolist() == [grid[-1]] for t in times)
+        jumps = np.concatenate([r + 1j * t for r, t in enumerate(times)])
+        nodes = merge_jumps(grid, jumps, rows)
+        expected = np.concatenate([r + 1j * np.union1d(grid, t)
+                                   for r, t in enumerate(times)])
+        assert nodes.tobytes() == expected.tobytes()
+    assert on_nodes > on_last > 0
+    empty = merge_jumps(grid, np.empty(0, dtype=complex), 2)
+    assert empty.tobytes() == keyed(grid, 2).tobytes()
 
 
 def test_coupled_path_checks_its_nodes():
@@ -658,8 +699,8 @@ def test_path_determinism_bytes():
     a = sample_path(1.0, 2.0**-8, 8, model, 7, 3)
     b = sample_path(1.0, 2.0**-8, 8, model, 7, 3)
     assert a.wiener.tobytes() == b.wiener.tobytes()
-    assert a.times[0].tobytes() == b.times[0].tobytes()
-    assert a.xis[0].tobytes() == b.xis[0].tobytes()
+    assert a.jumps.tobytes() == b.jumps.tobytes()
+    assert a.xis.tobytes() == b.xis.tobytes()
     c = sample_path(1.0, 2.0**-8, 8, model, 7, 4)
     assert a.wiener.tobytes() != c.wiener.tobytes()
 
@@ -674,21 +715,21 @@ def test_wiener_and_jump_streams_are_disjoint():
     )
     pa = sample_path(1.0, 2.0**-8, 8, base, 7, 3)
     pb = sample_path(1.0, 2.0**-8, 8, other, 7, 3)
-    assert np.array_equal(pa.times[0], pb.times[0])
+    assert np.array_equal(pa.jumps, pb.jumps)
     assert np.array_equal(pa.wiener, pb.wiener)
-    assert not np.array_equal(pa.xis[0], pb.xis[0])
+    assert not np.array_equal(pa.xis, pb.xis)
 
 
 def test_restriction_is_bitwise_fold():
     model = two_point_model()
     path = sample_path(1.0, 2.0**-8, 8, model, 7, 3)
     lam = eigenvalues(5)
-    micro = path.nodes[0]
+    micro = path.nodes.imag
     finer = path  # each level also folds on from the last one's rows
     for j_level in [1, 2, 4]:
         nodes = np.arange(int(1.0 / (2.0**-8 * 2**j_level)) + 1) * (2.0**-8 * 2**j_level)
         bundle = restrict_path(path, nodes, 5)
-        chained = restrict_chunk(path, [nodes], 5, finer)
+        chained = restrict_chunk(path, keyed(nodes, 1), 5, finer)
         assert chained.wiener.tobytes() == bundle.wiener.tobytes()
         finer = chained
         for i in range(nodes.size - 1):
@@ -775,7 +816,7 @@ def test_fold_continues_from_head_rows_as_a_sequential_fold(monkeypatch,
 def test_restriction_identity_on_micro_grid():
     model = two_point_model()
     path = sample_path(1.0, 2.0**-6, 8, model, 11, 0)
-    bundle = restrict_path(path, path.nodes[0], 8)
+    bundle = restrict_path(path, path.nodes.imag, 8)
     assert np.array_equal(bundle.wiener, path.wiener)
 
 
@@ -807,8 +848,8 @@ def test_restriction_jump_bookkeeping():
     anodes = np.sort(np.concatenate([nodes, times]))
     for part in (nodes, anodes):
         chunk = restrict_path(path, part, 4)
-        assert chunk.times[0] is times and chunk.xis[0] is xis
-        assert np.array_equal(chunk.nodes[0], part)
+        assert chunk.jumps is path.jumps and chunk.xis is xis
+        assert chunk.nodes.tobytes() == keyed(part, 1).tobytes()
         assert chunk.wiener.shape == (part.size - 1, 4)
     with pytest.raises(ValueError, match="must span the stretch"):
         restrict_path(path, nodes[:2], 4)
@@ -830,7 +871,7 @@ def test_restriction_rejects_unrefined_partitions():
         with pytest.raises(ValueError, match="at least one step"):
             restrict_path(path, few, 4)
     # as many nodes as the micro grid, but not its nodes
-    off = path.nodes[0].copy()
+    off = path.nodes.imag.copy()
     off[1] += 1e-3
     with pytest.raises(ValueError, match="not refined by the micro grid"):
         restrict_path(path, off, 4)
@@ -838,24 +879,24 @@ def test_restriction_rejects_unrefined_partitions():
     # whole path is one row
     chunk = PathStream(1.0, 2.0**-4, 8, model, 7, range(3)).draw(0, 16)
     grid = np.arange(5) * 0.25
-    for parts in ([grid], [grid] * 4):
-        with pytest.raises(ValueError, match=f"^{len(parts)} partitions for "
+    for rows in (1, 4):
+        with pytest.raises(ValueError, match=f"^{rows} partitions for "
                            "a chunk of 3 rows"):
-            restrict_chunk(chunk, parts, 4)
+            restrict_chunk(chunk, keyed(grid, rows), 4)
     with pytest.raises(ValueError, match="one row, got 3"):
         restrict_path(chunk, grid, 4)
     # a finer chunk must refine the partitions, row for row, with enough
     # modes; one that lacks a coarse node is refused like a partition off
     # the micro grid
-    finer = restrict_chunk(chunk, [grid] * 3, 4)
+    finer = restrict_chunk(chunk, keyed(grid, 3), 4)
     with pytest.raises(ValueError, match="not refined by the finer "
                        "partition"):
-        restrict_chunk(chunk, [np.arange(9) * 0.125] * 3, 4, finer)
+        restrict_chunk(chunk, keyed(np.arange(9) * 0.125, 3), 4, finer)
     with pytest.raises(ValueError, match="a finer chunk of 2 rows for 3"):
-        restrict_chunk(chunk, [grid[::2]] * 3, 4,
-                       replace(finer, nodes=finer.nodes[:2]))
+        restrict_chunk(chunk, keyed(grid[::2], 3), 4,
+                       replace(finer, starts=finer.starts[:3]))
     with pytest.raises(ValueError, match=r"mode count must lie in \[1, 4\]"):
-        restrict_chunk(chunk, [grid[::2]] * 3, 8, finer)
+        restrict_chunk(chunk, keyed(grid[::2], 3), 8, finer)
 
 
 # ---------------------------------------------------------------------------

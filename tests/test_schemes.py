@@ -48,8 +48,8 @@ def silent_path(horizon, dt_ref, n, times, xis):
     zero."""
     times, xis = np.asarray(times, dtype=float), np.asarray(xis, dtype=float)
     nodes = np.union1d(uniform_nodes(horizon, dt_ref), times)
-    return PathChunk(dt_ref, [nodes], np.zeros((nodes.size - 1, n)),
-                     np.array([0, nodes.size - 1]), [times], [xis])
+    return PathChunk(dt_ref, 1j * nodes, np.zeros((nodes.size - 1, n)),
+                     np.array([0, nodes.size - 1]), 1j * times, xis)
 
 
 def config(scheme, n, dt, model, f=None, x0=None, horizon=1.0):
@@ -63,9 +63,10 @@ def config(scheme, n, dt, model, f=None, x0=None, horizon=1.0):
 
 
 def path_nodes(cfg, path):
-    """The partition that `run_scheme_A/B` step `cfg` on over `path`."""
+    """The partition times that `run_scheme_A/B` step `cfg` on over
+    `path`."""
     return stretch_nodes(cfg, uniform_nodes(cfg.horizon, cfg.dt_nominal),
-                         path.times[0])
+                         path).imag
 
 
 def stepwise(cfg, path):
@@ -74,14 +75,14 @@ def stepwise(cfg, path):
     the step before it ended on."""
     nodes = path_nodes(cfg, path)
     wiener = restrict_path(path, nodes, cfg.n_modes).wiener
-    times, xis = path.times[0], path.xis[0]
+    times, xis = path.jumps.imag, path.xis
     states = [project(cfg.x0, cfg.n_modes).coeffs[None]]
     jumps = 0
     for i in range(nodes.size - 1):
         mine = (nodes[i] < times) & (times <= nodes[i + 1])
         jumps += int(mine.sum())
-        block = PathChunk(path.dt_ref, [nodes[i:i + 2]], wiener,
-                          np.array([i, i + 1]), [times[mine]], [xis[mine]])
+        block = PathChunk(path.dt_ref, 1j * nodes[i:i + 2], wiener[i:i + 1],
+                          np.array([0, 1]), 1j * times[mine], xis[mine])
         finals, diverged = run_block(cfg, block, states[-1])
         assert diverged == {}
         states.append(finals)
@@ -98,7 +99,7 @@ def test_uniform_partition_basic():
     model = MarkModel(4.0, TwoPointLaw(0.5, 1.0, -1.0),
                       power_profile(1.0, 2.0, 2))
     path = sample_path(1.0, 2.0**-4, 2, model, 3, 1)
-    assert path.times[0].size > 0  # the fixture must have jumps to ignore
+    assert path.jumps.size > 0  # the fixture must have jumps to ignore
     part = path_nodes(config(SCHEME_B, 2, 0.25, model), path)
     assert np.array_equal(part, [0.0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(ValueError):
@@ -123,10 +124,12 @@ def test_adapted_partition_merges_coincident_node():
     # path may hold such a jump, and the adapted scheme applies it there
     cfg = config(SCHEME_A, 2, 0.25, zero_model(2))
     level = np.arange(5) * 0.25
-    nodes = stretch_nodes(cfg, level, np.array([0.5]))
-    assert np.array_equal(nodes, level)
+    nodes = stretch_nodes(cfg, level, silent_path(1.0, 0.25, 2, [0.5], [1]))
+    assert nodes.tobytes() == (1j * level).tobytes()
     uniform = config(SCHEME_B, 2, 0.25, zero_model(2))
-    assert stretch_nodes(uniform, level, np.array([0.3])) is level
+    jumpy = silent_path(1.0, 2.0**-4, 2, [0.3], [1.0])
+    assert stretch_nodes(uniform, level, jumpy).tobytes() == \
+        (1j * level).tobytes()
 
 
 def test_adapted_partition_interleaves_jump():
@@ -150,12 +153,13 @@ def test_scheme_partitions_keep_their_invariants():
         np.array([1.0]),  # at T
         np.array([0.3, 0.33]),  # two in one step
         np.array([0.125, 0.2, 0.25, 0.9, 1.0]),  # all of these at once
-    ] + [sample_path(1.0, 2.0**-6, 2, model, 17, i).times[0]
+    ] + [sample_path(1.0, 2.0**-6, 2, model, 17, i).jumps.imag
          for i in range(30)]
     assert max(t.size for t in jump_sets) > 8
     for times in jump_sets:
+        path = silent_path(1.0, 2.0**-6, 2, times, np.ones(times.size))
         for scheme in (SCHEME_A, SCHEME_B):
-            nodes = stretch_nodes(config(scheme, 2, dt, model), level, times)
+            nodes = path_nodes(config(scheme, 2, dt, model), path)
             assert nodes[0] == 0.0 and nodes[-1] == 1.0
             assert np.all(np.diff(nodes) > 0.0)
             assert np.diff(nodes).max() <= dt
@@ -308,14 +312,14 @@ def test_run_B_single_step_unrolled():
     x = run_scheme_B(cfg, path)
 
     lam = eigenvalues(4)
-    micro = path.nodes[0]
+    micro = path.nodes.imag
     fold = np.zeros(4)
     for j in range(micro.size - 1):
         fold += np.exp(-lam * (1.0 - micro[j + 1])) * path.wiener[j]
     phi = model.profile.coeffs
     mean_g = model.intensity * model.law.mean() * phi
     expected = (np.exp(-lam) * x0.coeffs + fold
-                + np.exp(-lam) * (path.xis[0].sum() * phi - mean_g))
+                + np.exp(-lam) * (path.xis.sum() * phi - mean_g))
     assert np.allclose(x.coeffs, expected, rtol=0, atol=1e-12)
 
 
@@ -375,7 +379,7 @@ def test_one_step_composition_matches_runners():
     x0 = SpectralState(np.linspace(0.5, -0.5, 6))
     f = NonlinearitySpec.sine(1.0)
     path = sample_path(1.0, 2.0**-7, 6, model, 5, 2)
-    times, xis = path.times[0], path.xis[0]
+    times, xis = path.jumps.imag, path.xis
     assert times.size > 0  # the fixture must exercise jumps
 
     for scheme, run in ((SCHEME_A, run_scheme_A), (SCHEME_B, run_scheme_B)):
@@ -389,11 +393,35 @@ def test_one_step_composition_matches_runners():
         wiener = restrict_path(path, nodes, 6).wiener
         for i in range(1, nodes.size - 1):
             mine = times <= nodes[i]
-            head = PathChunk(path.dt_ref, [nodes[:i + 1]], wiener,
-                             np.array([0, i]), [times[mine]], [xis[mine]])
+            head = PathChunk(path.dt_ref, 1j * nodes[:i + 1], wiener,
+                             np.array([0, i]), 1j * times[mine], xis[mine])
             finals, diverged = run_block(cfg, head, states[:1])
             assert diverged == {}
             assert finals[0].tobytes() == states[i].tobytes()
+
+
+def test_run_block_sums_a_steps_jumps_in_time_order():
+    # three jumps in one uniform step, marks 1, 1e16 and -1e16: they sum to
+    # 0 in time order and to 1 in another, and the step takes the sum in
+    # time order, bit for bit
+    model = MarkModel(2.0, TwoPointLaw(0.5, 1.0, -1.0),
+                      power_profile(1.0, 2.0, 2))
+    cfg = config(SCHEME_B, 2, 0.25, model)
+    marks = [1.0, 1e16, -1e16]
+    in_order = (marks[0] + marks[1]) + marks[2]
+    assert in_order == 0.0 and marks[0] + (marks[1] + marks[2]) == 1.0
+
+    def terminal(times, xis):
+        path = silent_path(1.0, 2.0**-4, 2, times, xis)
+        chunk = restrict_path(path, path_nodes(cfg, path), 2)
+        finals, diverged = run_block(cfg, chunk,
+                                     project(cfg.x0, 2).coeffs[None])
+        assert diverged == {}
+        return finals[0]
+
+    stepped = terminal([0.3, 0.35, 0.4], marks)
+    assert stepped.tobytes() == terminal([0.3], [in_order]).tobytes()
+    assert stepped.tobytes() != terminal([0.3], [1.0]).tobytes()
 
 
 def test_a_row_entering_non_finite_is_gone_without_a_report():
@@ -404,16 +432,19 @@ def test_a_row_entering_non_finite_is_gone_without_a_report():
     cfg = config(SCHEME_A, 6, 2.0**-4, model, f=NonlinearitySpec.sine(1.0))
     paths = [sample_path(1.0, 2.0**-7, 6, model, 5, i) for i in (2, 4)]
     level = uniform_nodes(1.0, 2.0**-4)
-    parts = [stretch_nodes(cfg, level, p.times[0]) for p in paths]
+    parts = [stretch_nodes(cfg, level, p).imag for p in paths]
     assert parts[0].size + 3 == parts[1].size
     wiener = [restrict_path(p, q, 6).wiener for p, q in zip(paths, parts)]
 
     def block(rows):
         starts = np.cumsum([0] + [wiener[r].shape[0] for r in rows])
-        return PathChunk(2.0**-7, [parts[r] for r in rows],
+        return PathChunk(2.0**-7,
+                         np.concatenate([k + 1j * parts[r]
+                                         for k, r in enumerate(rows)]),
                          np.concatenate([wiener[r] for r in rows]), starts,
-                         [paths[r].times[0] for r in rows],
-                         [paths[r].xis[0] for r in rows])
+                         np.concatenate([k + paths[r].jumps
+                                         for k, r in enumerate(rows)]),
+                         np.concatenate([paths[r].xis for r in rows]))
 
     state = np.full((2, 6), 0.5)
     state[1, 2] = np.nan
@@ -530,8 +561,8 @@ def test_single_mode_runs_match_scalar_oracle():
 
         args = (lam, x0, horizon, dt, f_kind, f_coef, intensity,
                 law.mean(), g1_const, phi_c,
-                path.nodes[0].tolist(), path.wiener[:, 0].tolist(),
-                path.times[0].tolist(), path.xis[0].tolist())
+                path.nodes.imag.tolist(), path.wiener[:, 0].tolist(),
+                path.jumps.imag.tolist(), path.xis.tolist())
         assert abs(got_a - _brute_force_terminal("A", *args)) <= 1e-12
         assert abs(got_b - _brute_force_terminal("B", *args)) <= 1e-12
 

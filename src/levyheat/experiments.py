@@ -117,6 +117,12 @@ class StudyPlan:
         levels = tuple(self.levels)
         if not levels:
             raise ValueError("a study needs at least one level")
+        # jumps that move no state: none, or zero marks z = xi phi with a
+        # g1 that is zero on them, as all but a nonzero constant are
+        m = self.model
+        scales = m.g1.kind == "constant" and m.g1.value != 0
+        idle = ("model.intensity" if m.intensity == 0 else "model.profile"
+                if not (m.profile.coeffs.any() or scales) else None)
         if self.axis == "temporal":
             levels = tuple(float(v) for v in levels)
             for j, dt in enumerate(levels):
@@ -137,17 +143,14 @@ class StudyPlan:
                         f"levels[{j}]: horizon {self.horizon} is not an "
                         f"integer multiple of temporal level {dt}"
                     )
-            # with F = 0 and g1 = 0 both schemes are exact without jumps,
-            # scheme A with centred ones too: a study would fit rounding
-            m = self.model
-            if self.nonlinearity.lipschitz == 0 == m.g1.bound and (
-                    m.intensity == 0
-                    or self.scheme == SCHEME_A and m.law.mean() == 0):
-                field = "model.intensity" if m.intensity == 0 else "model.law"
+            # with F = 0 both schemes are exact on idle jumps, scheme A on
+            # centred additive ones too: a study would fit rounding
+            if self.nonlinearity.lipschitz == 0 and (idle or m.g1.bound == 0
+                    and self.scheme == SCHEME_A and m.law.mean() == 0):
                 raise ValueError(
-                    f"{field}: with a zero nonlinearity and a zero model.g1, "
-                    f"scheme {self.scheme} is exact at every level, so each "
-                    "coupled error would be rounding")
+                    f"{idle or 'model.law'}: with a zero nonlinearity and a "
+                    f"zero model.g1 in effect, scheme {self.scheme} is exact "
+                    "at every level, so each coupled error would be rounding")
         elif self.axis == "spatial":
             coerced = []
             for j, v in enumerate(levels):
@@ -172,13 +175,13 @@ class StudyPlan:
                         f"levels[{j}]: increment {h} must lie in "
                         "(0, horizon/2]"
                     )
-            if self.model.g1.bound > 0:
+            if m.g1.bound > 0:
                 raise ValueError(
                     "model.g1: the regularity study needs additive jumps")
-            if self.model.intensity == 0:
+            if idle:
                 raise ValueError(
-                    "model.intensity: with no jumps every increment of the "
-                    "regularity study vanishes")
+                    f"{idle}: with no jumps, or zero marks, every increment "
+                    "of the regularity study vanishes")
         # three or more levels are fitted (`fit_order`), which needs log-levels
         # that are not all one number
         logs = np.log(np.asarray(levels, dtype=np.float64))
@@ -407,11 +410,12 @@ def _blocking(plan: StudyPlan) -> tuple:
     A block draws its paths and steps every resolution one stretch of time
     at a time, and holds one stretch of reference-resolution rows per
     sample, two on scheme B (its reference run's copy of them restricted to
-    the uniform grid), within BLOCK_BYTES.  A temporal stretch ends on nodes
-    of the plan's coarsest level, so that every level's steps fall whole
-    into stretches.  Stretches are as long as MAX_BLOCK samples allow, but
-    never shorter than one coarsest step; a plan whose coarsest step alone
-    fills the budget steps fewer samples at once.
+    the uniform grid), within BLOCK_BYTES: each draw allocates its rows,
+    and `_run_block` lets the last stretch's go first.  A temporal stretch
+    ends on nodes of the plan's coarsest level, so that every level's steps
+    fall whole into stretches.  Stretches are as long as MAX_BLOCK samples
+    allow, but never shorter than one coarsest step; a plan whose coarsest
+    step alone fills the budget steps fewer samples at once.
     """
     steps = round(plan.horizon / plan.dt_ref)
     row_bytes = plan.n_ref * 8 * (2 if plan.scheme == SCHEME_B else 1)
@@ -532,8 +536,8 @@ def _run_block(plan: StudyPlan, indices, phases=None) -> tuple:
                 for later in states[j + 1:]:
                     later[k] = np.nan
             taken[j] += np.diff(folded[dt].starts)
-        # one stretch at a time: drop it before the next one is drawn
-        del chunk, folded
+        # one stretch at a time: drop it and its views before the next draw
+        del chunk, folded, finer
     terminals = np.zeros((size, len(res), plan.n_ref))
     for j, (_, n) in enumerate(res):
         terminals[:, j, :n] = states[j]
@@ -701,7 +705,7 @@ def run_study(plan: StudyPlan, workers: int = 1) -> StudyResult:
             if not norms[:, j].any():
                 raise ValueError(
                     f"levels[{j}]: every norm at level {level} vanishes "
-                    "(zero jump model?); its error and order are undefined")
+                    "(no sample jumped?); its error and order are undefined")
         t0 = time.perf_counter()
         reports = _build_reports(plan, norms, plan.axis == "spatial")
     except ValueError as exc:

@@ -596,7 +596,7 @@ def _fold(inc: np.ndarray, deltas: np.ndarray, dt_ref: float,
     The steps fold together one position at a time, longest first, so
     that those still folding are a leading slice, at most _FOLD_ROWS at
     once.  A position scales every step by the dt_ref decay, and the few
-    on a row beside a jump, found once per _FOLD_ROWS steps, by its own.
+    whose row there lies beside a jump (deltas != dt_ref) by its own.
     """
     out, last = head[0], head[1] - 1  # the last row each step has folded
     end = pos[1:]
@@ -604,34 +604,25 @@ def _fold(inc: np.ndarray, deltas: np.ndarray, dt_ref: float,
     order = np.argsort(last - end, kind="stable")[:np.sum(end - last > 1)]
     lam = eigenvalues(inc.shape[1])
     decay = np.exp(-lam * dt_ref)
-    odd = np.nonzero(deltas != dt_ref)[0]  # the rows beside jumps
+    odd = deltas != dt_ref  # the rows beside jumps
     for lo in range(0, order.size, _FOLD_ROWS):
         sel = order[lo:lo + _FOLD_ROWS]
         first = last[sel]
         length = end[sel] - first
         acc = out[sel]
         rows = np.empty_like(acc)
-        # the rows beside jumps still to fold, by position: those at
-        # position q are in the steps sel[at[cut[q]:cut[q + 1]]]
-        a = odd.searchsorted(first, side="right")
-        n = odd.searchsorted(end[sel]) - a
-        at = np.repeat(np.arange(sel.size), n)
-        row = odd[np.arange(at.size) + np.repeat(a - np.cumsum(n) + n, n)]
-        place = row - first[at]
-        by = np.argsort(place, kind="stable")
-        at, row = at[by], row[by]
-        cut = place[by].searchsorted(np.arange(length[0] + 1)).tolist()
-        own = np.exp(-lam * deltas[row, None])
         later = np.arange(1, length[0])  # the positions still to fold
         live = np.searchsorted(-length, -later, side="left").tolist()
-        for q, k, i, j in zip(later.tolist(), live, cut[1:], cut[2:]):
+        for q, k in zip(later.tolist(), live):
             part = acc[:k]
-            if i < j:
-                kept = acc[at[i:j]] * own[i:j]
+            at = first[:k] + q  # each live step's micro row here
+            hit = np.flatnonzero(odd[at])
+            if hit.size:
+                kept = acc[hit] * np.exp(-lam * deltas[at[hit], None])
             part *= decay
-            if i < j:
-                acc[at[i:j]] = kept
-            inc.take(first[:k] + q, axis=0, out=rows[:k], mode="clip")
+            if hit.size:
+                acc[hit] = kept
+            inc.take(at, axis=0, out=rows[:k], mode="clip")
             part += rows[:k]
         out[sel] = acc
     return out
@@ -703,13 +694,13 @@ class PathStream:
         self._jumps = np.repeat(np.arange(counts.size), counts) + 1j * times
         self._rngs = [stream(global_seed, i, PURPOSE_WIENER) for i in indices]
         self._at = 0  # the dt_ref node the streams are at
-        self._rows = np.empty((0, n_ref))  # reused from stretch to stretch
+        self.n_ref = n_ref
 
     def draw(self, k0: int, k1: int) -> PathChunk:
         """Every sample's stretch from dt_ref node k0 to node k1.  The
         stretches must be drawn in time order, each from where the last one
-        ended.  The rows of a stretch live in a buffer that the next draw
-        overwrites."""
+        ended.  Each stretch's rows are allocated afresh, so a caller that
+        holds none of the last stretch's arrays has freed its rows."""
         if self._at != k0:
             raise ValueError("a path's stretches must be drawn in order")
         self._at = k1
@@ -718,11 +709,7 @@ class PathStream:
         jumps = self._jumps[inside]
         nodes = merge_jumps(base, jumps, len(self._rngs))
         starts = _starts(nodes, len(self._rngs))
-        if self._rows.shape[0] < starts[-1]:
-            n_ref = self._rows.shape[1]
-            self._rows = None  # freed before its successor is allocated
-            self._rows = np.empty((starts[-1], n_ref))
-        wiener = self._rows[:starts[-1]]
+        wiener = np.empty((starts[-1], self.n_ref))
         for rng, a, b in zip(self._rngs, starts[:-1], starts[1:]):
             rng.standard_normal(out=wiener[a:b])
         chunk = PathChunk(self.dt_ref, nodes, wiener, starts, jumps,

@@ -154,7 +154,7 @@ def run_block(cfg: SchemeConfig, chunk: PathChunk, state) -> tuple:
     adapted = cfg.scheme == SCHEME_A
     kernel = None
     if cfg.nonlinearity.kind != "zero":
-        kernel = NemytskiiKernel(cfg.nonlinearity, n, n)
+        kernel = NemytskiiKernel(cfg.nonlinearity, n)
     phi_vec = project(model.profile, n).coeffs
     rows = chunk.rows
     wiener = chunk.wiener[:, :n]

@@ -279,72 +279,64 @@ class NonlinearitySpec:
 
 
 class NemytskiiKernel:
-    """Precomputed pseudo-spectral evaluation of P_N f(u) on raw arrays.
+    """Precomputed pseudo-spectral evaluation of P_N f(u) on N-mode arrays.
 
-    The quadrature grid has M = 2 max(n_in, n_out) + 1 interior nodes, which
-    is alias-free for the output band and exact for linear f.  The scheme
-    loops call this object directly on coefficient arrays, one state of
-    shape (n_in,) or a block of shape (B, n_in); `nemytskii` wraps it for
-    SpectralState arguments.  Each row of a block gets exactly the doubles
-    of a 1-D call: the transforms are stacked matrix-vector products, one
-    BLAS gemv per row on the same table with the same strides, so a row's
-    sums run in the same order whatever its block or its place in it; a
-    2-D matrix product would round a row differently depending on the
-    block.  The table is node-major (`_node_table`), synthesis is table
-    times column, (M, n_in) x (n_in, 1), and analysis row times table,
-    (1, M) x (M, n_out).  From `_MIRROR_MODES` grid modes on, the
-    transforms fold the grid's mirror symmetry: the odd and the even modes
-    each take one product with a half-width table, which rounds
-    differently from the full table by a few ulps.
+    The quadrature grid has M = 2N + 1 interior nodes, which is alias-free
+    and exact for linear f.  The scheme loops call this object directly on
+    coefficient arrays, one state of shape (N,) or a block of shape (B, N);
+    `nemytskii` wraps it for SpectralState arguments.  Each row of a block
+    gets exactly the doubles of a 1-D call: the transforms are stacked
+    matrix-vector products, one BLAS gemv per row on the same table with
+    the same strides, so a row's sums run in the same order whatever its
+    block or its place in it; a 2-D matrix product would round a row
+    differently depending on the block.  One node-major table
+    (`_node_table`) serves both: synthesis is table times column, (M, N) x
+    (N, 1), and analysis row times table, (1, M) x (M, N).  From
+    `_MIRROR_MODES` modes on, the transforms fold the grid's mirror
+    symmetry: the odd and the even modes each take one product with a
+    half-width table, which rounds differently from the full table by a
+    few ulps.
     """
 
-    def __init__(self, spec: NonlinearitySpec, n_in: int, n_out: int):
+    def __init__(self, spec: NonlinearitySpec, n: int):
         self.spec = spec
-        self.n_in = n_in
-        self.n_out = n_out
-        self.m_nodes = 2 * max(n_in, n_out) + 1
-        self._mirror = max(n_in, n_out) >= _MIRROR_MODES
-        if spec.kind == "sine":
-            # synthesis/analysis tables only needed on the transform path;
-            # one array for both when n_in == n_out
-            self._syn = _node_table(n_in, self.m_nodes, self._mirror)
-            self._ana = _node_table(n_out, self.m_nodes, self._mirror)
+        self.n = n
+        self.m_nodes = 2 * n + 1
+        self._mirror = n >= _MIRROR_MODES
+        if spec.kind == "sine":  # only the transforms need the table
+            self._table = _node_table(n, self.m_nodes, self._mirror)
             self._scale = math.sqrt(2.0) / (self.m_nodes + 1)
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
         spec = self.spec
-        shape = coeffs.shape[:-1] + (self.n_out,)
         if spec.kind == "zero":
-            return np.zeros(shape)
+            return np.zeros(coeffs.shape)
         if spec.kind == "linear":
             # linearity commutes with projection; skip the transforms
-            out = np.zeros(shape)
-            n = min(self.n_in, self.n_out)
-            np.multiply(spec.coef, coeffs[..., :n], out=out[..., :n])
-            return out
+            return np.multiply(spec.coef, coeffs)
         if self._mirror:
-            values = self._mirror_synthesis(coeffs.reshape(-1, self.n_in))
+            values = self._mirror_synthesis(coeffs.reshape(-1, self.n))
         else:
-            values = np.matmul(self._syn, coeffs.reshape(-1, self.n_in, 1))
+            values = np.matmul(self._table, coeffs.reshape(-1, self.n, 1))
         values *= _SQRT2
         np.sin(values, out=values)
         values *= spec.coef
         if self._mirror:
             out = self._mirror_analysis(values)
         else:
-            out = np.matmul(values.reshape(-1, 1, self.m_nodes), self._ana)
+            out = np.matmul(values.reshape(-1, 1, self.m_nodes), self._table)
         out *= self._scale
-        return out.reshape(shape)
+        return out.reshape(coeffs.shape)
 
     def _mirror_synthesis(self, rows: np.ndarray) -> np.ndarray:
-        """Sum over the modes at every node of rows of shape (B, n_in): the
+        """Sum over the modes at every node of rows of shape (B, N): the
         odd and the even modes give P and Q on the nodes up to the middle
         one, so the sum is P + Q there and P - Q at their mirror nodes."""
-        _, half, width = self._syn.shape
+        _, half, width = self._table.shape
         split = np.zeros((rows.shape[0], 2, width, 1))
         split[:, 0, :, 0] = rows[:, 0::2]
-        split[:, 1, :self.n_in // 2, 0] = rows[:, 1::2]
-        pq = np.matmul(self._syn, split)
+        split[:, 1, :self.n // 2, 0] = rows[:, 1::2]
+        pq = np.matmul(self._table, split)
         p, q = pq[:, 0, :, 0], pq[:, 1, :, 0]
         values = np.empty((rows.shape[0], self.m_nodes))
         np.add(p, q, out=values[:, :half])
@@ -355,22 +347,25 @@ class NemytskiiKernel:
         """The unscaled sine coefficients of node values of shape (B, M):
         the odd modes read each node plus its mirror, the even modes each
         node minus its mirror, and both the middle node."""
-        half = self._ana.shape[1]
+        half = self._table.shape[1]
         near, far = values[:, :half - 1], values[:, :half - 1:-1]
         folded = np.empty((values.shape[0], 2, 1, half))
         np.add(near, far, out=folded[:, 0, 0, :-1])
         np.subtract(near, far, out=folded[:, 1, 0, :-1])
         folded[:, :, 0, -1] = values[:, half - 1:half]
-        both = np.matmul(folded, self._ana)
-        out = np.empty((values.shape[0], self.n_out))
+        both = np.matmul(folded, self._table)
+        out = np.empty((values.shape[0], self.n))
         out[:, 0::2] = both[:, 0, 0]
-        out[:, 1::2] = both[:, 1, 0, :self.n_out // 2]
+        out[:, 1::2] = both[:, 1, 0, :self.n // 2]
         return out
 
 
 def nemytskii(state: SpectralState, spec: NonlinearitySpec, n_out: int) -> SpectralState:
-    """Projected composition P_N f(u) computed pseudo-spectrally."""
+    """Projected composition P_N f(u) computed pseudo-spectrally: the state
+    zero-padded to n = max(dim, n_out) modes, the square kernel of n modes,
+    and its result projected to n_out modes."""
     if n_out < 1:
         raise ValueError(f"output dimension must be positive, got {n_out}")
-    kernel = NemytskiiKernel(spec, state.dim, n_out)
-    return SpectralState(kernel(state.coeffs))
+    n = max(state.dim, n_out)
+    kernel = NemytskiiKernel(spec, n)
+    return SpectralState(kernel(project(state, n).coeffs)[:n_out])

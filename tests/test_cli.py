@@ -863,6 +863,23 @@ def test_main_dry_run_creates_nothing(tmp_path, capsys):
                 "law": {"kind": "two_point", "p_plus": 0.5, "v_plus": 1.0,
                         "v_minus": -1.0},
                 "profile": {"c": 1.0, "r": 2.0}}}, "model.intensity"),
+    # zero marks: the jumps move no state, and a clipped g1 is zero on them
+    ({"scheme": "uniform_B", "nonlinearity": {"kind": "zero"},
+      "model": {"intensity": 1.0,
+                "law": {"kind": "two_point", "p_plus": 0.5, "v_plus": 2.0,
+                        "v_minus": -1.0},
+                "profile": {"coeffs": [0, 0, 0]}}}, "model.profile"),
+    ({"nonlinearity": {"kind": "zero"},
+      "model": {"intensity": 1.0,
+                "law": {"kind": "two_point", "p_plus": 0.5, "v_plus": 2.0,
+                        "v_minus": -1.0},
+                "profile": {"coeffs": [0, 0, 0]},
+                "g1": {"kind": "clipped", "value": 0.3}}}, "model.profile"),
+    ({"axis": "holder", "levels": [0.125, 0.0625], "model": {
+        "intensity": 1.0,
+        "law": {"kind": "two_point", "p_plus": 0.5, "v_plus": 1.0,
+                "v_minus": -1.0},
+        "profile": {"coeffs": [0, 0, 0]}}}, "model.profile"),
 ])
 def test_dry_run_rejects_unrunnable_plans(tmp_path, capsys, overrides,
                                           field):

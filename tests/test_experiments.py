@@ -21,6 +21,7 @@ from levyheat import experiments, noise
 from levyheat.experiments import (
     MAX_BLOCK,
     OrderReport,
+    StudyAborted,
     StudyPlan,
     StudyResult,
     _block_norms,
@@ -82,6 +83,9 @@ def tiny_model(n, intensity=1.0, g1=None):
     if g1 is None:
         g1 = G1Spec("zero", 0.0)
     return MarkModel(intensity, law, power_profile(1.0, 2.0, n), g1)
+
+
+ZERO_PROFILE = SpectralState([0.0, 0.0, 0.0])
 
 
 def make_plan(**overrides):
@@ -413,12 +417,21 @@ def test_plan_rejects_misc_bad_fields():
      "model.intensity"),
     (SCHEME_B, tiny_model(4, intensity=0.0), NonlinearitySpec.linear(0.0),
      "model.intensity"),
+    (SCHEME_B, MarkModel(1.0, TwoPointLaw(0.5, 2.0, -1.0), ZERO_PROFILE),
+     NonlinearitySpec.zero(), "model.profile"),
+    (SCHEME_A, MarkModel(1.0, TwoPointLaw(0.5, 2.0, -1.0), ZERO_PROFILE,
+                         G1Spec.clipped(0.3)),
+     NonlinearitySpec.zero(), "model.profile"),
+    (SCHEME_A, tiny_model(4, intensity=0.0, g1=G1Spec.constant(0.3)),
+     NonlinearitySpec.zero(), "model.intensity"),
 ])
 def test_plan_refuses_a_temporal_plan_exact_at_every_level(scheme, model,
                                                            nonlinearity,
                                                            field):
-    # F = 0, g1 = 0, and no jumps, or centred ones on the adapted scheme:
-    # every coupled error is rounding (about 1e-16), so no order exists
+    # F = 0 and jumps that move no state (none, whatever g1, or zero marks
+    # with a zero or clipped g1), or F = 0, g1 = 0 and centred jumps on the
+    # adapted scheme: every coupled error is rounding (about 1e-16), so no
+    # order exists
     with pytest.raises(ValueError, match=rf"^{re.escape(field)}: with .*"
                        r"zero nonlinearity and a zero model\.g1"):
         make_plan(scheme=scheme, model=model, nonlinearity=nonlinearity)
@@ -426,13 +439,18 @@ def test_plan_refuses_a_temporal_plan_exact_at_every_level(scheme, model,
 
 def test_plan_keeps_temporal_plans_whose_coupled_error_is_not_rounding():
     # F = 0 and g1 = 0 with non-centred jumps on scheme A (the closed-form
-    # truth test's case, E[xi] = 0.5) or centred ones on scheme B: each
-    # level has a discretisation error far above rounding
+    # truth test's case, E[xi] = 0.5) or centred ones on scheme B, or F = 0
+    # and a constant g1 on zero marks (multiplicative jumps alone, whose
+    # compensator the schemes freeze at each step's left node): each level
+    # has a discretisation error far above rounding
     skewed = MarkModel(1.0, TwoPointLaw(0.5, 2.0, -1.0),
                        power_profile(1.0, 2.0, 4))
     assert skewed.law.mean() == 0.5
+    scaling = MarkModel(1.0, TwoPointLaw(0.5, 2.0, -1.0), ZERO_PROFILE,
+                        G1Spec.constant(0.3))
     for scheme, model, low in ((SCHEME_A, skewed, 0.005),
-                               (SCHEME_B, tiny_model(4), 0.03)):
+                               (SCHEME_B, tiny_model(4), 0.03),
+                               (SCHEME_A, scaling, 0.001)):
         plan = make_plan(scheme=scheme, model=model,
                          nonlinearity=NonlinearitySpec.zero())
         errors = run_study(plan).reports[0].errors
@@ -818,6 +836,22 @@ def test_holder_study_zero_jump_model_rejected():
             levels=(2.0**-4,),
             model=tiny_model(4, intensity=0.0),
         )
+
+
+def test_a_study_whose_every_norm_at_a_level_vanishes_fails_naming_it():
+    # no jump before t + h in any of 4 samples at intensity 0.01, and no
+    # compensator for a centred law: every increment is exactly zero, which
+    # the plan cannot tell from its fields
+    model = MarkModel(0.01, TwoPointLaw(0.5, 1.0, -1.0),
+                      power_profile(1.0, 2.0, 8))
+    with pytest.warns(UserWarning, match="fewer than 100"):
+        plan = make_plan(axis="holder", levels=(2.0**-7, 2.0**-5, 2.0**-3),
+                         n_ref=8, model=model, x0=unit_state(8), samples=4,
+                         seed=0)
+    with pytest.raises(ValueError, match=r"^levels\[0\]: every norm at level "
+                       r"0\.0078125 vanishes") as caught:
+        run_study(plan)
+    assert caught.value.aborted == []
 
 
 def test_study_result_report_lookup():
@@ -1244,6 +1278,38 @@ def test_an_infinite_difference_fails_the_study_naming_p_and_the_level(
             np.errstate(invalid="ignore"):
         run_study(plan)
     assert caught.value.aborted == [record]
+
+
+def test_a_block_stops_drawing_once_every_sample_aborts(monkeypatch):
+    # a drift of 1e4 u overflows every sample's reference run within a few
+    # stretches: the block draws no further stretch, and the study fails
+    # with each sample's abort at dt_ref, at its step's end node
+    with pytest.warns(UserWarning, match="fewer than 100"):
+        plan = make_plan(levels=(2.0**-8, 2.0**-9, 2.0**-10), n_ref=256,
+                         dt_ref=2.0**-12, samples=4, x0=unit_state(256),
+                         model=tiny_model(256, intensity=0.0),
+                         nonlinearity=NonlinearitySpec.linear(1e4))
+    steps = round(plan.horizon / plan.dt_ref)
+    stretch = _blocking(plan)[1]
+    assert stretch < steps and block_size(plan) >= plan.samples
+    draws = []
+    draw = PathStream.draw
+
+    def spy(self, k0, k1):
+        draws.append((k0, k1))
+        return draw(self, k0, k1)
+
+    monkeypatch.setattr(PathStream, "draw", spy)
+    with pytest.raises(StudyAborted) as caught, \
+            np.errstate(over="ignore", invalid="ignore"):
+        run_study(plan)
+    assert 0 < len(draws) < steps // stretch
+    aborted = caught.value.aborted
+    assert [a["index"] for a in aborted] == list(range(plan.samples))
+    for a in aborted:
+        assert a["level"] == plan.dt_ref
+        assert draws[-1][0] <= a["step"] < draws[-1][1]
+        assert a["time"] == (a["step"] + 1) * plan.dt_ref
 
 
 def test_restrict_chunk_locates_every_samples_nodes(monkeypatch):

@@ -243,15 +243,15 @@ def _node_major(table):
     return np.ascontiguousarray(table.T)
 
 
-def _full_table_reference(row, coef, n_in, n_out):
-    """P_N f(u) of one row through the full sine tables, in 1-D: synthesis
+def _full_table_reference(row, coef, n):
+    """P_N f(u) of one row through the full sine table, in 1-D: synthesis
     as table times column, analysis as row times table."""
-    m = 2 * max(n_in, n_out) + 1
-    values = math.sqrt(2.0) * (_node_major(_sine_table(n_in, m)) @ row)
+    m = 2 * n + 1
+    table = _node_major(_sine_table(n, m))
+    values = math.sqrt(2.0) * (table @ row)
     np.sin(values, out=values)
     values *= coef
-    return math.sqrt(2.0) / (m + 1) * (values @ _node_major(
-        _sine_table(n_out, m)))
+    return math.sqrt(2.0) / (m + 1) * (values @ table)
 
 
 def _half_tables(n, m):
@@ -265,7 +265,7 @@ def _half_tables(n, m):
     return _node_major(odd), _node_major(even)
 
 
-def _mirrored_reference(row, coef, n_in, n_out):
+def _mirrored_reference(row, coef, n):
     """P_N f(u) of one row through the half-width tables, in 1-D.
 
     sin(k pi (1 - x)) = (-1)^(k+1) sin(k pi x), so the odd modes give P and
@@ -274,22 +274,20 @@ def _mirrored_reference(row, coef, n_in, n_out):
     reads node plus mirror for odd modes and node minus mirror for even.
     Synthesis is table times column, analysis row times table.
     """
-    n = max(n_in, n_out)
     m = 2 * n + 1
-    odd, even = _half_tables(n_in, m)
+    odd, even = _half_tables(n, m)
     a_odd, a_even = np.zeros(odd.shape[1]), np.zeros(even.shape[1])
     a_odd[:] = row[0::2]
-    a_even[:n_in // 2] = row[1::2]
+    a_even[:n // 2] = row[1::2]
     p, q = odd @ a_odd, even @ a_even
     values = np.concatenate([p + q, (p - q)[-2::-1]])
     values *= math.sqrt(2.0)
     np.sin(values, out=values)
     values *= coef
     near, far, middle = values[:n], values[:n:-1], values[n]
-    odd, even = _half_tables(n_out, m)
-    out = np.empty(n_out)
+    out = np.empty(n)
     out[0::2] = np.append(near + far, middle) @ odd
-    out[1::2] = (np.append(near - far, middle) @ even)[:n_out // 2]
+    out[1::2] = (np.append(near - far, middle) @ even)[:n // 2]
     return math.sqrt(2.0) / (m + 1) * out
 
 
@@ -305,15 +303,15 @@ def test_nemytskii_kernel_block_rows_match_vector_products(n):
     states = rng.standard_normal((7, n)) / np.arange(1, n + 1)
     full_block = rng.standard_normal((MAX_BLOCK, n))
     for coef in (1.0, -0.7):
-        kernel = NemytskiiKernel(NonlinearitySpec.sine(coef), n, n)
+        kernel = NemytskiiKernel(NonlinearitySpec.sine(coef), n)
         for rows in (block, block[:1], block[2:6], states, full_block):
             got = kernel(rows)
             assert got.shape == rows.shape
             for row, out in zip(rows, got):
                 if n >= 128:
-                    expected = _mirrored_reference(row, coef, n, n)
+                    expected = _mirrored_reference(row, coef, n)
                 else:
-                    expected = _full_table_reference(row, coef, n, n)
+                    expected = _full_table_reference(row, coef, n)
                 assert out.tobytes() == expected.tobytes()
                 assert out.tobytes() == kernel(row).tobytes()
         # the mirrored products round differently from the full table's:
@@ -323,31 +321,13 @@ def test_nemytskii_kernel_block_rows_match_vector_products(n):
         # (`test_mirrored_kernel_against_extended_precision`)
         for rows, rtol in ((states, 1e-13), (block, 1e-12)):
             for row, out in zip(rows, kernel(rows)):
-                full = _full_table_reference(row, coef, n, n)
+                full = _full_table_reference(row, coef, n)
                 assert (np.linalg.norm(out - full)
                         <= rtol * np.linalg.norm(full))
     for spec in (NonlinearitySpec.zero(), NonlinearitySpec.linear(2.5)):
-        kernel = NemytskiiKernel(spec, n, n)
+        kernel = NemytskiiKernel(spec, n)
         got = kernel(block)
         for row, out in zip(block, got):
-            assert out.tobytes() == kernel(row).tobytes()
-
-
-@pytest.mark.parametrize("n_in, n_out", [(131, 256), (256, 131), (40, 128)])
-def test_mirrored_kernel_with_unequal_mode_counts(n_in, n_out):
-    # the larger mode count alone sets the grid and the path
-    rng = np.random.default_rng(n_in + n_out)
-    rows = rng.standard_normal((3, n_in)) / np.arange(1, n_in + 1)
-    kernel = NemytskiiKernel(NonlinearitySpec.sine(0.8), n_in, n_out)
-    for row, out in zip(rows, kernel(rows)):
-        full = _full_table_reference(row, 0.8, n_in, n_out)
-        assert out.tobytes() == kernel(row).tobytes()
-        assert np.linalg.norm(out - full) <= 1e-13 * np.linalg.norm(full)
-    wide = rng.standard_normal((MAX_BLOCK, n_in)) / np.arange(1, n_in + 1)
-    for block in (wide, wide[:1], wide[2:6], wide[:7]):
-        for row, out in zip(block, kernel(block)):
-            expected = _mirrored_reference(row, 0.8, n_in, n_out)
-            assert out.tobytes() == expected.tobytes()
             assert out.tobytes() == kernel(row).tobytes()
 
 
@@ -356,9 +336,9 @@ def test_kernel_table_is_aligned_node_major_and_shared(n):
     # the gemv products are fast only on a C-contiguous table that starts
     # on a 64-byte boundary; a misaligned one gives the same bytes slower,
     # so only the layout can show the loss
-    kernel = NemytskiiKernel(NonlinearitySpec.sine(1.0), n, n)
-    table = kernel._syn
-    assert kernel._ana is table
+    kernel = NemytskiiKernel(NonlinearitySpec.sine(1.0), n)
+    table = kernel._table
+    assert NemytskiiKernel(NonlinearitySpec.sine(-0.5), n)._table is table
     assert table.flags.c_contiguous and not table.flags.writeable
     assert table.ctypes.data % 64 == 0
     m = 2 * n + 1
@@ -378,7 +358,7 @@ digest = hashlib.sha256()
 for n in (256, 512):
     rng = np.random.default_rng(n)
     block = rng.standard_normal((32, n)) / np.arange(1, n + 1)
-    kernel = NemytskiiKernel(NonlinearitySpec.sine(1.0), n, n)
+    kernel = NemytskiiKernel(NonlinearitySpec.sine(1.0), n)
     digest.update(kernel(block).tobytes())
     digest.update(kernel(block[0]).tobytes())
 print(digest.hexdigest())
@@ -426,7 +406,7 @@ def test_mirrored_kernel_against_extended_precision(n):
     rng = np.random.default_rng(n)
     block = rng.standard_normal((7, n))
     states = rng.standard_normal((7, n)) / np.arange(1, n + 1)
-    kernel = NemytskiiKernel(NonlinearitySpec.sine(1.0), n, n)
+    kernel = NemytskiiKernel(NonlinearitySpec.sine(1.0), n)
     for rows in (block, states):
         mirrored = full = 0.0
         for row, out in zip(rows, kernel(rows)):
@@ -436,7 +416,7 @@ def test_mirrored_kernel_against_extended_precision(n):
             assert err <= 1e-12
             mirrored += err
             full += float(np.linalg.norm(
-                _full_table_reference(row, 1.0, n, n) - exact)) / scale
+                _full_table_reference(row, 1.0, n) - exact)) / scale
         assert mirrored <= full
 
 
